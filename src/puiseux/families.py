@@ -21,13 +21,15 @@ Family names, as used by the DSL and CLI:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, NeedsBoundError
-from .monoid import Budget, Factorization, FactorizationSet, FgMonoid, _as_budget, internal_sum
-from .qarith import RationalLike, as_rational, nth_prime, prime_factors
+from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _as_budget, _solve_int,
+                     _vectors_to_set, internal_sum)
+from .qarith import RationalLike, _int_valuation, as_rational, lcm_den, nth_prime, prime_factors
 
 BASE_KINDS = ("grams", "companion", "exA", "exB", "sqden", "interval1")
 SUM_KINDS = ("exAexB", "interval1_sqden", "gramscompanion")
@@ -291,25 +293,6 @@ def divisor_candidates(kind: str, q: RationalLike) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sqden_index(p: int) -> int:
-    n = 1
-    while True:
-        candidate = family_prime("sqden", n)
-        if candidate == p:
-            return n
-        if candidate > p:
-            raise InputError(f"{p} is not prime")
-        n += 1
-
-
-def _den_exponent(den: int, p: int) -> int:
-    e = 0
-    while den % p == 0:
-        den //= p
-        e += 1
-    return e
-
-
 def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
                      trace: list | None = None) -> list[dict[int, int]]:
     """All multisets {index: multiplicity} of sqden generators summing to target.
@@ -330,9 +313,9 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     for p in prime_factors(target.denominator):
         # no generator can absorb a denominator exponent beyond 2, and a
         # prime whose index is already behind us can never be fixed later
-        if _den_exponent(target.denominator, p) > 2:
+        if _int_valuation(target.denominator, p) > 2:
             return []
-        if _sqden_index(p) < min_index:
+        if p < family_prime("sqden", min_index):
             return []
     usable = [n for n in cands if n >= min_index]
     if not usable:
@@ -357,77 +340,31 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     return out
 
 
-_sqden_atom_cache: dict[int, bool] = {}
-_one_atom_cache: list[bool] = []
-
-
 def _sum_part_is_atom(atom: Fraction, budget: Budget) -> bool:
     """Is this candidate part an atom of interval1 + sqden?  Exact check.
 
     Every member below 1 lies in the sqden component, so 1 is an atom iff it
     has no sqden representation, and a generator is an atom iff its only
-    representation is itself.
+    representation is itself (which is always one of them).
     """
     if atom == 1:
-        if not _one_atom_cache:
-            _one_atom_cache.append(not _sqden_solutions(Fraction(1), 1, budget))
-        return _one_atom_cache[0]
-    n = _sqden_index(_sqden_gen_prime(atom))
-    if n not in _sqden_atom_cache:
-        _sqden_atom_cache[n] = _sqden_solutions(atom, 1, budget) == [{n: 1}]
-    return _sqden_atom_cache[n]
+        return not _sqden_solutions(atom, 1, budget)
+    return len(_sqden_solutions(atom, 1, budget)) == 1
 
 
-def _sqden_gen_prime(atom: Fraction) -> int:
-    primes = prime_factors(atom.denominator)
-    if len(primes) == 1 and atom == Fraction(primes[0] + 1, primes[0] ** 2):
-        return primes[0]
-    raise InputError(f"{atom} is not a square-denominator generator")
-
-
-def _finite_multisets(atoms: list[Fraction], target: Fraction, need: int | None,
-                      budget: Budget) -> list[Factorization]:
-    """Multisets over a finite positive atom list with the given sum.
-
-    Largest atom first; with an exact part count the residual is boxed
-    between count * smallest and count * largest remaining atom.
-    """
-    atoms = sorted(set(atoms))
-    out: list[Factorization] = []
-    if not atoms:
-        return out
-    mults: dict[Fraction, int] = {}
-
-    def descend(i: int, rem: Fraction, left: int | None) -> None:
-        budget.spend()
-        if rem == 0 and (left is None or left == 0):
-            out.append(Factorization.of(dict(mults)))
-            return
-        if i < 0 or rem <= 0 or (left is not None and left == 0):
-            return
-        a = atoms[i]
-        top = int(rem // a)
-        if left is not None:
-            top = min(top, left)
-        for m in range(top + 1):
-            new_rem = rem - m * a
-            if left is not None:
-                stay = left - m
-                if new_rem < stay * atoms[0] or (i > 0 and new_rem > stay * atoms[i - 1]):
-                    continue
-                if i == 0 and stay > 0 and new_rem != 0:
-                    continue
-            elif new_rem > 0 and new_rem < atoms[0]:
-                continue
-            if m:
-                mults[a] = m
-            else:
-                mults.pop(a, None)
-            descend(i - 1, new_rem, None if left is None else left - m)
-        mults.pop(a, None)
-
-    descend(len(atoms) - 1, target, need)
-    return out
+def _finite_factorizations(atoms: Iterable[Fraction], q: Fraction, ell: int | None,
+                           budget: Budget) -> FactorizationSet:
+    """Factorizations of q (of length ell, if given) over finitely many
+    distinct positive atoms, solved by the integer kernel after scaling by
+    the lcm of the denominators.  A target that does not scale to an
+    integer has none."""
+    atoms = sorted(atoms)
+    scale = lcm_den(atoms)
+    t = q * scale
+    if t.denominator != 1:
+        return FactorizationSet.of(q, ())
+    vectors = _solve_int(int(t), tuple(int(a * scale) for a in atoms), ell, budget)
+    return _vectors_to_set(q, atoms, vectors)
 
 
 def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
@@ -437,7 +374,8 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
     """Factorization set of q over a family's atoms.
 
     exAexB requires a window (number of admitted indices) and is exact over
-    that windowed atom set.  sqden and interval1_sqden are exact and
+    that windowed atom set, searched by the same integer kernel as finitely
+    generated monoids.  sqden and interval1_sqden are exact and
     window-free thanks to the valuation pruning; parts are re-checked for
     atomhood in the sum before being reported.
     """
@@ -453,31 +391,22 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
             raise NeedsBoundError("the exAexB search needs window=... (admitted indices)")
         atoms = [family_generator("exA", i) for i in range(1, window + 1)]
         atoms += [family_generator("exB", i) for i in range(1, window + 1)]
-        return FactorizationSet.of(q, _finite_multisets(atoms, q, None, budget))
-    if kind == "sqden":
+        return _finite_factorizations(atoms, q, None, budget)
+    if kind in ("sqden", "interval1_sqden"):
+        # any q > 1 splits off a sqden generator below q - 1, so 1 is the
+        # only part the interval1 component can contribute
         items = []
-        for sol in _sqden_solutions(q, 1, budget, trace):
-            z = Factorization.of({family_generator("sqden", n): m for n, m in sol.items()})
-            if all(_sum_part_is_atom(a, budget) for a, _ in z.parts):
-                items.append(z)
-        return FactorizationSet.of(q, items)
-    if kind == "interval1_sqden":
-        items = []
-        one = Fraction(1)
-        for copies in range(int(q) + 1):
+        for copies in range(int(q) + 1 if kind == "interval1_sqden" else 1):
             rest = q - copies
-            if rest == 0:
-                if copies:
-                    items.append(Factorization.of({one: copies}))
-                continue
-            for sol in _sqden_solutions(rest, 1, budget, trace):
+            for sol in _sqden_solutions(rest, 1, budget, trace) if rest else [{}]:
                 parts = {family_generator("sqden", n): m for n, m in sol.items()}
                 if copies:
-                    parts[one] = copies
+                    parts[Fraction(1)] = copies
                 items.append(Factorization.of(parts))
-        kept = [z for z in items
-                if all(_sum_part_is_atom(a, budget) for a, _ in z.parts)]
-        return FactorizationSet.of(q, kept)
+        # each distinct part is checked once per query
+        distinct = {a for z in items for a, _ in z.parts}
+        atoms = {a for a in distinct if _sum_part_is_atom(a, budget)}
+        return FactorizationSet.of(q, [z for z in items if all(a in atoms for a, _ in z.parts)])
     raise NeedsBoundError(f"no exact factorization procedure for {kind}; truncate with K=...")
 
 
@@ -521,7 +450,7 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
     The full set is infinite whenever it is nonempty with ell >= 2, so the
     sample admits exactly the atoms whose offset from the equal split q/ell
     has denominator at most den_bound, and enumerates completely over that
-    grid.  Counts must grow as den_bound grows.
+    grid with the integer search.  Counts must grow as den_bound grows.
     """
     q = as_rational(q)
     if q < 1:
@@ -532,15 +461,10 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
     center = q / ell
     atoms: set[Fraction] = set()
     for d in range(1, den_bound + 1):
-        j_lo = (1 - center) * d
-        j = int(j_lo) - 1
-        while center + Fraction(j, d) < 1:
-            j += 1
-        while center + Fraction(j, d) < 2:
-            atoms.add(center + Fraction(j, d))
-            j += 1
-    items = _finite_multisets(sorted(atoms), q, ell, budget)
-    return FactorizationSet.of(q, items)
+        # [1, 2) has length 1, so exactly d offsets j/d land in it
+        lo = math.ceil((1 - center) * d)
+        atoms.update(center + Fraction(j, d) for j in range(lo, lo + d))
+    return _finite_factorizations(atoms, q, ell, budget)
 
 
 # -- property reports ---------------------------------------------------------
@@ -599,38 +523,68 @@ def _family_evidence(kind: str, K: int, window: int, den_bound: int, budget: Bud
             "band_respected": all(a_1 / 2 < b < a_1 for b in seq.b),
         }
     if kind == "gramscompanion":
-        witnesses = [antimatter_witness(n) for n in range(1, 4)]
-        witnesses += [antimatter_witness(n, k) for n in range(1, 4) for k in (1, 2)]
+        witnesses = _antimatter_witnesses()
         return {
             "provenance": "evidence(n<=3, depth<=3)",
             "witness_identities": [w.identity() for w in witnesses],
             "all_hold": all(w.holds() for w in witnesses),
         }
     if kind == "exAexB":
-        counts = [
-            sum(1 for z in family_factorizations("exAexB", 2, window=w, budget=budget)
-                if z.length == 2)
-            for w in range(1, window + 1)
-        ]
+        counts = [len(zs) for zs in _exaexb_length2_of_2(window, budget)]
         return {
             "provenance": f"evidence(window={window})",
             "length2_counts_of_2": counts,
             "strictly_increasing": all(a < b for a, b in zip(counts, counts[1:])),
         }
     if kind == "interval1":
-        bounds = sorted({max(2, den_bound // 3), max(3, 2 * den_bound // 3), den_bound})
-        counts = [len(interval_length_factorizations(3, 2, d, budget)) for d in bounds]
+        ladder = _interval_ladder(den_bound, budget)
+        counts = [len(zs) for zs in ladder.values()]
         return {
             "provenance": f"evidence(den_bound={den_bound})",
-            "den_bounds": bounds,
+            "den_bounds": list(ladder),
             "length2_counts_of_3": counts,
             "strictly_increasing": all(a < b for a, b in zip(counts, counts[1:])),
         }
     if kind == "interval1_sqden":
-        nine_eighths = Fraction(9, 8)
+        member, zs = _nine_eighths(budget)
         return {
             "provenance": "evidence(exact)",
-            "member_9/8": family_member(kind, nine_eighths, budget),
-            "factorizations_9/8": len(family_factorizations(kind, nine_eighths, budget=budget)),
+            "member_9/8": member,
+            "factorizations_9/8": len(zs),
         }
     raise InputError(f"unknown family {kind!r}")
+
+
+# -- evidence shared with the paper scenarios ----------------------------------
+# A Budget passed in is shared by every search inside; an int or None gives
+# each search its own allowance.
+
+
+def _antimatter_witnesses() -> list[Witness]:
+    """The reducibility witnesses for a_n, b_1(n) and b_2(n), n <= 3."""
+    witnesses = [antimatter_witness(n) for n in range(1, 4)]
+    witnesses += [antimatter_witness(n, k) for n in range(1, 4) for k in (1, 2)]
+    return witnesses
+
+
+def _exaexb_length2_of_2(window: int, budget: Budget | int | None) -> list[list[Factorization]]:
+    """The length-2 factorizations of 2 in exA + exB, for each window 1..window."""
+    return [
+        [z for z in family_factorizations("exAexB", 2, window=w, budget=budget) if z.length == 2]
+        for w in range(1, window + 1)
+    ]
+
+
+def _interval_ladder(den_bound: int, budget: Budget | int | None) -> dict[int, FactorizationSet]:
+    """Length-2 factorizations of 3 in the unit-interval monoid, keyed by an
+    ascending ladder of denominator bounds that ends at or above den_bound."""
+    bounds = sorted({max(2, den_bound // 3), max(3, 2 * den_bound // 3), den_bound})
+    return {d: interval_length_factorizations(3, 2, d, budget) for d in bounds}
+
+
+def _nine_eighths(budget: Budget | int | None,
+                  trace: list | None = None) -> tuple[bool, FactorizationSet]:
+    """Whether 9/8 lies in interval1 + sqden, and its factorization set."""
+    q = Fraction(9, 8)
+    member = family_member("interval1_sqden", q, budget)
+    return member, family_factorizations("interval1_sqden", q, budget=budget, trace=trace)

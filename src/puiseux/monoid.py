@@ -20,7 +20,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError, NotAMemberError
 from .qarith import RationalLike, as_rational, lcm_den
@@ -338,8 +338,7 @@ class FgMonoid:
         """Complete enumeration of multisets of atoms summing to q."""
         budget = _as_budget(budget)
         t = self._int_target(q, budget)
-        vectors = _solve_int(t, self.int_atoms, None, budget)
-        return FactorizationSet.of(q, (self._vector(v) for v in vectors))
+        return _vectors_to_set(q, self.atoms, _solve_int(t, self.int_atoms, None, budget))
 
     def factorizations_of_length(self, q: RationalLike, ell: int,
                                  budget: Budget | int | None = None) -> FactorizationSet:
@@ -348,18 +347,12 @@ class FgMonoid:
             raise InputError("length must be a positive integer")
         budget = _as_budget(budget)
         t = self._int_target(q, budget)
-        vectors = _solve_int(t, self.int_atoms, ell, budget)
-        return FactorizationSet.of(q, (self._vector(v) for v in vectors))
+        return _vectors_to_set(q, self.atoms, _solve_int(t, self.int_atoms, ell, budget))
 
     def lengths(self, q: RationalLike, budget: Budget | int | None = None) -> LengthSet:
         """Exactly the set of lengths over all factorizations of q."""
         zs = self.factorizations(q, budget)
         return LengthSet(zs.target, zs.lengths())
-
-    def _vector(self, mults: tuple[int, ...]) -> Factorization:
-        return Factorization.of(
-            {a: m for a, m in zip(self.atoms, mults) if m > 0}
-        )
 
     # -- structure report ---------------------------------------------------
 
@@ -446,7 +439,8 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
     up from zero, so results are emitted already in canonical order.  Pruning:
     the residue must be divisible by the gcd of the remaining atoms, and under
     an exact-length constraint it must fit between length * min and
-    length * max of the remaining atoms.
+    length * max of the remaining atoms (without one, it must be zero or at
+    least the smallest atom).
     """
     k = len(atoms)
     prefix_gcd = [0] * k
@@ -484,12 +478,22 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
                 left = need - m
                 if new_rem < left * atoms[0] or new_rem > left * atoms[i - 1]:
                     continue
+            elif 0 < new_rem < atoms[0]:
+                continue
             xs[i] = m
             descend(i - 1, new_rem, None if need is None else need - m)
         xs[i] = 0
 
     descend(k - 1, target, exact_length)
     return out
+
+
+def _vectors_to_set(q: RationalLike, atoms: Sequence[Fraction],
+                    vectors: Iterable[tuple[int, ...]]) -> FactorizationSet:
+    """The factorizations of q given by multiplicity vectors over atoms."""
+    return FactorizationSet.of(
+        q, (Factorization.of({a: m for a, m in zip(atoms, v) if m}) for v in vectors)
+    )
 
 
 # -- cyclic extensions: the constructive procedures behind the sum theorems --

@@ -4,7 +4,7 @@ Each scenario recomputes its claims from scratch and reports a verdict per
 claim: "verified-exact" for checks that are complete as stated,
 "evidence-at-bound" for box/window/truncation evidence about an infinite
 object, and "failed" when a recomputation contradicts the claim.  Nothing
-is ever hardcoded; deleting caches changes nothing.
+is ever hardcoded, and no result carries over from an earlier run.
 """
 
 from __future__ import annotations
@@ -142,8 +142,7 @@ def _lexcone_scenario(box: int) -> PaperReport:
 
 
 def _antimatter_scenario() -> PaperReport:
-    witnesses = [families.antimatter_witness(n) for n in range(1, 4)]
-    witnesses += [families.antimatter_witness(n, k) for n in range(1, 4) for k in (1, 2)]
+    witnesses = families._antimatter_witnesses()
     claims = tuple(
         _claim(
             f"{w.target_label} splits into two nonzero members: {w.identity()}",
@@ -159,12 +158,10 @@ def _antimatter_scenario() -> PaperReport:
 
 
 def _two_ffm_sum_scenario(window: int, budget: int | None) -> PaperReport:
-    counts = []
+    per_window = families._exaexb_length2_of_2(window, budget)
+    counts = [len(length2) for length2 in per_window]
     pairings_ok = True
-    for w in range(1, window + 1):
-        zs = families.family_factorizations("exAexB", 2, window=w, budget=budget)
-        length2 = [z for z in zs if z.length == 2]
-        counts.append(len(length2))
+    for length2 in per_window:
         for z in length2:
             if len(z.parts) != 2:
                 pairings_ok = False
@@ -196,11 +193,8 @@ def _two_ffm_sum_scenario(window: int, budget: int | None) -> PaperReport:
 
 
 def _nonatomic_sum_scenario(budget: int | None) -> PaperReport:
-    nine_eighths = Fraction(9, 8)
     trace: list = []
-    member = families.family_member("interval1_sqden", nine_eighths, budget)
-    zs = families.family_factorizations("interval1_sqden", nine_eighths,
-                                        budget=budget, trace=trace)
+    member, zs = families._nine_eighths(budget, trace)
     claims = (
         _claim(
             "9/8 belongs to the sum of the unit-interval and square-denominator monoids",
@@ -289,17 +283,15 @@ def lat_divides_upperhalf(u1: lattice2.LatticePoint, u2: lattice2.LatticePoint) 
 
 
 def _interval_scenario(den_bound: int, budget: int | None) -> PaperReport:
-    pairs = families.interval_length_factorizations(3, 2, den_bound, budget)
-    expected = []
-    for n in range(3, den_bound + 1):
-        low = Fraction(3, 2) - Fraction(1, n)
-        high = Fraction(3, 2) + Fraction(1, n)
-        expected.append({low: 1, high: 1} if low != high else {low: 2})
-    have_all = all(Factorization.of(e) in pairs.items for e in expected)
-    bounds = sorted({max(2, den_bound // 3), max(3, 2 * den_bound // 3), den_bound})
-    counts = [
-        len(families.interval_length_factorizations(3, 2, d, budget)) for d in bounds
-    ]
+    ladder = families._interval_ladder(den_bound, budget)
+    pairs = ladder[den_bound]
+    half = Fraction(3, 2)
+    have_all = all(
+        Factorization.of({half - Fraction(1, n): 1, half + Fraction(1, n): 1}) in pairs.items
+        for n in range(3, den_bound + 1)
+    )
+    bounds = list(ladder)
+    counts = [len(zs) for zs in ladder.values()]
     lengths = families.interval_lengths(3)
     claims = (
         _claim(

@@ -2,18 +2,31 @@
 
 Each test pits two implementations with different logic against each other:
 the valuation-pruned family search vs the elementary exhaustive search, the
-inductive extension MCD vs the complete MCD-set enumeration, and the
+windowed and interval searches vs product enumeration over the same atoms,
+the inductive extension MCD vs the complete MCD-set enumeration, and the
 canonical printer vs the parser on generated syntax trees.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_fraction_member, random_extension_instances, random_member
-from puiseux import add_cyclic, family_generator, family_member, mcd_via_extension, parse, print_program
+import pytest
+
+from conftest import oracle_fraction_member, oracle_vectors, random_extension_instances, random_member
+from puiseux import (
+    add_cyclic,
+    family_factorizations,
+    family_generator,
+    family_member,
+    interval_length_factorizations,
+    mcd_via_extension,
+    parse,
+    print_program,
+)
 from puiseux.dsl import Family, FgLiteral, Ident, Let, Query, Sum
 from puiseux.families import _sqden_solutions
 from puiseux.monoid import Budget
@@ -69,6 +82,46 @@ def test_sqden_solutions_within_truncation_match_oracle_set():
         # all candidate indices for these targets lie within the truncation
         assert all(max(sol, default=0) <= 4 for sol in pruned)
         assert sorted(pruned, key=lambda s: sorted(s.items())) == oracle_solutions(q)
+
+
+def _oracle_set(atoms, q, ell=None):
+    """Multiplicity vectors over atoms summing to q (with ell parts, if
+    given), by product enumeration over the atoms integerized here."""
+    scale = math.lcm(*(a.denominator for a in atoms))
+    t = q * scale
+    if t.denominator != 1:
+        return []
+    vectors = oracle_vectors([int(a * scale) for a in atoms], int(t))
+    return [xs for xs in vectors if ell is None or sum(xs) == ell]
+
+
+def _as_vectors(zs, atoms):
+    assert all(a in atoms for z in zs for a, _ in z.parts)
+    return sorted(tuple(z.multiplicity(a) for a in atoms) for z in zs)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_exaexb_windowed_sets_match_product_enumeration(window):
+    atoms = sorted([family_generator("exA", i) for i in range(1, window + 1)]
+                   + [family_generator("exB", i) for i in range(1, window + 1)])
+    # 7/3: the denominator 3 divides no atom's, so the set is empty
+    for q in (F(1), F(2), F(12, 5), F(8, 5), F(13, 7), F(24, 7), F(3), F(7, 3)):
+        zs = family_factorizations("exAexB", q, window=window)
+        assert _as_vectors(zs, atoms) == _oracle_set(atoms, q)
+    assert len(family_factorizations("exAexB", F(7, 3), window=window)) == 0
+
+
+@pytest.mark.parametrize("q, ell, den_bound", [
+    (F(3), 2, 1), (F(3), 2, 2), (F(3), 2, 3), (F(3), 2, 4), (F(2), 2, 4),
+    (F(5, 2), 2, 3), (F(7, 2), 3, 3), (F(4), 3, 3), (F(1), 1, 3),
+])
+def test_interval_length_samples_match_product_enumeration(q, ell, den_bound):
+    # the sample's atoms: the points of [1, 2) at offset j/d from q/ell, d <= den_bound
+    center = q / ell
+    atoms = sorted({center + F(j, d) for d in range(1, den_bound + 1)
+                    for j in range(-2 * d, 2 * d + 1) if 1 <= center + F(j, d) < 2})
+    zs = interval_length_factorizations(q, ell, den_bound)
+    assert _as_vectors(zs, atoms) == _oracle_set(atoms, q, ell)
 
 
 def test_extension_mcd_belongs_to_the_full_mcd_set():

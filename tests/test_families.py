@@ -4,6 +4,7 @@ import pytest
 
 from conftest import oracle_fraction_member
 from puiseux import (
+    BudgetExceededError,
     InputError,
     NeedsBoundError,
     antimatter_witness,
@@ -150,6 +151,16 @@ def test_interval_sqden_factorizations():
     zs = family_factorizations("sqden", F(3, 2))
     assert [dict(z.parts) for z in zs] == [{F(3, 4): 2}]
     assert len(family_factorizations("sqden", F(9, 8))) == 0
+
+
+def test_budget_outcome_does_not_depend_on_earlier_queries():
+    # the same query with the same budget fails the same way before and
+    # after an unbudgeted run of it in this process
+    with pytest.raises(BudgetExceededError):
+        family_factorizations("sqden", F(43, 36), budget=5)
+    assert len(family_factorizations("sqden", F(43, 36))) == 1
+    with pytest.raises(BudgetExceededError):
+        family_factorizations("sqden", F(43, 36), budget=5)
 
 
 def test_family_membership():
