@@ -97,7 +97,11 @@ def lat_atomic_elements_in_box(bound: int) -> tuple[LatticePoint, ...]:
     box atoms; with atom set {(1,0)} this is the nonnegative x-axis."""
     if bound < 1:
         raise InputError("box bound must be positive")
-    atoms = lat_atoms_in_box("lexcone", bound)
+    return _sums_in_box(lat_atoms_in_box("lexcone", bound), bound)
+
+
+def _sums_in_box(atoms: tuple[LatticePoint, ...], bound: int) -> tuple[LatticePoint, ...]:
+    """Every sum of the given atoms reachable without leaving the box."""
     reached = {ORIGIN}
     frontier = [ORIGIN]
     while frontier:
@@ -142,7 +146,11 @@ def lat_factorizations_in_box(kind: str, v: PointLike, bound: int) -> tuple[tupl
     v = _point(v)
     if not lat_contains(kind, v):
         raise InputError(f"{v} is not an element of {kind}")
-    atoms = lat_atoms_in_box(kind, bound)
+    return _factorizations(lat_atoms_in_box(kind, bound), v)
+
+
+def _factorizations(atoms: tuple[LatticePoint, ...], v: LatticePoint) -> tuple[tuple[LatticePoint, ...], ...]:
+    """All multisets of the given atoms summing to v, each sorted, in sorted order."""
     out: list[tuple[LatticePoint, ...]] = []
     chosen: list[LatticePoint] = []
 

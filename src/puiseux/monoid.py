@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -69,17 +68,6 @@ def _close_bits(bits: int, gens: Iterable[int], limit: int, budget: Budget) -> i
             bits |= (bits << step) & mask
             step <<= 1
     return bits
-
-
-def _reachable_subset(target: int, gens: list[int], budget: Budget) -> bool:
-    """Is target a nonnegative integer combination of gens?  One-shot check."""
-    if target == 0:
-        return True
-    usable = [g for g in gens if g <= target]
-    if not usable:
-        return False
-    bits = _close_bits(1, usable, target, budget)
-    return bool((bits >> target) & 1)
 
 
 @dataclass(frozen=True)
@@ -211,8 +199,9 @@ class FgMonoid:
     """Additive submonoid of Q>=0 generated by finitely many positive rationals.
 
     Immutable after construction.  The integer reachability mask grows on
-    demand; growth happens under a lock and is swapped in atomically, so
-    concurrent readers always observe a consistent (cover, bits) pair.
+    demand and is replaced by one assignment of a (cover, bits) pair, so
+    concurrent readers always observe a consistent pair; two threads that
+    grow it at once only repeat work.
     """
 
     def __init__(self, generators: Iterable[RationalLike], budget: Budget | int | None = None):
@@ -226,7 +215,6 @@ class FgMonoid:
         self.int_atoms = tuple(int(a * self.scale) for a in self.atoms)
         # (cover, bits): bit t decided for all 0 <= t <= cover
         self._state: tuple[int, int] = (0, 1)
-        self._lock = threading.Lock()
 
     # -- construction -----------------------------------------------------
 
@@ -234,31 +222,35 @@ class FgMonoid:
         # In a reduced monoid the atoms are exactly the generators that are
         # not nonnegative-integer combinations of the other generators:
         # any nontrivial combination equal to g uses only generators < g.
+        # So walking them in ascending order, g is an atom iff its bit is
+        # still unset once the mask is closed under the smaller atoms.
+        limit = self.int_gens[-1]
+        bits = 1
         atoms = []
-        for i, g in enumerate(self.int_gens):
-            others = [h for j, h in enumerate(self.int_gens) if j != i and h < g]
-            if not _reachable_subset(g, others, budget):
-                atoms.append(self.generators[i])
+        for g, q in zip(self.int_gens, self.generators):
+            if not (bits >> g) & 1:
+                atoms.append(q)
+                bits = _close_bits(bits, (g,), limit, budget)
         return tuple(atoms)
 
     # -- membership -------------------------------------------------------
 
     def _ensure_cover(self, t: int, budget: Budget) -> tuple[int, int]:
-        state = self._state
-        if t <= state[0]:
-            return state
-        with self._lock:
-            cover, bits = self._state
-            if t <= cover:
-                return self._state
-            new_cover = max(t, 2 * cover, 256)
-            bits = _close_bits(bits, self.int_atoms, new_cover, budget)
-            self._state = (new_cover, bits)
-            return self._state
+        state = cover, bits = self._state
+        if t > cover:
+            cover = max(t, 2 * cover, 256)
+            state = (cover, _close_bits(bits, self.int_atoms, cover, budget))
+            self._state = state
+        return state
 
-    def _reachable(self, t: int, budget: Budget) -> bool:
-        cover, bits = self._ensure_cover(t, budget)
-        return bool((bits >> t) & 1)
+    def _reach(self, t: int, budget: Budget) -> str:
+        """Membership of 0..t as a string: reach[d] == "1" iff d is reachable.
+
+        The cover is masked to t + 1 bits before formatting, so the cost
+        follows t rather than the cover.
+        """
+        _, bits = self._ensure_cover(t, budget)
+        return format(bits & ((1 << (t + 1)) - 1), f"0{t + 1}b")[::-1]
 
     def contains(self, q: RationalLike, budget: Budget | int | None = None) -> bool:
         """Exact membership: is q a nonnegative-integer combination of generators?"""
@@ -270,7 +262,8 @@ class FgMonoid:
         t = q * self.scale
         if t.denominator != 1:
             return False
-        return self._reachable(int(t), _as_budget(budget))
+        _, bits = self._ensure_cover(int(t), _as_budget(budget))
+        return bool((bits >> int(t)) & 1)
 
     def __contains__(self, q: RationalLike) -> bool:
         return self.contains(q)
@@ -295,12 +288,8 @@ class FgMonoid:
         """The finite set {d in M : q - d in M}, ascending."""
         budget = _as_budget(budget)
         t = self._int_target(q, budget)
-        _, bits = self._ensure_cover(t, budget)
-        out = []
-        for d in range(t + 1):
-            if (bits >> d) & 1 and (bits >> (t - d)) & 1:
-                out.append(Fraction(d, self.scale))
-        return tuple(out)
+        reach = self._reach(t, budget)
+        return tuple(Fraction(d, self.scale) for d in range(t + 1) if reach[d] == reach[t - d] == "1")
 
     def mcd_set(self, x: RationalLike, y: RationalLike, budget: Budget | int | None = None) -> tuple[Fraction, ...]:
         """All maximal common divisors of {x, y}, ascending.
@@ -311,12 +300,11 @@ class FgMonoid:
         monoids are finite.
         """
         budget = _as_budget(budget)
-        common = sorted(set(self.divisors(x, budget)) & set(self.divisors(y, budget)))
-        out = []
-        for d in common:
-            if not any(self.contains(dd - d, budget) for dd in common if dd > d):
-                out.append(d)
-        return tuple(out)
+        tx, ty = self._int_target(x, budget), self._int_target(y, budget)
+        reach = self._reach(max(tx, ty), budget)
+        common = [d for d in range(min(tx, ty) + 1) if reach[d] == reach[tx - d] == reach[ty - d] == "1"]
+        return tuple(Fraction(d, self.scale) for i, d in enumerate(common)
+                     if not any(reach[e - d] == "1" for e in common[i + 1:]))
 
     def is_mcd(self, x: RationalLike, y: RationalLike, d: RationalLike,
                budget: Budget | int | None = None) -> bool:
@@ -358,14 +346,9 @@ class FgMonoid:
 
     def smallest_members(self, count: int, budget: Budget | int | None = None) -> list[Fraction]:
         """The count smallest positive elements, ascending."""
-        budget = _as_budget(budget)
-        out: list[Fraction] = []
-        t = min(self.int_atoms) - 1
-        while len(out) < count:
-            t += 1
-            if self._reachable(t, budget):
-                out.append(Fraction(t, self.scale))
-        return out
+        # the multiples of the smallest atom alone give count of them by count * atom
+        reach = self._reach(max(count, 0) * self.int_atoms[0], _as_budget(budget))
+        return [Fraction(t, self.scale) for t in range(1, len(reach)) if reach[t] == "1"][:count]
 
     def classify(self, sample_size: int = 10, budget: Budget | int | None = None) -> dict:
         """Structure report: cited flags plus enumeration evidence on a sample.
@@ -451,24 +434,8 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
     out: list[tuple[int, ...]] = []
     xs = [0] * k
 
-    def descend(i: int, rem: int, need: int | None) -> None:
-        budget.spend()
-        if rem == 0:
-            if need is None or need == 0:
-                out.append(tuple(xs))
-            return
-        if i < 0 or (need is not None and need == 0):
-            return
+    def children(i: int, rem: int, need: int | None) -> Iterator[tuple[int, int, int | None]]:
         a = atoms[i]
-        if i == 0:
-            m, r = divmod(rem, a)
-            if r == 0 and (need is None or need == m):
-                xs[0] = m
-                out.append(tuple(xs))
-                xs[0] = 0
-            return
-        if rem % prefix_gcd[i] != 0:
-            return
         top = rem // a
         if need is not None:
             top = min(top, need)
@@ -481,10 +448,29 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
             elif 0 < new_rem < atoms[0]:
                 continue
             xs[i] = m
-            descend(i - 1, new_rem, None if need is None else need - m)
+            yield i - 1, new_rem, None if need is None else need - m
         xs[i] = 0
 
-    descend(k - 1, target, exact_length)
+    # One child iterator per open level instead of one Python frame, so
+    # the depth (one level per atom) is not bounded by the recursion limit.
+    stack = [iter([(k - 1, target, exact_length)])]
+    while stack:
+        for i, rem, need in stack[-1]:
+            budget.spend()
+            if rem == 0:
+                if need is None or need == 0:
+                    out.append(tuple(xs))
+            elif i == 0:
+                m, r = divmod(rem, atoms[0])
+                if r == 0 and (need is None or need == m):
+                    xs[0] = m
+                    out.append(tuple(xs))
+                    xs[0] = 0
+            elif i > 0 and need != 0 and rem % prefix_gcd[i] == 0:
+                stack.append(children(i, rem, need))
+                break
+        else:
+            stack.pop()
     return out
 
 
@@ -531,15 +517,14 @@ def max_cyclic_divisor(s: FgMonoid, a: RationalLike, r: RationalLike,
     if r <= 0:
         raise InputError("r must be positive")
     budget = _as_budget(budget)
-    if a < 0 or not s.contains(a, budget):
-        raise NotAMemberError(f"{a} is not an element of {s}")
-    best = 0
-    m = 1
-    while m * r <= a:
-        if s.contains(a - m * r, budget):
-            best = m
-        m += 1
-    return best
+    t = s._int_target(a, budget)
+    # a - m*r stays on the integer grid of S only when den divides m
+    step, den = (r * s.scale).as_integer_ratio()
+    reach = s._reach(t, budget)
+    for k in range(t // step, 0, -1):
+        if reach[t - k * step] == "1":
+            return den * k
+    return 0
 
 
 def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,

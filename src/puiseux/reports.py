@@ -98,7 +98,7 @@ def _lexcone_scenario(box: int) -> PaperReport:
     quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box)
     upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box)
     cone_atoms = lattice2.lat_atoms_in_box("lexcone", box)
-    atomic = lattice2.lat_atomic_elements_in_box(box)
+    atomic = lattice2._sums_in_box(cone_atoms, box)
 
     claims = (
         _claim(
@@ -218,9 +218,12 @@ def _nonatomic_sum_scenario(budget: int | None) -> PaperReport:
 def _lattice_ffm_scenario(box: int) -> PaperReport:
     bound = f"box={box}"
 
+    quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box)
+    upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box)
+
     quadrant_unique = True
     for v in lattice2._members_in_box("quadrant", box):
-        if len(lattice2.lat_factorizations_in_box("quadrant", v, box)) != 1:
+        if len(lattice2._factorizations(quadrant_atoms, v)) != 1:
             quadrant_unique = False
             break
 
@@ -231,7 +234,7 @@ def _lattice_ffm_scenario(box: int) -> PaperReport:
         zs = lattice2.lat_factorizations_in_box("upperhalf", lattice2.LatticePoint(0, 2), small_box)
         growth_counts.append(len(zs))
     for v in sample:
-        zs = lattice2.lat_factorizations_in_box("upperhalf", v, box)
+        zs = lattice2._factorizations(upper_atoms, v)
         upper_lengths_ok &= {len(z) for z in zs} == {v.y}
 
     mcd_ok = True

@@ -59,6 +59,19 @@ def test_eval_window_flag_supplies_bound(capsys):
     assert len(out.splitlines()) == 6
 
 
+def test_deep_interval_sample_is_not_limited_by_recursion(capsys):
+    # at den_bound=60 the sample has ~1,100 atoms, one search level each
+    pairs = []
+    for den_bound in (45, 60):
+        code, out, _ = run(capsys, "eval", f"Zl(family(interval1, den_bound={den_bound}), 3, 2)")
+        assert code == 0
+        pairs.append(len(out.splitlines()))
+    assert pairs[0] < pairs[1]
+    code, out, _ = run(capsys, "paper", "5", "--den-bound", "60")
+    assert code == 0
+    assert out.strip().endswith("PASS")
+
+
 def test_unknown_subcommand_and_example(capsys):
     assert main(["bogus"]) == 2
     capsys.readouterr()

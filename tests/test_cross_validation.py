@@ -3,10 +3,12 @@
 Each test pits two implementations with different logic against each other:
 the valuation-pruned family search vs the elementary exhaustive search, the
 windowed and interval searches vs product enumeration over the same atoms,
+the bitset divisor, MCD-set and cyclic-divisor scans vs product enumeration,
 the inductive extension MCD vs the complete MCD-set enumeration, and the
 canonical printer vs the parser on generated syntax trees.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,13 +18,16 @@ from hypothesis import strategies as st
 
 import pytest
 
-from conftest import oracle_fraction_member, oracle_vectors, random_extension_instances, random_member
+from conftest import (oracle_fraction_member, oracle_value_buckets, oracle_vectors,
+                      random_extension_instances, random_member)
 from puiseux import (
+    FgMonoid,
     add_cyclic,
     family_factorizations,
     family_generator,
     family_member,
     interval_length_factorizations,
+    max_cyclic_divisor,
     mcd_via_extension,
     parse,
     print_program,
@@ -133,6 +138,37 @@ def test_extension_mcd_belongs_to_the_full_mcd_set():
         x, y = random_member(rng, s, 3), random_member(rng, s, 3)
         d = mcd_via_extension(m, r, x, y)
         assert d in s.mcd_set(x, y)
+
+
+def test_divisor_sets_match_product_enumeration():
+    # membership from product enumeration up to a bound decides every
+    # divisor, common divisor and r-multiple below that bound
+    rng = random.Random(11)
+    several_maximal = 0
+    for _ in range(25):
+        gens = sorted({F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 3))})
+        scale = math.lcm(*(g.denominator for g in gens))
+        reach = set(oracle_value_buckets([int(g * scale) for g in gens], 48))
+        m = FgMonoid(gens)
+        members = rng.sample(sorted(reach), 4)
+
+        def divisors(t):
+            return {d for d in reach if d <= t and t - d in reach}
+
+        for t in members:
+            assert m.divisors(F(t, scale)) == tuple(F(d, scale) for d in sorted(divisors(t)))
+        for tx, ty in itertools.combinations(members, 2):
+            common = divisors(tx) & divisors(ty)
+            maximal = [d for d in sorted(common) if not any(e > d and e - d in reach for e in common)]
+            assert m.mcd_set(F(tx, scale), F(ty, scale)) == tuple(F(d, scale) for d in maximal)
+            several_maximal += len(maximal) > 1
+        for t in members:
+            r = F(rng.randint(1, 9), rng.randint(1, 6))
+            x = F(t, scale)
+            expected = max(k for k in range(int(x / r) + 1)
+                           if ((x - k * r) * scale).denominator == 1 and (x - k * r) * scale in reach)
+            assert max_cyclic_divisor(m, x, r) == expected
+    assert several_maximal  # the sets checked include ones with several maximal elements
 
 
 _rat = st.fractions(min_value=F(1, 12), max_value=8, max_denominator=12)

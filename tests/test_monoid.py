@@ -222,6 +222,7 @@ def test_atoms_generate_the_monoid(gens):
 
 
 def test_concurrent_queries_share_one_monoid():
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     m = fg_new([F(5, 4), F(7, 6)])
@@ -231,13 +232,19 @@ def test_concurrent_queries_share_one_monoid():
         inside = m.contains(q)
         if inside:
             assert all(z.value == q for z in m.factorizations(q))
-        return inside
+        # far targets make the threads grow the shared cover concurrently
+        return inside, m.contains(F(97 * t, 12))
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(probe, range(1, 200)))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(probe, range(1, 200), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
     # same answers as a fresh, single-threaded monoid
     fresh = fg_new([F(5, 4), F(7, 6)])
-    assert results == [fresh.contains(F(t, 12)) for t in range(1, 200)]
+    assert results == [(fresh.contains(F(t, 12)), fresh.contains(F(97 * t, 12))) for t in range(1, 200)]
 
 
 def test_factorization_value_and_length():
