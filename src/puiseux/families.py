@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError, NeedsBoundError
 from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _as_budget, _solve_int,
@@ -302,41 +302,52 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     to a single residue class modulo p^2 (the only classes that restore a
     nonnegative p-adic valuation), so the tree is finite.
     """
-    budget.spend()
-    if target == 0:
-        return [{}]
-    if target < 0:
-        return []
-    cands = divisor_candidates("sqden", target)
-    if trace is not None:
-        trace.append({"residual": str(target), "candidate_indices": list(cands)})
-    for p in prime_factors(target.denominator):
-        # no generator can absorb a denominator exponent beyond 2, and a
-        # prime whose index is already behind us can never be fixed later
-        if _int_valuation(target.denominator, p) > 2:
-            return []
-        if p < family_prime("sqden", min_index):
-            return []
-    usable = [n for n in cands if n >= min_index]
-    if not usable:
-        return []
-    n = usable[0]
-    p = family_prime("sqden", n)
-    gen = Fraction(p + 1, p * p)
-    # multiplicity class: m*(p+1)/p^2 must absorb the p-part of the target
-    scaled = target * p * p
-    m0 = scaled.numerator * pow(scaled.denominator, -1, p * p) % (p * p)
-    m0 = m0 * pow(p + 1, -1, p * p) % (p * p)
-    bound = target // gen
-    out = []
-    m = m0
-    while m <= bound:
-        rest = target - m * gen
-        for sub in _sqden_solutions(rest, n + 1, budget, trace):
+    out: list[dict[int, int]] = []
+    chosen: dict[int, int] = {}   # nonzero multiplicities on the open path, outermost first
+
+    def children(target: Fraction, min_index: int) -> Iterator[tuple[Fraction, int]]:
+        cands = divisor_candidates("sqden", target)
+        if trace is not None:
+            trace.append({"residual": str(target), "candidate_indices": list(cands)})
+        for p in prime_factors(target.denominator):
+            # no generator can absorb a denominator exponent beyond 2, and a
+            # prime whose index is already behind us can never be fixed later
+            if _int_valuation(target.denominator, p) > 2:
+                return
+            if p < family_prime("sqden", min_index):
+                return
+        usable = [n for n in cands if n >= min_index]
+        if not usable:
+            return
+        n = usable[0]
+        p = family_prime("sqden", n)
+        gen = Fraction(p + 1, p * p)
+        # multiplicity class: m*(p+1)/p^2 must absorb the p-part of the target
+        scaled = target * p * p
+        m0 = scaled.numerator * pow(scaled.denominator, -1, p * p) % (p * p)
+        m0 = m0 * pow(p + 1, -1, p * p) % (p * p)
+        bound = target // gen
+        m = m0
+        while m <= bound:
             if m:
-                sub = {n: m, **sub}
-            out.append(sub)
-        m += p * p
+                chosen[n] = m
+            yield target - m * gen, n + 1
+            m += p * p
+        chosen.pop(n, None)
+
+    # One child iterator per open level instead of one Python frame, so
+    # the depth (one level per prime) is not bounded by the recursion limit.
+    stack = [iter([(target, min_index)])]
+    while stack:
+        for rest, lo in stack[-1]:
+            budget.spend()
+            if rest == 0:
+                out.append(dict(chosen))
+            elif rest > 0:
+                stack.append(children(rest, lo))
+                break
+        else:
+            stack.pop()
     return out
 
 

@@ -5,18 +5,30 @@ rescales, by the lcm of its generator denominators, to a submonoid of the
 nonnegative integers.  Membership and enumeration questions are decided on
 that integer side and mapped back, so every answer is exact.
 
-Reachability on the integer side is kept as a bitmask (bit t set iff the
-integer t is a sum of scaled generators).  Closing the mask under adding a
-single generator g uses shift-or steps with doubling offsets g, 2g, 4g, ...
-which covers every multiple of g in O(log target) big-integer operations;
-closing under each generator once, in any order, yields the full monoid
-because sums commute.
+Reachability on the integer side is kept in one of two structures.  A
+bitmask (bit t set iff the integer t is a sum of scaled generators) is
+closed under a generator g by shift-or steps with doubling offsets g, 2g,
+4g, ..., which covers every multiple of g in O(log target) big-integer
+operations; closing under each generator once, in any order, yields the
+full monoid because sums commute.  An Apéry table with respect to the
+smallest scaled atom a holds, per residue r mod a, the least member
+congruent to r, so t is a member iff t >= table[t mod a]; the round-robin
+algorithm (Böcker & Lipták, Algorithmica 48, 2007) builds it in O(k a)
+steps for k generators, whatever the target.
+
+Atoms and membership come from the table whenever its k a steps cost fewer
+budget units than the bitmask closure they replace; that is decided at
+construction for the largest generator, and again whenever a membership
+query would grow the bitmask.  The range scans (divisors, mcd sets, cyclic
+divisors, smallest members) read the bitmask, since they are O(target)
+anyway.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -52,22 +64,102 @@ def _as_budget(budget: Budget | int | None) -> Budget:
     return budget if isinstance(budget, Budget) else Budget(budget)
 
 
+def _allot(budget: Budget, units: int, size: int) -> None:
+    """Charge units for a structure of size entries before it is built; a
+    size that no list or int can index fails here, even on an unlimited
+    budget, instead of overflowing inside the allocation."""
+    budget.spend(units)
+    if size > sys.maxsize:
+        raise BudgetExceededError(f"a structure of {size} entries is too large to build")
+
+
+def _shift_units(limit: int) -> int:
+    """Budget units of one shift-or step on a bitmask of limit + 1 bits."""
+    return max(1, limit >> 13)
+
+
+def _table_is_cheaper(k: int, a: int, limit: int) -> bool:
+    """Does an Apéry table of k generators with respect to a cost fewer
+    units than closing a bitmask up to limit under a alone?"""
+    return k * a < (limit // a).bit_length() * _shift_units(limit)
+
+
 def _close_bits(bits: int, gens: Iterable[int], limit: int, budget: Budget) -> int:
     """Close a reachable-set bitmask under adding each generator, up to limit.
 
     Charged against the budget before the mask is allocated, so an absurd
     limit fails fast instead of exhausting memory first.
     """
-    budget.spend(max(1, limit >> 13))
+    unit = _shift_units(limit)
+    _allot(budget, unit, limit + 1)
     mask = (1 << (limit + 1)) - 1
     bits &= mask
     for g in gens:
         step = g
         while step <= limit:
-            budget.spend(max(1, limit >> 13))
+            budget.spend(unit)
             bits |= (bits << step) & mask
             step <<= 1
     return bits
+
+
+def _round_robin(table: list, g: int, budget: Budget) -> list:
+    """Add generator g to an Apéry table with respect to a = len(table), in place.
+
+    Adding g maps residue r to r + g mod a, which splits the classes into
+    gcd(a, g) cycles.  Walking a cycle once from its least entry, each
+    entry becomes the smaller of itself and its predecessor plus g; the
+    least entry cannot improve, so one lap settles the cycle.  Unreachable
+    classes hold math.inf.
+    """
+    a = len(table)
+    budget.spend(a)
+    d = math.gcd(a, g)
+    for r in range(d):
+        n = min(table[r::d])
+        if n == math.inf:
+            continue
+        for _ in range(a // d - 1):
+            n += g
+            p = n % a
+            if table[p] < n:
+                n = table[p]
+            else:
+                table[p] = n
+    return table
+
+
+def _sieve(gens: Iterable[int], reach, reached, add) -> tuple[list[int], object]:
+    """The gens, walked in ascending order, that sums of the smaller ones
+    do not reach, and the reach structure closed under them.
+
+    In a reduced monoid the atoms are exactly the generators that are not
+    nonnegative-integer combinations of the other generators: any
+    nontrivial combination equal to g uses only generators < g.  So g is an
+    atom iff the structure closed under the atoms below it does not reach g.
+    """
+    atoms = []
+    for g in gens:
+        if not reached(reach, g):
+            atoms.append(g)
+            reach = add(reach, g)
+    return atoms, reach
+
+
+def _apery(gens: Sequence[int], budget: Budget) -> tuple[list, list[int]]:
+    """The Apéry table of the monoid generated by gens (ascending) with
+    respect to a = gens[0], and the atoms among gens."""
+    a = gens[0]
+    _allot(budget, a, a)
+    atoms, table = _sieve(gens[1:], [0] + [math.inf] * (a - 1),
+                          lambda table, g: g >= table[g % a],
+                          lambda table, g: _round_robin(table, g, budget))
+    return table, [a] + atoms
+
+
+def _grown_cover(cover: int, t: int) -> int:
+    # doubling keeps the total closure work within twice the last closure
+    return max(t, 2 * cover, 256)
 
 
 @dataclass(frozen=True)
@@ -198,10 +290,15 @@ def _positive_rational(value: RationalLike) -> Fraction:
 class FgMonoid:
     """Additive submonoid of Q>=0 generated by finitely many positive rationals.
 
-    Immutable after construction.  The integer reachability mask grows on
-    demand and is replaced by one assignment of a (cover, bits) pair, so
-    concurrent readers always observe a consistent pair; two threads that
-    grow it at once only repeat work.
+    Immutable after construction.  Membership is answered by an Apéry
+    table once one is built, and by a reachability mask otherwise; the
+    table is taken, at construction or by the first membership query that
+    would grow the mask, whenever it costs fewer budget units than that
+    mask.  The mask, which the range scans always read, grows on demand and
+    is replaced by one assignment of a (cover, bits) pair; the table is
+    published by one assignment and never changes.  So concurrent readers
+    always observe a consistent structure; two threads that build one at
+    once only repeat work.
     """
 
     def __init__(self, generators: Iterable[RationalLike], budget: Budget | int | None = None):
@@ -211,26 +308,24 @@ class FgMonoid:
         self.generators = gens
         self.scale = lcm_den(gens)
         self.int_gens = tuple(int(g * self.scale) for g in gens)
-        self.atoms = self._minimal_generators(_as_budget(budget))
-        self.int_atoms = tuple(int(a * self.scale) for a in self.atoms)
+        # Apéry table with respect to int_atoms[0], once one is built
+        self._table: list | None = None
+        self.int_atoms = self._minimal_generators(_as_budget(budget))
+        generator_of = dict(zip(self.int_gens, gens))
+        self.atoms = tuple(generator_of[g] for g in self.int_atoms)
         # (cover, bits): bit t decided for all 0 <= t <= cover
         self._state: tuple[int, int] = (0, 1)
 
     # -- construction -----------------------------------------------------
 
-    def _minimal_generators(self, budget: Budget) -> tuple[Fraction, ...]:
-        # In a reduced monoid the atoms are exactly the generators that are
-        # not nonnegative-integer combinations of the other generators:
-        # any nontrivial combination equal to g uses only generators < g.
-        # So walking them in ascending order, g is an atom iff its bit is
-        # still unset once the mask is closed under the smaller atoms.
-        limit = self.int_gens[-1]
-        bits = 1
-        atoms = []
-        for g, q in zip(self.int_gens, self.generators):
-            if not (bits >> g) & 1:
-                atoms.append(q)
-                bits = _close_bits(bits, (g,), limit, budget)
+    def _minimal_generators(self, budget: Budget) -> tuple[int, ...]:
+        gens = self.int_gens
+        limit = gens[-1]
+        if _table_is_cheaper(len(gens), gens[0], limit):
+            self._table, atoms = _apery(gens, budget)
+        else:
+            atoms, _ = _sieve(gens, 1, lambda bits, g: (bits >> g) & 1,
+                              lambda bits, g: _close_bits(bits, (g,), limit, budget))
         return tuple(atoms)
 
     # -- membership -------------------------------------------------------
@@ -238,7 +333,7 @@ class FgMonoid:
     def _ensure_cover(self, t: int, budget: Budget) -> tuple[int, int]:
         state = cover, bits = self._state
         if t > cover:
-            cover = max(t, 2 * cover, 256)
+            cover = _grown_cover(cover, t)
             state = (cover, _close_bits(bits, self.int_atoms, cover, budget))
             self._state = state
         return state
@@ -262,8 +357,19 @@ class FgMonoid:
         t = q * self.scale
         if t.denominator != 1:
             return False
-        _, bits = self._ensure_cover(int(t), _as_budget(budget))
-        return bool((bits >> int(t)) & 1)
+        t = int(t)
+        table = self._table
+        if table is None:
+            cover, bits = self._state
+            if t > cover:
+                budget = _as_budget(budget)
+                atoms = self.int_atoms
+                if _table_is_cheaper(len(atoms), atoms[0], _grown_cover(cover, t)):
+                    table = self._table = _apery(atoms, budget)[0]
+                    return t >= table[t % len(table)]
+                _, bits = self._ensure_cover(t, budget)
+            return bool((bits >> t) & 1)
+        return t >= table[t % len(table)]
 
     def __contains__(self, q: RationalLike) -> bool:
         return self.contains(q)

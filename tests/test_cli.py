@@ -72,6 +72,14 @@ def test_deep_interval_sample_is_not_limited_by_recursion(capsys):
     assert out.strip().endswith("PASS")
 
 
+def test_deep_sqden_search_is_not_limited_by_recursion(capsys):
+    # the first branch fixes a multiplicity for each of ~5,000 candidate
+    # primes, one search level each; the budget runs out past 1,000 levels
+    code, _, err = run(capsys, "eval", "--budget", "1200", "Z(family(interval1_sqden), 99999/2)")
+    assert code in (0, 3)
+    assert "budget" in err
+
+
 def test_unknown_subcommand_and_example(capsys):
     assert main(["bogus"]) == 2
     capsys.readouterr()

@@ -3,7 +3,8 @@
 Each test pits two implementations with different logic against each other:
 the valuation-pruned family search vs the elementary exhaustive search, the
 windowed and interval searches vs product enumeration over the same atoms,
-the bitset divisor, MCD-set and cyclic-divisor scans vs product enumeration,
+the bitset divisor, MCD-set and cyclic-divisor scans and the Apéry-table and
+bitset membership and atoms vs product enumeration,
 the inductive extension MCD vs the complete MCD-set enumeration, and the
 canonical printer vs the parser on generated syntax trees.
 """
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from conftest import (oracle_fraction_member, oracle_value_buckets, oracle_vectors,
+from conftest import (oracle_atoms, oracle_fraction_member, oracle_value_buckets, oracle_vectors,
                       random_extension_instances, random_member)
 from puiseux import (
     FgMonoid,
@@ -87,6 +88,15 @@ def test_sqden_solutions_within_truncation_match_oracle_set():
         # all candidate indices for these targets lie within the truncation
         assert all(max(sol, default=0) <= 4 for sol in pruned)
         assert sorted(pruned, key=lambda s: sorted(s.items())) == oracle_solutions(q)
+
+
+def test_sqden_solutions_with_many_copies_sum_to_their_target():
+    # these solutions take p^2 or more copies at several indices, so a
+    # multiplicity left over from a finished branch would change the sum
+    for q in (F(6), F(15, 2), F(8)):
+        sols = _sqden_solutions(q, 1, Budget())
+        assert len(sols) > 1
+        assert all(sum(family_generator("sqden", n) * m for n, m in sol.items()) == q for sol in sols)
 
 
 def _oracle_set(atoms, q, ell=None):
@@ -169,6 +179,40 @@ def test_divisor_sets_match_product_enumeration():
                            if ((x - k * r) * scale).denominator == 1 and (x - k * r) * scale in reach)
             assert max_cyclic_divisor(m, x, r) == expected
     assert several_maximal  # the sets checked include ones with several maximal elements
+
+
+@pytest.mark.parametrize("path", ["table at construction", "table on a far query", "bitmask only"])
+def test_membership_and_atoms_match_product_enumeration(path):
+    # the same answers whichever structure gives them: an Apéry table taken
+    # at construction (a huge multiple of the smallest generator makes the
+    # bitmask up to it dearer), one taken by the first far query, or the
+    # bitmask alone; below the bound, product enumeration decides
+    # membership, and far above it a target is a member iff the gcd of the
+    # scaled generators divides it
+    rng = random.Random(23)
+    checked = 0
+    while checked < 25:
+        gens = sorted({F(rng.randint(5, 12), rng.randint(1, 6)) for _ in range(rng.randint(2, 3))})
+        scale = math.lcm(*(g.denominator for g in gens))
+        ints = [int(g * scale) for g in gens]
+        if len(ints) < 2 or ints[0] < 5:
+            continue  # the bitmask stays the cheaper structure only from two generators and a >= 5
+        checked += 1
+        bound = 2 * ints[-1]
+        reach = set(oracle_value_buckets(ints, bound))
+        far = [10**8 * scale + j for j in range(ints[0] + 1)]
+        m = FgMonoid(gens + [10**6 * gens[0]] if path == "table at construction" else gens)
+        assert (m._table is not None) == (path == "table at construction")
+        if path == "table on a far query":
+            m.contains(F(far[0], scale))
+            assert m._table is not None
+        assert m.atoms == tuple(F(a, scale) for a in oracle_atoms(ints))
+        assert [m.contains(F(t, scale)) for t in range(bound + 1)] == [t in reach for t in range(bound + 1)]
+        assert not m.contains(F(2 * ints[0] + 1, 2 * scale))
+        if path != "bitmask only":
+            g = math.gcd(*ints)
+            assert [m.contains(F(t, scale)) for t in far] == [t % g == 0 for t in far]
+        assert (m._table is None) == (path == "bitmask only")
 
 
 _rat = st.fractions(min_value=F(1, 12), max_value=8, max_denominator=12)

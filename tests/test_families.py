@@ -63,6 +63,13 @@ def test_truncations():
         truncate("interval1", 3)
 
 
+def test_truncation_too_large_to_index_is_a_budget_error():
+    # the scaled grams generators have hundreds of bits, so neither an
+    # Apéry table nor a bitmask over them can be indexed, budget or not
+    with pytest.raises(BudgetExceededError, match="too large"):
+        truncate("grams", 40)
+
+
 def test_grams_companion_first_steps():
     seq = grams_companion(1, 2)
     assert seq.f_index == 3

@@ -14,6 +14,7 @@ from puiseux import (
     fg_new,
     internal_sum,
 )
+from puiseux.dsl import Evaluator
 
 F = Fraction
 
@@ -225,26 +226,47 @@ def test_concurrent_queries_share_one_monoid():
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    m = fg_new([F(5, 4), F(7, 6)])
-
-    def probe(t):
+    def probe(m, t):
         q = F(t, 12)
         inside = m.contains(q)
         if inside:
             assert all(z.value == q for z in m.factorizations(q))
-        # far targets make the threads grow the shared cover concurrently
-        return inside, m.contains(F(97 * t, 12))
+        # far targets make the threads grow the shared cover concurrently,
+        # and the farthest make them switch to the Apéry table while other
+        # threads still read or grow the bitmask through divisors
+        near = F(97 * t, 12)
+        divisors = len(m.divisors(near)) if t % 8 == 0 and m.contains(near) else 0
+        return inside, m.contains(near), divisors, m.contains(F(10**7 * t, 36))
 
+    def run(m, workers):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda t: probe(m, t), range(1, 200), timeout=60))
+
+    m = fg_new([F(5, 4), F(7, 6)])
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(probe, range(1, 200), timeout=60))
+        results = run(m, 8)
     finally:
         sys.setswitchinterval(switch)
+    assert m._table is not None
     # same answers as a fresh, single-threaded monoid
-    fresh = fg_new([F(5, 4), F(7, 6)])
-    assert results == [(fresh.contains(F(t, 12)), fresh.contains(F(97 * t, 12))) for t in range(1, 200)]
+    assert results == run(fg_new([F(5, 4), F(7, 6)]), 1)
+    # 10^7 t / 3 lies far above the Frobenius number 181 of <14, 15>
+    assert [r[3] for r in results] == [t % 3 == 0 for t in range(1, 200)]
+
+
+def test_far_membership_stays_within_a_small_budget():
+    # an Apéry table of O(a) entries answers where a bitmask up to the
+    # target would cost ~10^5 units per shift-or step
+    assert fg_new([F(1000003, 7), F(999983, 11), F(1, 3)]).contains(10**8, budget=10_000)
+    program = ("let M = pm(17/40, 3884361/8, 1942183/4); mcd(M, 68/5, 629/40); props(M); "
+               "member(M, 2272033); Z(M, 22720327/10); L(M, 2272033); "
+               "divides(M, 39883293/20, 15953319/8)")
+    values = [v for _, v in Evaluator(budget=10_000).run_text(program)]
+    assert values[2] is True and values[-1] is False
+    assert [str(z) for z in values[3]] == ["1918579·17/40 + 1·3884361/8 + 2·1942183/4"]
+    assert values[4].lengths == (5345960,)
 
 
 def test_factorization_value_and_length():
