@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import families, lattice2
 from .errors import InputError
-from .monoid import Factorization
+from .monoid import Budget, Factorization
 
 EXAMPLE_IDS = ("3.2", "3.3", "4.2", "4.3", "4.4", "5")
 
@@ -77,11 +77,11 @@ def run_paper_example(example: str, window: int = 10, den_bound: int = 12,
                       box: int = 10, budget: int | None = 10**7) -> PaperReport:
     """Run one scenario by id with the given bounds."""
     runners = {
-        "3.2": lambda: _lexcone_scenario(box),
+        "3.2": lambda: _lexcone_scenario(box, budget),
         "3.3": lambda: _antimatter_scenario(),
         "4.2": lambda: _two_ffm_sum_scenario(window, budget),
         "4.3": lambda: _nonatomic_sum_scenario(budget),
-        "4.4": lambda: _lattice_ffm_scenario(box),
+        "4.4": lambda: _lattice_ffm_scenario(box, budget),
         "5": lambda: _interval_scenario(den_bound, budget),
     }
     if example not in runners:
@@ -92,13 +92,14 @@ def run_paper_example(example: str, window: int = 10, den_bound: int = 12,
 # -- Z^2: sum of the quadrant and the open upper half-plane ---------------------
 
 
-def _lexcone_scenario(box: int) -> PaperReport:
+def _lexcone_scenario(box: int, budget: int | None) -> PaperReport:
     bound = f"box={box}"
-    sum_matches = lattice2.lex_sum_check(box)
-    quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box)
-    upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box)
-    cone_atoms = lattice2.lat_atoms_in_box("lexcone", box)
-    atomic = lattice2._sums_in_box(cone_atoms, box)
+    budget = Budget(budget)  # one allowance for every search of the scenario
+    sum_matches = lattice2.lex_sum_check(box, budget=budget)
+    quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box, budget=budget)
+    upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box, budget=budget)
+    cone_atoms = lattice2.lat_atoms_in_box("lexcone", box, budget=budget)
+    atomic = lattice2._sums_in_box(cone_atoms, box, budget)
 
     claims = (
         _claim(
@@ -215,15 +216,16 @@ def _nonatomic_sum_scenario(budget: int | None) -> PaperReport:
 # -- Z^2 revisited: factorization structure of the summands ---------------------
 
 
-def _lattice_ffm_scenario(box: int) -> PaperReport:
+def _lattice_ffm_scenario(box: int, budget: int | None) -> PaperReport:
     bound = f"box={box}"
+    budget = Budget(budget)  # one allowance for every search of the scenario
 
-    quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box)
-    upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box)
+    quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box, budget=budget)
+    upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box, budget=budget)
 
     quadrant_unique = True
-    for v in lattice2._members_in_box("quadrant", box):
-        if len(lattice2._factorizations(quadrant_atoms, v)) != 1:
+    for v in lattice2._members_in_box("quadrant", box, budget):
+        if len(lattice2._factorizations(quadrant_atoms, v, budget)) != 1:
             quadrant_unique = False
             break
 
@@ -231,10 +233,11 @@ def _lattice_ffm_scenario(box: int) -> PaperReport:
     sample = [lattice2.LatticePoint(x, y) for x in (-2, 0, 1) for y in (1, 2, 3)]
     growth_counts = []
     for small_box in (2, 4, 6):
-        zs = lattice2.lat_factorizations_in_box("upperhalf", lattice2.LatticePoint(0, 2), small_box)
+        zs = lattice2.lat_factorizations_in_box("upperhalf", lattice2.LatticePoint(0, 2), small_box,
+                                                budget=budget)
         growth_counts.append(len(zs))
     for v in sample:
-        zs = lattice2._factorizations(upper_atoms, v)
+        zs = lattice2._factorizations(upper_atoms, v, budget)
         upper_lengths_ok &= {len(z) for z in zs} == {v.y}
 
     mcd_ok = True
@@ -244,7 +247,7 @@ def _lattice_ffm_scenario(box: int) -> PaperReport:
             # is a maximal common divisor of the pair
             mcd_ok &= lat_divides_upperhalf(u1, u2)
 
-    atomic = lattice2.lat_atomic_elements_in_box(box)
+    atomic = lattice2.lat_atomic_elements_in_box(box, budget=budget)
     claims = (
         _claim(
             "the quadrant has unique factorizations (free of rank 2), hence finite ones",

@@ -98,3 +98,52 @@ def random_member(rng: random.Random, m: FgMonoid, max_parts: int = 5) -> Fracti
     for _ in range(rng.randint(0, max_parts)):
         total += rng.choice(m.atoms)
     return total
+
+
+# -- the rank-2 lattice monoids, by pairwise search over boxes ------------------
+
+_LATTICE_MEMBER = {
+    "quadrant": lambda x, y: x >= 0 and y >= 0,
+    "upperhalf": lambda x, y: y >= 1 or (x, y) == (0, 0),
+    "lexcone": lambda x, y: y >= 1 or (y == 0 and x >= 0),
+}
+
+
+def oracle_lattice_members(kind: str, bound: int) -> list[tuple[int, int]]:
+    """Members of the lattice monoid with |x|, |y| <= bound, as plain pairs."""
+    member = _LATTICE_MEMBER[kind]
+    return [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1) if member(x, y)]
+
+
+def oracle_lattice_atoms(kind: str, bound: int) -> list[tuple[int, int]]:
+    """Nonzero box members that are no sum of two nonzero members of the box
+    of twice the bound, by trying every first summand."""
+    search = set(oracle_lattice_members(kind, 2 * bound)) - {(0, 0)}
+    return sorted(
+        (x, y) for x, y in oracle_lattice_members(kind, bound)
+        if (x, y) != (0, 0) and not any((x - u, y - w) in search for u, w in search)
+    )
+
+
+def oracle_lex_sum_matches(bound: int) -> bool:
+    """Do the pairwise sums of quadrant and upper half-plane points of the
+    box of twice the bound give exactly the lexicographic cone on the box?"""
+    quadrant = oracle_lattice_members("quadrant", 2 * bound)
+    upper = oracle_lattice_members("upperhalf", 2 * bound)
+    sums = {
+        (x1 + x2, y1 + y2)
+        for x1, y1 in quadrant for x2, y2 in upper
+        if abs(x1 + x2) <= bound and abs(y1 + y2) <= bound
+    }
+    return sums == set(oracle_lattice_members("lexcone", bound))
+
+
+def oracle_lattice_factorizations(atoms: list[tuple[int, int]], v: tuple[int, int],
+                                  max_parts: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every multiset of at most max_parts atoms summing to v, each sorted."""
+    return sorted(
+        combo
+        for n in range(max_parts + 1)
+        for combo in itertools.combinations_with_replacement(sorted(atoms), n)
+        if (sum(a[0] for a in combo), sum(a[1] for a in combo)) == tuple(v)
+    )

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,17 @@ def test_deep_sqden_search_is_not_limited_by_recursion(capsys):
     code, _, err = run(capsys, "eval", "--budget", "1200", "Z(family(interval1_sqden), 99999/2)")
     assert code in (0, 3)
     assert "budget" in err
+
+
+@pytest.mark.parametrize("example, box, want", [("3.2", "200", 3), ("4.4", "40", 0)])
+def test_large_lattice_boxes_end_within_the_budget(capsys, example, box, want):
+    # 3.2 at box 200 asks for ~5e7 sumset units, past the default budget,
+    # and fails before building its masks; 4.4 at box 40 fits in it
+    start = time.perf_counter()
+    code, _, err = run(capsys, "paper", example, "--box", box)
+    assert time.perf_counter() - start < 10
+    assert code == want
+    assert ("budget" in err) == (want == 3)
 
 
 def test_unknown_subcommand_and_example(capsys):

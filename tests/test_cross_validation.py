@@ -4,7 +4,9 @@ Each test pits two implementations with different logic against each other:
 the valuation-pruned family search vs the elementary exhaustive search, the
 windowed and interval searches vs product enumeration over the same atoms,
 the bitset divisor, MCD-set and cyclic-divisor scans and the Apéry-table and
-bitset membership and atoms vs product enumeration,
+bitset membership and atoms vs product enumeration, the bitmask lattice
+sumsets and the pruned lattice factorization search vs pairwise search and
+product enumeration,
 the inductive extension MCD vs the complete MCD-set enumeration, and the
 canonical printer vs the parser on generated syntax trees.
 """
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 
 import pytest
 
-from conftest import (oracle_atoms, oracle_fraction_member, oracle_value_buckets, oracle_vectors,
-                      random_extension_instances, random_member)
+from conftest import (oracle_atoms, oracle_fraction_member, oracle_lattice_atoms,
+                      oracle_lattice_factorizations, oracle_lex_sum_matches, oracle_value_buckets,
+                      oracle_vectors, random_extension_instances, random_member)
 from puiseux import (
     FgMonoid,
     add_cyclic,
@@ -28,6 +31,10 @@ from puiseux import (
     family_generator,
     family_member,
     interval_length_factorizations,
+    lat_atoms_in_box,
+    lat_contains,
+    lat_factorizations_in_box,
+    lex_sum_check,
     max_cyclic_divisor,
     mcd_via_extension,
     parse,
@@ -35,6 +42,7 @@ from puiseux import (
 )
 from puiseux.dsl import Family, FgLiteral, Ident, Let, Query, Sum
 from puiseux.families import _sqden_solutions
+from puiseux.lattice2 import LATTICE_KINDS, LatticePoint, _factorizations, _sumset
 from puiseux.monoid import Budget
 
 F = Fraction
@@ -213,6 +221,63 @@ def test_membership_and_atoms_match_product_enumeration(path):
             g = math.gcd(*ints)
             assert [m.contains(F(t, scale)) for t in far] == [t % g == 0 for t in far]
         assert (m._table is None) == (path == "bitmask only")
+
+
+
+_lattice_points = st.lists(st.builds(LatticePoint, st.integers(-7, 7), st.integers(-7, 7)), max_size=12)
+
+
+@given(a_points=_lattice_points, b_points=_lattice_points, bound=st.integers(0, 16))
+@settings(max_examples=300, deadline=None)
+def test_bitmask_sumset_matches_pairwise_sums(a_points, b_points, bound):
+    # two independent sets with negative coordinates; bounds both below and
+    # above the largest coordinate sum (14) cut the read-back box
+    want = {
+        (a.x + b.x, a.y + b.y)
+        for a in a_points for b in b_points
+        if abs(a.x + b.x) <= bound and abs(a.y + b.y) <= bound
+    }
+    assert _sumset(a_points, b_points, bound, Budget()) == want
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_lattice_box_searches_match_pairwise_search(bound):
+    for kind in LATTICE_KINDS:
+        assert lat_atoms_in_box(kind, bound) == tuple(oracle_lattice_atoms(kind, bound))
+    assert lex_sum_check(bound) == oracle_lex_sum_matches(bound)
+
+
+@pytest.mark.parametrize("kind", LATTICE_KINDS)
+def test_pruned_lattice_factorizations_match_product_enumeration(kind):
+    # every part either raises y by at least one or is an x-axis atom, which
+    # has x >= 1 and occurs only beside parts with x >= 0, so a factorization
+    # of (x, y) has at most y + max(x, 0) parts
+    for bound in (2, 4, 6, 8):
+        atoms = lat_atoms_in_box(kind, bound)
+        for x in (-3, -1, 0, 2):
+            for y in range(4):
+                if not lat_contains(kind, (x, y)):
+                    continue
+                want = oracle_lattice_factorizations(atoms, (x, y), y + max(x, 0))
+                assert lat_factorizations_in_box(kind, (x, y), bound) == tuple(want)
+
+
+# atom sets shaped like the upper half-plane's (every y >= 1, any x) or the
+# quadrant's (nonnegative coordinates), the two shapes the height prune and
+# the x-axis step of the factorization search assume
+_lifted_atoms = st.sets(st.builds(LatticePoint, st.integers(-3, 3), st.integers(1, 3)),
+                        min_size=1, max_size=5)
+_quadrant_atoms = st.sets(st.builds(LatticePoint, st.integers(0, 3), st.integers(0, 3)),
+                          min_size=1, max_size=5).map(lambda atoms: atoms - {(0, 0)}).filter(bool)
+
+
+@given(atoms=_lifted_atoms | _quadrant_atoms,
+       v=st.builds(LatticePoint, st.integers(-6, 6), st.integers(0, 5)))
+@settings(max_examples=300, deadline=None)
+def test_pruned_factorizations_of_generated_atoms_match_product_enumeration(atoms, v):
+    atoms = tuple(sorted(atoms))
+    want = oracle_lattice_factorizations(atoms, v, v.y + max(v.x, 0))
+    assert _factorizations(atoms, v, Budget()) == tuple(want)
 
 
 _rat = st.fractions(min_value=F(1, 12), max_value=8, max_denominator=12)

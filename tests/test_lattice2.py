@@ -1,6 +1,7 @@
 import pytest
 
 from puiseux import (
+    BudgetExceededError,
     InputError,
     LatticePoint,
     lat_atomic_elements_in_box,
@@ -9,6 +10,8 @@ from puiseux import (
     lat_factorizations_in_box,
     lex_sum_check,
 )
+from puiseux.lattice2 import _factorizations
+from puiseux.monoid import Budget
 
 P = LatticePoint
 
@@ -103,3 +106,27 @@ def test_lexcone_factorizations():
     assert lat_factorizations_in_box("lexcone", P(0, 1), 5) == ()
     with pytest.raises(InputError):
         lat_factorizations_in_box("lexcone", P(-1, 0), 5)
+
+
+@pytest.mark.parametrize("search", [
+    lambda budget: lat_atoms_in_box("lexcone", 10, budget=budget),
+    lambda budget: lex_sum_check(10, budget=budget),
+    lambda budget: lat_atomic_elements_in_box(10, budget=budget),
+    lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget),
+])
+def test_lattice_searches_charge_the_budget(search):
+    # each search spends the same units every time: exactly that many
+    # suffice, one fewer runs out; at box 10 it is far below the default 10^7
+    meter = Budget(10**7)
+    search(meter)
+    spent = 10**7 - meter.left
+    assert 0 < spent < 10**5
+    search(Budget(spent))
+    with pytest.raises(BudgetExceededError):
+        search(Budget(spent - 1))
+
+
+def test_factorization_search_is_not_limited_by_recursion():
+    # 1,201 atoms, one search level each, beyond the default recursion limit
+    atoms = tuple(P(n, 1) for n in range(-600, 601))
+    assert _factorizations(atoms, P(0, 1), Budget()) == ((P(0, 1),),)
