@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError, NeedsBoundError
-from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _as_budget, _solve_int,
-                     _vectors_to_set, internal_sum)
+from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _allot, _as_budget,
+                     _checked_paths, _paths_to_set, internal_sum)
 from .qarith import RationalLike, _int_valuation, as_rational, lcm_den, nth_prime, prime_factors
 
 BASE_KINDS = ("grams", "companion", "exA", "exB", "sqden", "interval1")
@@ -373,9 +373,9 @@ def _finite_factorizations(atoms: Iterable[Fraction], q: Fraction, ell: int | No
     scale = lcm_den(atoms)
     t = q * scale
     if t.denominator != 1:
-        return FactorizationSet.of(q, ())
-    vectors = _solve_int(int(t), tuple(int(a * scale) for a in atoms), ell, budget)
-    return _vectors_to_set(q, atoms, vectors)
+        return FactorizationSet(q, ())
+    paths = _checked_paths(int(t), tuple(int(a * scale) for a in atoms), ell, budget)
+    return _paths_to_set(q, atoms, paths)
 
 
 def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
@@ -469,6 +469,8 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
     if ell < 1 or den_bound < 1:
         raise InputError("length and denominator bound must be positive")
     budget = _as_budget(budget)
+    size = den_bound * (den_bound + 1) // 2
+    _allot(budget, size, size)   # one unit per grid atom, before the grid is built
     center = q / ell
     atoms: set[Fraction] = set()
     for d in range(1, den_bound + 1):

@@ -26,7 +26,6 @@ anyway.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -209,28 +208,20 @@ class Factorization:
         }
 
 
-def _canonical_key(atoms_desc: tuple[Fraction, ...]):
-    def key(z: Factorization) -> tuple[int, ...]:
-        mults = dict(z.parts)
-        return tuple(mults.get(a, 0) for a in atoms_desc)
-
-    return key
-
-
-def canonical_items(items: Iterable[Factorization]) -> tuple[Factorization, ...]:
-    """Deduplicate and order by multiplicity vector over atoms descending.
-
-    This is the same order a depth-first search emits when it assigns
-    multiplicities to the largest atom first, counting up from zero.
-    """
-    distinct = set(items)
-    atoms_desc = tuple(sorted({a for z in distinct for a, _ in z.parts}, reverse=True))
-    return tuple(sorted(distinct, key=_canonical_key(atoms_desc)))
-
-
 @dataclass(frozen=True)
 class FactorizationSet:
-    """All factorizations of one target, in canonical order."""
+    """All factorizations of one target, distinct and in canonical order.
+
+    Canonical order compares multiplicity vectors over the atoms in
+    descending order; it is the order a depth-first search emits when it
+    assigns multiplicities to the largest atom first, counting up from zero.
+    The integer kernel is such a search and emits each factorization once,
+    so the sets built from its paths take both properties from it.  `of`
+    gives them to an unordered list: it drops repeats and sorts by
+    z.parts[::-1], the nonzero parts with the largest atom first, which
+    compares exactly as the dense vector does (a part missing from one side
+    meets a smaller atom or the end of the other, and both sort first).
+    """
 
     target: Fraction
     items: tuple[Factorization, ...]
@@ -238,7 +229,7 @@ class FactorizationSet:
     @staticmethod
     def of(target: RationalLike, items: Iterable[Factorization]) -> "FactorizationSet":
         target = as_rational(target)
-        ordered = canonical_items(items)
+        ordered = tuple(sorted(set(items), key=lambda z: z.parts[::-1]))
         for z in ordered:
             if z.value != target:
                 raise InputError(f"factorization {z} does not sum to {target}")
@@ -261,9 +252,6 @@ class FactorizationSet:
             "target": str(self.target),
             "items": [z.to_json() for z in self.items],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -428,25 +416,25 @@ class FgMonoid:
 
     # -- factorizations -----------------------------------------------------
 
+    def _paths(self, q: RationalLike, ell: int | None, budget: Budget | int | None) -> list:
+        budget = _as_budget(budget)
+        return _checked_paths(self._int_target(q, budget), self.int_atoms, ell, budget)
+
     def factorizations(self, q: RationalLike, budget: Budget | int | None = None) -> FactorizationSet:
         """Complete enumeration of multisets of atoms summing to q."""
-        budget = _as_budget(budget)
-        t = self._int_target(q, budget)
-        return _vectors_to_set(q, self.atoms, _solve_int(t, self.int_atoms, None, budget))
+        return _paths_to_set(q, self.atoms, self._paths(q, None, budget))
 
     def factorizations_of_length(self, q: RationalLike, ell: int,
                                  budget: Budget | int | None = None) -> FactorizationSet:
         """The subset of factorizations of q with exactly ell parts."""
         if ell < 1:
             raise InputError("length must be a positive integer")
-        budget = _as_budget(budget)
-        t = self._int_target(q, budget)
-        return _vectors_to_set(q, self.atoms, _solve_int(t, self.int_atoms, ell, budget))
+        return _paths_to_set(q, self.atoms, self._paths(q, ell, budget))
 
     def lengths(self, q: RationalLike, budget: Budget | int | None = None) -> LengthSet:
         """Exactly the set of lengths over all factorizations of q."""
-        zs = self.factorizations(q, budget)
-        return LengthSet(zs.target, zs.lengths())
+        paths = self._paths(q, None, budget)
+        return LengthSet(as_rational(q), tuple(sorted({sum(m for _, m in p) for p in paths})))
 
     # -- structure report ---------------------------------------------------
 
@@ -466,7 +454,7 @@ class FgMonoid:
         """
         budget = _as_budget(budget)
         sample = self.smallest_members(sample_size, budget)
-        counts = [len(self.factorizations(q, budget)) for q in sample]
+        counts = [len(self._paths(q, None, budget)) for q in sample]
         flag = lambda v: {"value": v, "provenance": "paper"}
         return {
             "generators": [str(g) for g in self.generators],
@@ -521,15 +509,20 @@ def internal_sum(m: FgMonoid, n: FgMonoid, budget: Budget | int | None = None) -
 
 
 def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
-               budget: Budget) -> list[tuple[int, ...]]:
-    """All vectors x in N_0^k with sum x_i * atoms_i == target, atoms ascending.
+               budget: Budget) -> list[tuple[tuple[int, int], ...]]:
+    """All ways to write target as a sum of multiples of atoms (ascending,
+    distinct), each as a sparse path ((i, m), ...) of the nonzero
+    multiplicities m of atoms[i], in ascending i.
 
     Depth-first over atoms from largest to smallest, counting multiplicities
-    up from zero, so results are emitted already in canonical order.  Pruning:
-    the residue must be divisible by the gcd of the remaining atoms, and under
-    an exact-length constraint it must fit between length * min and
-    length * max of the remaining atoms (without one, it must be zero or at
-    least the smallest atom).
+    up from zero, so every solution is reached once and they are emitted
+    distinct and already in canonical order (see FactorizationSet).
+    Pruning: the residue must be divisible by the gcd of the remaining
+    atoms, and under an exact-length constraint it must fit between
+    length * min and length * max of the remaining atoms (without one, it
+    must be zero or at least the smallest atom).  When exactly one part is
+    left, the residue is looked up among the atoms not above the current
+    one instead of searched for.
     """
     k = len(atoms)
     prefix_gcd = [0] * k
@@ -537,14 +530,16 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
     for i, a in enumerate(atoms):
         g = math.gcd(g, a)
         prefix_gcd[i] = g
-    out: list[tuple[int, ...]] = []
-    xs = [0] * k
+    index_of = {a: i for i, a in enumerate(atoms)}
+    out: list[tuple[tuple[int, int], ...]] = []
+    path: list[tuple[int, int]] = []   # nonzero multiplicities on the open path, largest index first
 
     def children(i: int, rem: int, need: int | None) -> Iterator[tuple[int, int, int | None]]:
         a = atoms[i]
         top = rem // a
         if need is not None:
             top = min(top, need)
+        base = len(path)
         for m in range(top + 1):
             new_rem = rem - m * a
             if need is not None:
@@ -553,9 +548,10 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
                     continue
             elif 0 < new_rem < atoms[0]:
                 continue
-            xs[i] = m
+            if m:
+                path[base:] = [(i, m)]
             yield i - 1, new_rem, None if need is None else need - m
-        xs[i] = 0
+        del path[base:]
 
     # One child iterator per open level instead of one Python frame, so
     # the depth (one level per atom) is not bounded by the recursion limit.
@@ -564,14 +560,16 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
         for i, rem, need in stack[-1]:
             budget.spend()
             if rem == 0:
-                if need is None or need == 0:
-                    out.append(tuple(xs))
+                if not need:
+                    out.append(tuple(reversed(path)))
+            elif need == 1:
+                j = index_of.get(rem, k)
+                if j <= i:
+                    out.append(((j, 1), *reversed(path)))
             elif i == 0:
                 m, r = divmod(rem, atoms[0])
                 if r == 0 and (need is None or need == m):
-                    xs[0] = m
-                    out.append(tuple(xs))
-                    xs[0] = 0
+                    out.append(((0, m), *reversed(path)))
             elif i > 0 and need != 0 and rem % prefix_gcd[i] == 0:
                 stack.append(children(i, rem, need))
                 break
@@ -580,12 +578,25 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
     return out
 
 
-def _vectors_to_set(q: RationalLike, atoms: Sequence[Fraction],
-                    vectors: Iterable[tuple[int, ...]]) -> FactorizationSet:
-    """The factorizations of q given by multiplicity vectors over atoms."""
-    return FactorizationSet.of(
-        q, (Factorization.of({a: m for a, m in zip(atoms, v) if m}) for v in vectors)
-    )
+def _checked_paths(target: int, atoms: tuple[int, ...], exact_length: int | None,
+                   budget: Budget) -> list[tuple[tuple[int, int], ...]]:
+    """_solve_int's paths, each re-checked to sum to target."""
+    paths = _solve_int(target, atoms, exact_length, budget)
+    for p in paths:
+        if sum(m * atoms[i] for i, m in p) != target:
+            raise RuntimeError(f"the integer search returned a path that does not sum to {target}")
+    return paths
+
+
+def _paths_to_set(q: RationalLike, atoms: Sequence[Fraction],
+                  paths: Iterable[tuple[tuple[int, int], ...]]) -> FactorizationSet:
+    """The factorizations of q given by kernel paths over atoms (ascending).
+
+    Ascending indices give each factorization its sorted parts, and the
+    kernel's order is already canonical and free of repeats.
+    """
+    return FactorizationSet(as_rational(q), tuple(
+        Factorization(tuple((atoms[i], m) for i, m in p)) for p in paths))
 
 
 # -- cyclic extensions: the constructive procedures behind the sum theorems --

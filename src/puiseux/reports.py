@@ -75,7 +75,9 @@ def _claim(statement: str, anchor: str, ok: bool, exact: bool,
 
 def run_paper_example(example: str, window: int = 10, den_bound: int = 12,
                       box: int = 10, budget: int | None = 10**7) -> PaperReport:
-    """Run one scenario by id with the given bounds."""
+    """Run one scenario by id with the given bounds, every search of the
+    scenario drawing on one allowance of budget units."""
+    budget = Budget(budget)
     runners = {
         "3.2": lambda: _lexcone_scenario(box, budget),
         "3.3": lambda: _antimatter_scenario(),
@@ -92,9 +94,8 @@ def run_paper_example(example: str, window: int = 10, den_bound: int = 12,
 # -- Z^2: sum of the quadrant and the open upper half-plane ---------------------
 
 
-def _lexcone_scenario(box: int, budget: int | None) -> PaperReport:
+def _lexcone_scenario(box: int, budget: Budget) -> PaperReport:
     bound = f"box={box}"
-    budget = Budget(budget)  # one allowance for every search of the scenario
     sum_matches = lattice2.lex_sum_check(box, budget=budget)
     quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box, budget=budget)
     upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box, budget=budget)
@@ -158,7 +159,7 @@ def _antimatter_scenario() -> PaperReport:
 # -- sum of two finite-factorization monoids with unbounded Z_2(2) --------------
 
 
-def _two_ffm_sum_scenario(window: int, budget: int | None) -> PaperReport:
+def _two_ffm_sum_scenario(window: int, budget: Budget) -> PaperReport:
     per_window = families._exaexb_length2_of_2(window, budget)
     counts = [len(length2) for length2 in per_window]
     pairings_ok = True
@@ -193,7 +194,7 @@ def _two_ffm_sum_scenario(window: int, budget: int | None) -> PaperReport:
 # -- sum of two bounded-factorization monoids that is not atomic ----------------
 
 
-def _nonatomic_sum_scenario(budget: int | None) -> PaperReport:
+def _nonatomic_sum_scenario(budget: Budget) -> PaperReport:
     trace: list = []
     member, zs = families._nine_eighths(budget, trace)
     claims = (
@@ -216,9 +217,8 @@ def _nonatomic_sum_scenario(budget: int | None) -> PaperReport:
 # -- Z^2 revisited: factorization structure of the summands ---------------------
 
 
-def _lattice_ffm_scenario(box: int, budget: int | None) -> PaperReport:
+def _lattice_ffm_scenario(box: int, budget: Budget) -> PaperReport:
     bound = f"box={box}"
-    budget = Budget(budget)  # one allowance for every search of the scenario
 
     quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box, budget=budget)
     upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box, budget=budget)
@@ -288,12 +288,13 @@ def lat_divides_upperhalf(u1: lattice2.LatticePoint, u2: lattice2.LatticePoint) 
 # -- the unit-interval monoid: bounded but not finite factorizations ------------
 
 
-def _interval_scenario(den_bound: int, budget: int | None) -> PaperReport:
+def _interval_scenario(den_bound: int, budget: Budget) -> PaperReport:
     ladder = families._interval_ladder(den_bound, budget)
     pairs = ladder[den_bound]
+    found = set(pairs)
     half = Fraction(3, 2)
     have_all = all(
-        Factorization.of({half - Fraction(1, n): 1, half + Fraction(1, n): 1}) in pairs.items
+        Factorization.of({half - Fraction(1, n): 1, half + Fraction(1, n): 1}) in found
         for n in range(3, den_bound + 1)
     )
     bounds = list(ladder)

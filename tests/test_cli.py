@@ -73,6 +73,14 @@ def test_deep_interval_sample_is_not_limited_by_recursion(capsys):
     assert out.strip().endswith("PASS")
 
 
+def test_wide_interval_sample_ends_within_the_budget(capsys):
+    # the largest rung has 45,150 atoms, charged before the grid is built
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "paper", "5", "--den-bound", "300")
+    assert time.perf_counter() - start < 10
+    assert code in (0, 3)
+
+
 def test_deep_sqden_search_is_not_limited_by_recursion(capsys):
     # the first branch fixes a multiplicity for each of ~5,000 candidate
     # primes, one search level each; the budget runs out past 1,000 levels

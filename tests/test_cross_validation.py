@@ -147,6 +147,35 @@ def test_interval_length_samples_match_product_enumeration(q, ell, den_bound):
     assert _as_vectors(zs, atoms) == _oracle_set(atoms, q, ell)
 
 
+def test_lengths_length_slices_and_classify_counts_match_product_enumeration():
+    # L, Zl at lengths 1-4 (the kernel's last part is a lookup) and the
+    # factorization counts behind classify's evidence, on small random
+    # monoids with rational generators; the atoms and every set come from
+    # product enumeration over generators integerized here
+    rng = random.Random(53)
+    for _ in range(30):
+        gens = {F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 3))}
+        m = FgMonoid(gens)
+        scale = math.lcm(*(g.denominator for g in gens))
+        atoms = oracle_atoms(sorted(int(g * scale) for g in gens))
+        limit = max(30, 8 * atoms[0])
+        buckets = oracle_value_buckets(atoms, limit)
+        for t in sorted(buckets):
+            q = F(t, scale)
+            vectors = buckets[t]
+            assert m.lengths(q).lengths == tuple(sorted({sum(xs) for xs in vectors}))
+            for ell in range(1, 5):
+                # canonical order: multiplicity vectors over the atoms, largest first
+                want = sorted((xs for xs in vectors if sum(xs) == ell), key=lambda xs: xs[::-1])
+                assert [z.parts for z in m.factorizations_of_length(q, ell)] == [
+                    tuple((F(a, scale), x) for a, x in zip(atoms, xs) if x) for xs in want
+                ]
+        evidence = m.classify(sample_size=8)["evidence"]
+        members = sorted(t for t in buckets if t)[:8]
+        assert evidence["sampled_members"] == [str(F(t, scale)) for t in members]
+        assert evidence["factorization_counts"] == [len(buckets[t]) for t in members]
+
+
 def test_extension_mcd_belongs_to_the_full_mcd_set():
     # the inductive construction and the divisor-lattice enumeration are
     # independent routes; the constructed value must appear in the full set

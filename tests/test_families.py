@@ -17,9 +17,11 @@ from puiseux import (
     grams_companion,
     interval_length_factorizations,
     interval_lengths,
+    run_paper_example,
     truncate,
 )
 from puiseux.families import family_prime
+from puiseux.monoid import Budget
 
 F = Fraction
 
@@ -168,6 +170,21 @@ def test_budget_outcome_does_not_depend_on_earlier_queries():
     assert len(family_factorizations("sqden", F(43, 36))) == 1
     with pytest.raises(BudgetExceededError):
         family_factorizations("sqden", F(43, 36), budget=5)
+
+
+def test_paper_scenario_spends_one_budget_over_all_its_windows():
+    window = 6
+    costs = []
+    for w in range(1, window + 1):
+        meter = Budget(10**7)
+        family_factorizations("exAexB", 2, window=w, budget=meter)
+        costs.append(10**7 - meter.left)
+    # each window fits in the allowance alone, but not all of them together
+    allowance = max(costs)
+    assert sum(costs) > allowance
+    assert run_paper_example("4.2", window=window, budget=sum(costs)).ok
+    with pytest.raises(BudgetExceededError):
+        run_paper_example("4.2", window=window, budget=allowance)
 
 
 def test_family_membership():

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_atoms, oracle_value_buckets
+from conftest import oracle_atoms, oracle_value_buckets, oracle_vectors
 from puiseux import (
     BudgetExceededError,
     Factorization,
+    FactorizationSet,
     FgMonoid,
     InputError,
     NotAMemberError,
@@ -15,6 +16,7 @@ from puiseux import (
     internal_sum,
 )
 from puiseux.dsl import Evaluator
+from puiseux.monoid import Budget, _solve_int
 
 F = Fraction
 
@@ -278,3 +280,57 @@ def test_factorization_value_and_length():
     assert str(z) == "4·3/4 + 1·2"
     with pytest.raises(InputError):
         Factorization.of({F(1, 2): 0})
+
+
+def dense_key(atoms_desc):
+    """The canonical order as first defined: the multiplicity vector over
+    every atom that occurs, largest atom first."""
+    def key(z):
+        mults = dict(z.parts)
+        return tuple(mults.get(a, 0) for a in atoms_desc)
+
+    return key
+
+
+# few distinct atoms, so that random factorizations share most of them
+_factorization_lists = st.lists(
+    st.dictionaries(st.fractions(min_value=F(1, 3), max_value=2, max_denominator=3),
+                    st.integers(1, 3), max_size=4).map(Factorization.of),
+    max_size=12,
+    unique=True,
+)
+
+
+@given(zs=_factorization_lists)
+@settings(max_examples=300, deadline=None)
+def test_sparse_key_sorts_as_the_dense_vector(zs):
+    atoms_desc = tuple(sorted({a for z in zs for a, _ in z.parts}, reverse=True))
+    assert sorted(zs, key=lambda z: z.parts[::-1]) == sorted(zs, key=dense_key(atoms_desc))
+
+
+@given(atoms=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+       target=st.integers(0, 40), ell=st.none() | st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_kernel_paths_are_sparse_distinct_and_canonically_ordered(atoms, target, ell):
+    paths = _solve_int(target, tuple(atoms), ell, Budget())
+    for p in paths:
+        indices = [i for i, _ in p]
+        assert indices == sorted(set(indices))
+        assert all(m > 0 for _, m in p)
+    # dense vectors over the atoms, largest first: ascending and distinct
+    dense = [tuple(dict(p).get(i, 0) for i in reversed(range(len(atoms)))) for p in paths]
+    assert dense == sorted(set(dense))
+    want = [xs for xs in oracle_vectors(atoms, target) if ell is None or sum(xs) == ell]
+    assert sorted(xs[::-1] for xs in dense) == want
+
+
+@given(gens=small_gens, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_factorization_set_of_restores_the_kernel_order(gens, data):
+    m = FgMonoid(gens)
+    q = sum(m.atoms, F(0)) * 2
+    zs = m.factorizations(q)
+    shuffled = data.draw(st.permutations(zs.items))
+    atoms_desc = tuple(reversed(m.atoms))
+    assert FactorizationSet.of(q, shuffled + shuffled[:1]).items == zs.items
+    assert list(zs.items) == sorted(zs.items, key=dense_key(atoms_desc))
