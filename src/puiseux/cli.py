@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .dsl import Evaluator, ParseError, parse, render
+from .dsl import Evaluator, parse, render
 from .errors import BudgetExceededError, PuiseuxError
 from .reports import EXAMPLE_IDS, run_paper_example
 
@@ -27,8 +27,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="window size for windowed family searches")
     sub.add_argument("--den-bound", type=int, default=None, metavar="D",
                      help="denominator bound for interval-monoid samples")
-    sub.add_argument("--box", type=int, default=None, metavar="B",
-                     help="box half-width for lattice searches")
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                      help=f"search-node budget (default {DEFAULT_BUDGET})")
 
@@ -50,6 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_paper = sub.add_parser("paper", help="run a scripted verification scenario")
     p_paper.add_argument("example", help=f"scenario id, one of: {', '.join(EXAMPLE_IDS)}")
     _add_common_flags(p_paper)
+    p_paper.add_argument("--box", type=int, default=None, metavar="B",
+                         help="box half-width for lattice searches")
 
     return parser
 
@@ -128,9 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except PuiseuxError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -15,6 +15,9 @@ Grammar (whitespace insignificant, "#" starts a comment to end of line):
              | ("mcd" | "divides") "(" mexpr "," rat "," rat ")"
     rat     := INT ["/" INT]
 
+INT is ASCII digits and IDENT (NAME too) an ASCII identifier; any character
+outside the grammar's alphabet is a ParseError at its line and column.
+
 "+" between monoid expressions is the internal sum (and only that: there is
 no element-level arithmetic in the language).  Rational literals only; the
 language has no decimals.  Family queries that would need a truncation fail
@@ -24,6 +27,7 @@ loudly rather than defaulting to one.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -32,7 +36,10 @@ from . import families
 from .errors import InputError, NeedsBoundError, PuiseuxError
 from .monoid import FactorizationSet, FgMonoid, LengthSet
 
-QUERY_HEADS = ("atoms", "props", "Z", "L", "member", "Zl", "mcd", "divides")
+# each query head and the literals that follow its monoid expression
+_QUERY_FORMS = {"atoms": (), "props": (), "Z": ("rat",), "L": ("rat",), "member": ("rat",),
+                "Zl": ("rat", "INT"), "mcd": ("rat", "rat"), "divides": ("rat", "rat")}
+QUERY_HEADS = tuple(_QUERY_FORMS)
 KEYWORDS = ("let", "pm", "cyclic", "family") + QUERY_HEADS
 
 
@@ -52,47 +59,23 @@ class Token(NamedTuple):
     col: int
 
 
+# the grammar's whole alphabet; any other character matches `bad`
+_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()=,+/;])"
+                    r"|(?P<space>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<bad>.)")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(Token("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("IDENT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in "()=,+/;":
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, col)
+        elif kind != "space":
+            tokens.append(Token(m[0] if kind == "punct" else kind, m[0], line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -202,20 +185,10 @@ class _Parser:
         head = self.advance().text
         self.expect("(")
         expr = self.mexpr()
-        args: list = []
-        if head in ("Z", "L", "member"):
+        args = []
+        for literal in _QUERY_FORMS[head]:
             self.expect(",")
-            args.append(self.rat())
-        elif head == "Zl":
-            self.expect(",")
-            args.append(self.rat())
-            self.expect(",")
-            args.append(self.int_literal())
-        elif head in ("mcd", "divides"):
-            self.expect(",")
-            args.append(self.rat())
-            self.expect(",")
-            args.append(self.rat())
+            args.append(self.rat() if literal == "rat" else self.int_literal())
         self.expect(")")
         return Query(head, expr, tuple(args))
 
@@ -266,11 +239,9 @@ class _Parser:
         return int(self.expect("INT").text)
 
     def rat(self) -> Fraction:
-        num_tok = self.peek()
-        if num_tok.kind != "INT":
+        if self.peek().kind != "INT":
             raise self.fail("expected a rational", ("rational",))
-        self.advance()
-        num = int(num_tok.text)
+        num = self.int_literal()
         if self.peek().kind == "/":
             self.advance()
             den_tok = self.expect("INT")
@@ -435,7 +406,8 @@ class Evaluator:
                     raise NeedsBoundError("Zl on interval1 needs den_bound=...")
                 return families.interval_length_factorizations(target, ell, den_bound, budget)
             zs = families.family_factorizations(fam.kind, target, window, budget)
-            return FactorizationSet.of(zs.target, [z for z in zs if z.length == ell])
+            # a subsequence of a canonical set is itself canonical
+            return FactorizationSet(zs.target, tuple(z for z in zs if z.length == ell))
         if q.head == "divides":
             c, b = Fraction(q.args[0]), Fraction(q.args[1])
             if c > b:

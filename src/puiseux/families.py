@@ -50,7 +50,7 @@ _SUM_TABLE = {
     frozenset({"grams", "companion"}): "gramscompanion",
 }
 
-_PARAM_NAMES = {"K", "window", "den_bound", "n", "depth"}
+_PARAM_NAMES = {"K", "window", "den_bound", "n"}
 
 
 @dataclass(frozen=True)

@@ -442,7 +442,11 @@ class FgMonoid:
         """The count smallest positive elements, ascending."""
         # the multiples of the smallest atom alone give count of them by count * atom
         reach = self._reach(max(count, 0) * self.int_atoms[0], _as_budget(budget))
-        return [Fraction(t, self.scale) for t in range(1, len(reach)) if reach[t] == "1"][:count]
+        members, t = [], reach.find("1", 1)
+        while t > 0 and len(members) < count:
+            members.append(Fraction(t, self.scale))
+            t = reach.find("1", t + 1)
+        return members
 
     def classify(self, sample_size: int = 10, budget: Budget | int | None = None) -> dict:
         """Structure report: cited flags plus enumeration evidence on a sample.

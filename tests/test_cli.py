@@ -42,6 +42,18 @@ def test_eval_parse_error_is_usage_error(capsys):
     assert "expected a rational" in err
 
 
+def test_eval_character_outside_the_alphabet_is_usage_error(capsys):
+    code, _, err = run(capsys, "eval", "member(pm(2, 3), ²)")
+    assert code == 2
+    assert "unexpected character '²'" in err
+
+
+@pytest.mark.parametrize("argv", [["eval", "--box", "5", "atoms(pm(2,3))"], ["repl", "--box", "5"]])
+def test_box_is_a_paper_flag_only(capsys, argv):
+    assert main(argv) == 2
+    assert "--box" in capsys.readouterr().err
+
+
 def test_eval_semantic_error_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "Z(family(grams), 1/6)")
     assert code == 2

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from puiseux import (
     FactorizationSet,
@@ -13,7 +15,7 @@ from puiseux import (
     print_program,
     render,
 )
-from puiseux.dsl import Cyclic, Evaluator, Family, FgLiteral, Ident, Let, Query, Sum
+from puiseux.dsl import Cyclic, Evaluator, Family, FgLiteral, Ident, Let, Query, Sum, tokenize
 from puiseux.families import FamilyMonoid
 
 F = Fraction
@@ -87,6 +89,35 @@ def test_parse_error_carries_position():
     assert err.value.col == 8
 
 
+def test_tokens_carry_line_and_column():
+    text = "let M\t= pm(2, 3/4)  # gens\r\n\tZ(M, 6);\r\n# whole line\nmember(M,\t7) # end"
+    assert [tuple(t) for t in tokenize(text)] == [
+        ("IDENT", "let", 1, 1), ("IDENT", "M", 1, 5), ("=", "=", 1, 7),
+        ("IDENT", "pm", 1, 9), ("(", "(", 1, 11), ("INT", "2", 1, 12), (",", ",", 1, 13),
+        ("INT", "3", 1, 15), ("/", "/", 1, 16), ("INT", "4", 1, 17), (")", ")", 1, 18),
+        ("IDENT", "Z", 2, 2), ("(", "(", 2, 3), ("IDENT", "M", 2, 4), (",", ",", 2, 5),
+        ("INT", "6", 2, 7), (")", ")", 2, 8), (";", ";", 2, 9),
+        ("IDENT", "member", 4, 1), ("(", "(", 4, 7), ("IDENT", "M", 4, 8), (",", ",", 4, 9),
+        ("INT", "7", 4, 11), (")", ")", 4, 12),
+        ("EOF", "", 4, 19),  # after the trailing comment
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("member(pm(2,3), ²)", 1, 17),   # a digit, but not an ASCII one
+        ("atoms(pm(٣))", 1, 10),
+        ("let M = pm(2)\nlet é = M", 2, 5),
+        ("atoms(M\x0c)", 1, 8),
+    ],
+)
+def test_characters_outside_the_alphabet_are_rejected_where_they_stand(text, line, col):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 ROUND_TRIP_CORPUS = [
     "let M = pm(2, 3)",
     "let M = pm(2, 3); Z(M, 6)",
@@ -126,6 +157,35 @@ ROUND_TRIP_CORPUS = [
 @pytest.mark.parametrize("program", ROUND_TRIP_CORPUS)
 def test_print_parse_round_trip(program):
     stmts = parse(program)
+    assert parse(print_program(stmts)) == stmts
+
+
+_FRAGMENTS = st.sampled_from([
+    "let ", "M", " = ", "pm(", "family(", "K=", "Zl(", "1/2", "3", "0", "/", ",", ")", "+", ";",
+    "#", " ", "\t", "\r", "\n", "_x1",
+])
+_ODD = st.sampled_from(["²", "٣", "é", "\t", "\r", "\n", "#"])
+_PIECES = _FRAGMENTS | _ODD | st.characters()
+
+
+@st.composite
+def _spliced_programs(draw):
+    """A corpus program with one slice replaced by a few fragments or characters."""
+    base = draw(st.sampled_from(ROUND_TRIP_CORPUS))
+    i = draw(st.integers(0, len(base)))
+    j = draw(st.integers(i, min(i + 3, len(base))))
+    return base[:i] + "".join(draw(st.lists(_PIECES, max_size=4))) + base[j:]
+
+
+@given(text=_spliced_programs() | st.lists(_PIECES, max_size=30).map("".join))
+@example(text="member(pm(2, 3), ²)")
+@settings(max_examples=1000, deadline=None)
+def test_parse_returns_statements_or_raises_parse_error(text):
+    try:
+        stmts = parse(text)
+    except ParseError:
+        return
+    assert all(isinstance(s, (Let, Query)) for s in stmts)
     assert parse(print_program(stmts)) == stmts
 
 
@@ -195,6 +255,15 @@ def test_eval_loud_failures():
         ev.run_text("atoms(family(grams) + family(sqden))")
     with pytest.raises(InputError):
         ev.run_text("Z(M_undefined, 2)")
+
+
+def test_unknown_family_parameters_fail_loudly():
+    ev = Evaluator()
+    (_, atoms), = ev.run_text("atoms(family(companion, K=2))")
+    assert atoms
+    for program in ("atoms(family(companion, depth=3, K=2))", "atoms(family(grams, size=3))"):
+        with pytest.raises(InputError, match="unknown family parameter"):
+            ev.run_text(program)
 
 
 def test_bound_defaults_come_from_explicit_flags_only():

@@ -334,3 +334,12 @@ def test_factorization_set_of_restores_the_kernel_order(gens, data):
     atoms_desc = tuple(reversed(m.atoms))
     assert FactorizationSet.of(q, shuffled + shuffled[:1]).items == zs.items
     assert list(zs.items) == sorted(zs.items, key=dense_key(atoms_desc))
+
+
+@given(gens=small_gens, count=st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_smallest_members_are_the_first_members(gens, count):
+    m = FgMonoid(gens)
+    limit = count * min(m.int_gens)
+    members = sorted(v for v in oracle_value_buckets(list(m.int_gens), limit) if v > 0)
+    assert m.smallest_members(count) == [F(v, m.scale) for v in members[:count]]
