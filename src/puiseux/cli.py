@@ -15,9 +15,6 @@ from .dsl import Evaluator, parse, render
 from .errors import BudgetExceededError, PuiseuxError
 from .reports import EXAMPLE_IDS, run_paper_example
 
-DEFAULT_WINDOW = 10
-DEFAULT_DEN_BOUND = 12
-DEFAULT_BOX = 10
 DEFAULT_BUDGET = 10**7
 
 
@@ -55,13 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _bound_defaults(args: argparse.Namespace) -> dict[str, int]:
-    # only bounds the user passed explicitly: nothing defaults silently
-    out = {}
-    if args.window is not None:
-        out["window"] = args.window
-    if args.den_bound is not None:
-        out["den_bound"] = args.den_bound
-    return out
+    # only bounds the user passed explicitly (only paper has --box): nothing
+    # defaults silently
+    return {name: getattr(args, name) for name in ("window", "den_bound", "box")
+            if getattr(args, name, None) is not None}
 
 
 def _run_eval(args: argparse.Namespace) -> int:
@@ -102,13 +96,8 @@ def _run_repl(args: argparse.Namespace) -> int:
 
 
 def _run_paper(args: argparse.Namespace) -> int:
-    report = run_paper_example(
-        args.example,
-        window=args.window if args.window is not None else DEFAULT_WINDOW,
-        den_bound=args.den_bound if args.den_bound is not None else DEFAULT_DEN_BOUND,
-        box=args.box if args.box is not None else DEFAULT_BOX,
-        budget=args.budget,
-    )
+    # the scenarios' own defaults fill the bounds the user left out
+    report = run_paper_example(args.example, budget=args.budget, **_bound_defaults(args))
     print(report.render_json() if args.json else report.render_text())
     return 0 if report.ok else 1
 

@@ -348,13 +348,11 @@ class Evaluator:
             if combined is not None:
                 params = tuple(sorted({**dict(left.params), **dict(right.params)}.items()))
                 return families.FamilyMonoid(combined, params)
-            raise NeedsBoundError(
-                f"no exact procedure for {left.kind} + {right.kind}; truncate with K=..."
-            )
-        raise NeedsBoundError(
-            "cannot sum a finitely generated monoid with an untruncated family; "
-            "truncate the family with K=..."
-        )
+            raise NeedsBoundError(f"no exact procedure for {left.kind} + {right.kind};"
+                                  f" {families._bound_hint(left.kind, right.kind)}")
+        fam = left if isinstance(left, families.FamilyMonoid) else right
+        raise NeedsBoundError("cannot sum a finitely generated monoid with an untruncated"
+                              f" family; {families._bound_hint(fam.kind)}")
 
     # -- queries
 
@@ -416,9 +414,11 @@ class Evaluator:
                     and families.family_member(fam, b, budget)
                     and families.family_member(fam, b - c, budget))
         if q.head == "atoms":
-            raise NeedsBoundError(f"atoms of {fam.kind} form an infinite set; truncate with K=...")
+            raise NeedsBoundError(f"atoms of {fam.kind} form an infinite set;"
+                                  f" {families._bound_hint(fam.kind)}")
         if q.head == "mcd":
-            raise NeedsBoundError(f"mcd on {fam.kind} is not supported; truncate with K=...")
+            raise NeedsBoundError(f"mcd on {fam.kind} is not supported;"
+                                  f" {families._bound_hint(fam.kind)}")
         raise InputError(f"unknown query {q.head!r}")
 
 

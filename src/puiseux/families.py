@@ -89,6 +89,19 @@ def sum_kind(a: str, b: str) -> str | None:
     return _SUM_TABLE.get(frozenset({a, b}))
 
 
+# the families truncate() rejects, and what bounds a query on them instead
+_UNTRUNCATED = {"interval1": "query it with L(...) or Zl(..., den_bound=...)",
+                "interval1_sqden": "no bound replaces a truncation"}
+
+
+def _bound_hint(*kinds: str) -> str:
+    """How to bound a query over these families, for a NeedsBoundError."""
+    for kind in kinds:
+        if kind in _UNTRUNCATED:
+            return f"{kind} cannot be truncated; {_UNTRUNCATED[kind]}"
+    return "truncate with K=..."
+
+
 def family_prime(kind: str, n: int) -> int:
     if kind not in _PRIME_FLOOR:
         raise InputError(f"{kind} has no prime sequence")
@@ -279,14 +292,10 @@ def divisor_candidates(kind: str, q: RationalLike) -> tuple[int, ...]:
         raise InputError("q must be positive")
     den_primes = set(prime_factors(q.denominator))
     size_cap = int(q) if kind == "exB" else int(q - 1) if q >= 1 else 0
-    limit = max(den_primes, default=0)
-    limit = max(limit, size_cap)
+    limit = max(den_primes | {size_cap})
     out = []
     n = 1
-    while True:
-        p = family_prime(kind, n)
-        if p > limit:
-            break
+    while (p := family_prime(kind, n)) <= limit:
         if p in den_primes or p <= size_cap:
             out.append(n)
         n += 1
@@ -297,42 +306,44 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
                      trace: list | None = None) -> list[dict[int, int]]:
     """All multisets {index: multiplicity} of sqden generators summing to target.
 
-    Exact and window-free.  At each node the candidate indices come from the
-    valuation bound, and the total multiplicity of the chosen index is pinned
-    to a single residue class modulo p^2 (the only classes that restore a
+    Exact and window-free.  Each node descends into one index, the first
+    from min_index on that the valuation bound admits (`divisor_candidates`
+    lists them all, for the trace only), and pins its total multiplicity to
+    one residue class modulo p^2 (the only classes that restore a
     nonnegative p-adic valuation), so the tree is finite.
     """
     out: list[dict[int, int]] = []
     chosen: dict[int, int] = {}   # nonzero multiplicities on the open path, outermost first
 
     def children(target: Fraction, min_index: int) -> Iterator[tuple[Fraction, int]]:
-        cands = divisor_candidates("sqden", target)
         if trace is not None:
-            trace.append({"residual": str(target), "candidate_indices": list(cands)})
-        for p in prime_factors(target.denominator):
+            trace.append({"residual": str(target),
+                          "candidate_indices": list(divisor_candidates("sqden", target))})
+        den_primes = prime_factors(target.denominator)
+        n = min_index
+        p = family_prime("sqden", n)
+        for d in den_primes:
             # no generator can absorb a denominator exponent beyond 2, and a
             # prime whose index is already behind us can never be fixed later
-            if _int_valuation(target.denominator, p) > 2:
+            if _int_valuation(target.denominator, d) > 2 or d < p:
                 return
-            if p < family_prime("sqden", min_index):
+        if p + 1 > target:
+            # one copy does not fit, so only a denominator prime can divide
+            # the target; any other needs p^2 copies, worth p + 1
+            if not den_primes:
                 return
-        usable = [n for n in cands if n >= min_index]
-        if not usable:
-            return
-        n = usable[0]
-        p = family_prime("sqden", n)
+            while p < den_primes[0]:
+                n += 1
+                p = family_prime("sqden", n)
         gen = Fraction(p + 1, p * p)
         # multiplicity class: m*(p+1)/p^2 must absorb the p-part of the target
         scaled = target * p * p
         m0 = scaled.numerator * pow(scaled.denominator, -1, p * p) % (p * p)
         m0 = m0 * pow(p + 1, -1, p * p) % (p * p)
-        bound = target // gen
-        m = m0
-        while m <= bound:
+        for m in range(m0, target // gen + 1, p * p):
             if m:
                 chosen[n] = m
             yield target - m * gen, n + 1
-            m += p * p
         chosen.pop(n, None)
 
     # One child iterator per open level instead of one Python frame, so
@@ -418,7 +429,7 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
         distinct = {a for z in items for a, _ in z.parts}
         atoms = {a for a in distinct if _sum_part_is_atom(a, budget)}
         return FactorizationSet.of(q, [z for z in items if all(a in atoms for a, _ in z.parts)])
-    raise NeedsBoundError(f"no exact factorization procedure for {kind}; truncate with K=...")
+    raise NeedsBoundError(f"no exact factorization procedure for {kind}; {_bound_hint(kind)}")
 
 
 def family_member(kind: str | FamilyMonoid, q: RationalLike,
@@ -439,7 +450,7 @@ def family_member(kind: str | FamilyMonoid, q: RationalLike,
     if kind == "interval1_sqden":
         # members below 1 must come entirely from the sqden component
         return q >= 1 or bool(_sqden_solutions(q, 1, budget))
-    raise NeedsBoundError(f"no exact membership procedure for {kind}; truncate with K=...")
+    raise NeedsBoundError(f"no exact membership procedure for {kind}; {_bound_hint(kind)}")
 
 
 def interval_lengths(q: RationalLike) -> tuple[int, ...]:

@@ -101,6 +101,33 @@ def test_deep_sqden_search_is_not_limited_by_recursion(capsys):
     assert "budget" in err
 
 
+def test_deep_sqden_search_ends_within_its_budget(capsys):
+    # each node finds its one index without listing every prime below q
+    start = time.perf_counter()
+    code, _, err = run(capsys, "eval", "--budget", "100000", "Z(family(interval1_sqden), 99999/2)")
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("program, hint", [
+    ("Z(family(interval1), 3)", "Zl(..., den_bound=...)"),
+    ("atoms(family(interval1))", "Zl(..., den_bound=...)"),
+    ("mcd(family(interval1), 2, 3)", "Zl(..., den_bound=...)"),
+    ("Z(pm(2) + family(interval1), 3)", "Zl(..., den_bound=...)"),
+    ("Z(family(interval1) + family(exA), 3)", "Zl(..., den_bound=...)"),
+    ("atoms(family(interval1_sqden))", "no bound replaces a truncation"),
+    ("mcd(family(interval1_sqden), 2, 3)", "no bound replaces a truncation"),
+    ("Z(family(interval1_sqden) + pm(2), 3)", "no bound replaces a truncation"),
+])
+def test_untruncatable_families_are_not_told_to_truncate(capsys, program, hint):
+    # truncate() rejects interval1 and interval1_sqden, so K=... cannot help
+    code, _, err = run(capsys, "eval", program)
+    assert code == 2
+    assert hint in err
+    assert "K=" not in err
+
+
 @pytest.mark.parametrize("example, box, want", [("3.2", "200", 3), ("4.4", "40", 0)])
 def test_large_lattice_boxes_end_within_the_budget(capsys, example, box, want):
     # 3.2 at box 200 asks for ~5e7 sumset units, past the default budget,

@@ -8,12 +8,17 @@ bitset membership and atoms vs product enumeration, the bitmask lattice
 sumsets and the pruned lattice factorization search vs pairwise search and
 product enumeration,
 the inductive extension MCD vs the complete MCD-set enumeration, and the
-canonical printer vs the parser on generated syntax trees.
+canonical printer vs the parser on generated syntax trees.  The same
+generated programs also run through the CLI, which must end each in one of
+its documented exit codes.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -40,6 +45,7 @@ from puiseux import (
     parse,
     print_program,
 )
+from puiseux.cli import main
 from puiseux.dsl import Family, FgLiteral, Ident, Let, Query, Sum
 from puiseux.families import _sqden_solutions
 from puiseux.lattice2 import LATTICE_KINDS, LatticePoint, _factorizations, _sumset
@@ -356,3 +362,16 @@ def test_printer_parser_round_trip_on_generated_trees(stmts):
     text = print_program(stmts)
     assert parse(text) == stmts
     assert print_program(parse(text)) == text
+
+
+@given(stmts=st.lists(_stmts, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_generated_programs_end_in_a_documented_exit_code(stmts):
+    # 0 success, 2 usage or input error, 3 budget exhausted; never a
+    # traceback, and never a run that outlasts its budget
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(["eval", "--budget", "20000", print_program(stmts)])
+    assert time.perf_counter() - start < 5
+    assert code in (0, 2, 3)

@@ -20,7 +20,7 @@ from puiseux import (
     run_paper_example,
     truncate,
 )
-from puiseux.families import family_prime
+from puiseux.families import _sqden_solutions, family_prime
 from puiseux.monoid import Budget
 
 F = Fraction
@@ -160,6 +160,16 @@ def test_interval_sqden_factorizations():
     zs = family_factorizations("sqden", F(3, 2))
     assert [dict(z.parts) for z in zs] == [{F(3, 4): 2}]
     assert len(family_factorizations("sqden", F(9, 8))) == 0
+
+
+@pytest.mark.parametrize("q, nodes", [
+    (F(43, 36), 3), (F(6), 8), (F(15, 2), 8), (F(25, 12), 3), (F(99, 4), 242), (F(1001, 100), 9),
+])
+def test_sqden_search_visits_a_pinned_number_of_nodes(q, nodes):
+    # one unit per node: the tree is pinned node for node
+    _sqden_solutions(q, 1, Budget(nodes))
+    with pytest.raises(BudgetExceededError):
+        _sqden_solutions(q, 1, Budget(nodes - 1))
 
 
 def test_budget_outcome_does_not_depend_on_earlier_queries():
