@@ -29,7 +29,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import InputError, NeedsBoundError
 from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _allot, _as_budget,
                      _checked_paths, _paths_to_set, internal_sum)
-from .qarith import RationalLike, _int_valuation, as_rational, lcm_den, nth_prime, prime_factors
+from .qarith import (RationalLike, _int_valuation, as_rational, lcm_den, nth_prime, prime_factors,
+                     prime_index)
 
 BASE_KINDS = ("grams", "companion", "exA", "exB", "sqden", "interval1")
 SUM_KINDS = ("exAexB", "interval1_sqden", "gramscompanion")
@@ -146,14 +147,14 @@ class CompanionSequence(NamedTuple):
     c: tuple[int, ...]
 
 
-def grams_companion(n: int, depth: int) -> CompanionSequence:
+def grams_companion(n: int, depth: int, budget: Budget | int | None = None) -> CompanionSequence:
     if n < 1 or depth < 1:
         raise InputError("n and depth must be positive")
     a_n = family_generator("grams", n)
     threshold = 2**n * family_prime("grams", n)
-    f = 1
-    while family_prime("grams", f) <= threshold:
-        f += 1
+    # one unit per odd number the prime table may test to pass the threshold
+    _as_budget(budget).spend(threshold // 2)
+    f = prime_index(threshold + 1) - 1   # 2 is the first prime, not an odd one
     half = a_n / 2
     b1 = a_n - family_generator("grams", f)
     if not half < b1 < a_n:
@@ -186,7 +187,10 @@ def truncate(fam: FamilyMonoid | str, count: int, n_max: int | None = None,
     if fam in ("grams", "exA", "exB", "sqden"):
         return FgMonoid([family_generator(fam, i) for i in range(1, count + 1)], budget)
     if fam == "companion":
-        gens = [b for n in range(1, (n_max or 1) + 1) for b in grams_companion(n, count).b]
+        # one allowance for every staircase; the prime scans grow with n, so
+        # charging the largest first stops an oversized truncation before it scans
+        budget = _as_budget(budget)
+        gens = [b for n in range(n_max or 1, 0, -1) for b in grams_companion(n, count, budget).b]
         return FgMonoid(gens, budget)
     if fam == "exAexB":
         return internal_sum(truncate("exA", count, budget=budget),
@@ -306,49 +310,55 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
                      trace: list | None = None) -> list[dict[int, int]]:
     """All multisets {index: multiplicity} of sqden generators summing to target.
 
-    Exact and window-free.  Each node descends into one index, the first
-    from min_index on that the valuation bound admits (`divisor_candidates`
-    lists them all, for the trace only), and pins its total multiplicity to
-    one residue class modulo p^2 (the only classes that restore a
-    nonnegative p-adic valuation), so the tree is finite.
+    Exact and window-free.  Residuals are R/D over the target's denominator
+    D, factored once into prime powers d^v: d divides a residual's
+    denominator iff d^v does not divide R.  Each node descends into one
+    index, min_index if one copy fits, else the least denominator prime's
+    (`divisor_candidates` lists all, for the trace only), and pins its
+    multiplicity to the one class mod p^2 that clears p, so the tree is
+    finite.  Nodes only clear primes, so the root alone rejects a denominator
+    no generator can clear: an exponent above 2, or a prime behind min_index.
     """
+    D = target.denominator
+    powers = {d: d ** _int_valuation(D, d) for d in prime_factors(D)}   # ascending d
+    dead = any(de > d * d for d, de in powers.items()) or (
+        bool(powers) and min(powers) < family_prime("sqden", min_index))
     out: list[dict[int, int]] = []
     chosen: dict[int, int] = {}   # nonzero multiplicities on the open path, outermost first
 
-    def children(target: Fraction, min_index: int) -> Iterator[tuple[Fraction, int]]:
+    def children(R: int, lo: int) -> Iterator[tuple[int, int]]:
         if trace is not None:
-            trace.append({"residual": str(target),
-                          "candidate_indices": list(divisor_candidates("sqden", target))})
-        den_primes = prime_factors(target.denominator)
-        n = min_index
-        p = family_prime("sqden", n)
-        for d in den_primes:
-            # no generator can absorb a denominator exponent beyond 2, and a
-            # prime whose index is already behind us can never be fixed later
-            if _int_valuation(target.denominator, d) > 2 or d < p:
-                return
-        if p + 1 > target:
+            trace.append({"residual": str(Fraction(R, D)),
+                          "candidate_indices": list(divisor_candidates("sqden", Fraction(R, D)))})
+        if dead:
+            return
+        p = family_prime("sqden", lo)
+        fits = (p + 1) * D <= R
+        if not fits:
             # one copy does not fit, so only a denominator prime can divide
-            # the target; any other needs p^2 copies, worth p + 1
-            if not den_primes:
+            # the residual; any other needs p^2 copies, worth p + 1
+            p = next((d for d, de in powers.items() if R % de), 0)
+            if not p:
                 return
-            while p < den_primes[0]:
-                n += 1
-                p = family_prime("sqden", n)
-        gen = Fraction(p + 1, p * p)
-        # multiplicity class: m*(p+1)/p^2 must absorb the p-part of the target
-        scaled = target * p * p
-        m0 = scaled.numerator * pow(scaled.denominator, -1, p * p) % (p * p)
-        m0 = m0 * pow(p + 1, -1, p * p) % (p * p)
-        for m in range(m0, target // gen + 1, p * p):
+        # multiplicity class: m (p+1)/p^2 must absorb the p-part of R/D
+        pp = p * p
+        de = powers.get(p, 1)
+        m = R * (pp // de) * pow(D // de * (p + 1), -1, pp) % pp if de > 1 else 0
+        step = (p + 1) * D   # consecutive children differ by p^2 copies
+        rest = R - m * step // pp
+        if rest < 0:
+            return   # a leaf: the index of a huge denominator prime is never looked up
+        n = lo if fits else prime_index(p)
+        for rest in range(rest, -1, -step):
             if m:
                 chosen[n] = m
-            yield target - m * gen, n + 1
+            yield rest, n + 1
+            m += pp
         chosen.pop(n, None)
 
     # One child iterator per open level instead of one Python frame, so
     # the depth (one level per prime) is not bounded by the recursion limit.
-    stack = [iter([(target, min_index)])]
+    stack = [iter([(target.numerator, min_index)])]
     while stack:
         for rest, lo in stack[-1]:
             budget.spend()
@@ -416,19 +426,21 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
         return _finite_factorizations(atoms, q, None, budget)
     if kind in ("sqden", "interval1_sqden"):
         # any q > 1 splits off a sqden generator below q - 1, so 1 is the
-        # only part the interval1 component can contribute
-        items = []
+        # only part interval1 can contribute: index 0, the largest atom, so
+        # the searches emit the factorizations in canonical order
+        sols = []
         for copies in range(int(q) + 1 if kind == "interval1_sqden" else 1):
             rest = q - copies
-            for sol in _sqden_solutions(rest, 1, budget, trace) if rest else [{}]:
-                parts = {family_generator("sqden", n): m for n, m in sol.items()}
-                if copies:
-                    parts[Fraction(1)] = copies
-                items.append(Factorization.of(parts))
+            head = {0: copies} if copies else {}
+            sols += [{**head, **sol}
+                     for sol in (_sqden_solutions(rest, 1, budget, trace) if rest else [{}])]
+        used = {n for sol in sols for n in sol}
+        parts = {n: family_generator("sqden", n) if n else Fraction(1) for n in used}
         # each distinct part is checked once per query
-        distinct = {a for z in items for a, _ in z.parts}
-        atoms = {a for a in distinct if _sum_part_is_atom(a, budget)}
-        return FactorizationSet.of(q, [z for z in items if all(a in atoms for a, _ in z.parts)])
+        atoms = {n for n, a in parts.items() if _sum_part_is_atom(a, budget)}
+        return FactorizationSet(q, tuple(
+            Factorization(tuple((parts[n], sol[n]) for n in sorted(sol, reverse=True)))
+            for sol in sols if atoms.issuperset(sol)))
     raise NeedsBoundError(f"no exact factorization procedure for {kind}; {_bound_hint(kind)}")
 
 

@@ -84,11 +84,12 @@ _primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 _primes_lock = threading.Lock()
 
 
-def _grow_primes(count: int) -> list[int]:
+def _grow_primes(count: int, bound: int = 0) -> list[int]:
+    """The table, grown to at least count primes and past bound."""
     with _primes_lock:
         table = _primes
         candidate = table[-1]
-        while len(table) < count:
+        while len(table) < count or table[-1] < bound:
             candidate += 2
             if is_prime(candidate):
                 table.append(candidate)
@@ -109,6 +110,15 @@ def nth_prime(n: int, lower_bound: int = 0) -> int:
         if len(table) - start >= n:
             return table[start + n - 1]
         table = _grow_primes(len(table) + n + 16)
+
+
+def prime_index(bound: int) -> int:
+    """The index of the least prime >= bound in the ordinary prime sequence;
+    for a prime p, the n with nth_prime(n) == p."""
+    table = _primes
+    if table[-1] < bound:
+        table = _grow_primes(0, bound)
+    return bisect_left(table, bound) + 1
 
 
 def prime_factors(n: int) -> list[int]:

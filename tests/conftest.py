@@ -77,6 +77,30 @@ def oracle_fraction_member(gens: list[Fraction], target: Fraction) -> bool:
     return descend(0, target)
 
 
+def oracle_sqden_solutions(q: Fraction, min_index: int = 1) -> list[dict[int, int]]:
+    """Every multiset {index: multiplicity} of the sqden generators
+    (p_n + 1)/p_n^2 with n >= min_index that sums to q > 0.
+
+    Product enumeration over the generators whose prime divides the
+    denominator of q or satisfies p + 1 <= q: for any other prime the
+    multiplicity must be a multiple of p^2 to clear p from the sum, and p^2
+    copies are worth p + 1 > q.  Primes come from a plain sieve.
+    """
+    limit = max(q.denominator, int(q))
+    sieve = [True] * (limit + 1)
+    primes = []
+    for p in range(2, limit + 1):
+        if sieve[p]:
+            primes.append(p)
+            sieve[p * p::p] = [False] * len(range(p * p, limit + 1, p))
+    index = [n for n, p in enumerate(primes, 1)
+             if n >= min_index and (q.denominator % p == 0 or p + 1 <= q)]
+    gens = [Fraction(primes[n - 1] + 1, primes[n - 1] ** 2) for n in index]
+    scale = math.lcm(q.denominator, *(g.denominator for g in gens))
+    vectors = oracle_vectors([int(g * scale) for g in gens], int(q * scale))
+    return [{n: x for n, x in zip(index, xs) if x} for xs in vectors]
+
+
 def random_extension_instances(seed: int, count: int) -> list[tuple[FgMonoid, Fraction]]:
     """Pairs (M, r) with M a small random monoid and r outside M."""
     rng = random.Random(seed)

@@ -110,6 +110,25 @@ def test_deep_sqden_search_ends_within_its_budget(capsys):
     assert "budget" in err
 
 
+def test_sqden_member_with_a_huge_denominator_prime_ends_at_once(capsys):
+    # the multiplicity class of 1000000007 already overshoots the target,
+    # so the node is a leaf before the prime's index is looked up
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "--budget", "100", "member(family(sqden), 1/1000000007)")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.strip() == "false"
+
+
+def test_companion_prime_scan_is_charged_before_it_runs(capsys):
+    # the staircase under a_30 needs the odd primes up to 2^30 * p_30
+    start = time.perf_counter()
+    code, _, err = run(capsys, "eval", "atoms(family(companion, K=3, n=30))")
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert "budget" in err
+
+
 @pytest.mark.parametrize("program, hint", [
     ("Z(family(interval1), 3)", "Zl(..., den_bound=...)"),
     ("atoms(family(interval1))", "Zl(..., den_bound=...)"),

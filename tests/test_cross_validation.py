@@ -27,8 +27,9 @@ from hypothesis import strategies as st
 import pytest
 
 from conftest import (oracle_atoms, oracle_fraction_member, oracle_lattice_atoms,
-                      oracle_lattice_factorizations, oracle_lex_sum_matches, oracle_value_buckets,
-                      oracle_vectors, random_extension_instances, random_member)
+                      oracle_lattice_factorizations, oracle_lex_sum_matches, oracle_sqden_solutions,
+                      oracle_value_buckets, oracle_vectors, random_extension_instances,
+                      random_member)
 from puiseux import (
     FgMonoid,
     add_cyclic,
@@ -111,6 +112,75 @@ def test_sqden_solutions_with_many_copies_sum_to_their_target():
         sols = _sqden_solutions(q, 1, Budget())
         assert len(sols) > 1
         assert all(sum(family_generator("sqden", n) * m for n, m in sol.items()) == q for sol in sols)
+
+
+# targets q <= 4 whose denominators are built from 2, 3, 5, 7 with exponents
+# <= 2: any such rational (mostly not a member), or a sum of the first four
+# generators (always one)
+_SQDEN_TARGETS = st.one_of(
+    st.tuples(*[st.integers(0, 2)] * 4).map(
+        lambda e: 2**e[0] * 3**e[1] * 5**e[2] * 7**e[3]).flatmap(
+        lambda den: st.integers(1, 4 * den).map(lambda num: F(num, den))),
+    st.tuples(*[st.integers(0, 4)] * 4).map(
+        lambda ms: sum(m * F(p + 1, p * p) for m, p in zip(ms, (2, 3, 5, 7)))).filter(
+        lambda q: 0 < q <= 4),
+)
+
+
+def _solution_set(sols):
+    return {tuple(sorted(sol.items())) for sol in sols}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SQDEN_TARGETS, st.integers(1, 3))
+def test_sqden_search_matches_product_enumeration(q, k):
+    sols = _sqden_solutions(q, k, Budget())
+    assert len(_solution_set(sols)) == len(sols)
+    assert _solution_set(sols) == _solution_set(oracle_sqden_solutions(q, k))
+
+
+@pytest.mark.parametrize("q, k", [
+    (F(3, 2), 2), (F(7, 4), 2), (F(31, 36), 2), (F(154, 225), 2), (F(154, 225), 3),
+    (F(83, 49), 3), (F(27, 8), 1), (F(9, 8), 2),
+])
+def test_sqden_search_from_a_later_index_matches_product_enumeration(q, k):
+    # a denominator prime whose index is behind k cannot be cleared, and a
+    # denominator exponent above 2 cannot be absorbed: both end the search at its root
+    sols = _sqden_solutions(q, k, Budget())
+    assert _solution_set(sols) == _solution_set(oracle_sqden_solutions(q, k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SQDEN_TARGETS)
+def test_interval1_sqden_factorizations_match_product_enumeration(q):
+    # copies of 1 plus a sqden solution of the rest, every part an atom of
+    # the sum: 1 iff it has no sqden solution, a generator iff it has only itself
+    def is_atom(a):
+        return len(oracle_sqden_solutions(a)) == (0 if a == 1 else 1)
+
+    expected = []
+    for copies in range(int(q) + 1):
+        rest = q - copies
+        for sol in oracle_sqden_solutions(rest) if rest else [{}]:
+            parts = {family_generator("sqden", n): m for n, m in sol.items()}
+            if copies:
+                parts[F(1)] = copies
+            if all(is_atom(a) for a in parts):
+                expected.append(frozenset(parts.items()))
+    zs = family_factorizations("interval1_sqden", q)
+    assert {frozenset(z.parts) for z in zs} == set(expected)
+    assert len(zs) == len(expected)
+    # canonical order: the parts compared largest atom first
+    assert list(zs) == sorted(zs, key=lambda z: z.parts[::-1])
+
+
+@pytest.mark.parametrize("kind", ["sqden", "interval1_sqden"])
+def test_sqden_factorizations_come_in_canonical_order(kind):
+    # targets with many factorizations, several of them using p^2 copies
+    for q in (F(6), F(15, 2), F(8)):
+        zs = family_factorizations(kind, q)
+        assert len(zs) > 1
+        assert list(zs) == sorted(set(zs), key=lambda z: z.parts[::-1])
 
 
 def _oracle_set(atoms, q, ell=None):
