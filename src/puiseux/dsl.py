@@ -26,7 +26,6 @@ loudly rather than defaulting to one.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 from . import families
 from .errors import InputError, NeedsBoundError, PuiseuxError
-from .monoid import FactorizationSet, FgMonoid, LengthSet
+from .monoid import FactorizationSet, FgMonoid, LengthSet, _json_text
 
 # each query head and the literals that follow its monoid expression
 _QUERY_FORMS = {"atoms": (), "props": (), "Z": ("rat",), "L": ("rat",), "member": ("rat",),
@@ -432,15 +431,17 @@ def eval_program(text: str, env: dict[str, MonoidValue] | None = None,
 
 
 def render(value: object, json_mode: bool = False) -> str:
-    """Deterministic text or JSON for every query result type."""
+    """Deterministic text or JSON for every query result type; JSON from
+    `monoid._json_text` (two-space indent, ASCII-escaped, keys in the order
+    built) is byte for byte what `json.dumps(..., indent=2)` gives."""
     if json_mode:
-        return json.dumps(_jsonable(value), indent=2)
+        return _json_text(_jsonable(value))
     return _text(value)
 
 
 def _jsonable(value: object):
-    if isinstance(value, FactorizationSet):
-        return value.to_json()
+    if isinstance(value, (FactorizationSet, dict)):
+        return value  # the writer takes both as they are
     if isinstance(value, LengthSet):
         return value.to_json()
     if isinstance(value, bool):
@@ -449,8 +450,6 @@ def _jsonable(value: object):
         return str(value)
     if isinstance(value, tuple):
         return {"atoms": [str(a) for a in value]}
-    if isinstance(value, dict):
-        return value
     raise InputError(f"cannot serialize {value!r}")
 
 
@@ -471,5 +470,5 @@ def _text(value: object) -> str:
     if isinstance(value, tuple):
         return "atoms: " + ", ".join(str(a) for a in value)
     if isinstance(value, dict):
-        return json.dumps(value, indent=2)
+        return _json_text(value)
     raise InputError(f"cannot render {value!r}")

@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError, NotAMemberError
@@ -266,6 +267,47 @@ class LengthSet:
 
     def to_json(self) -> dict:
         return {"target": str(self.target), "lengths": list(self.lengths)}
+
+
+def _json_text(value: object, nl: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, ASCII-escaped by the same C function,
+    for a tree of str-keyed dicts, lists, tuples, str, int, bool and None, and
+    for a FactorizationSet as its to_json(), written straight from its parts;
+    `nl` is the newline and indent of value's level.  Else an InputError."""
+    inner = nl + "  "
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json_text(v, inner) for v in value]
+        return f"[{','.join(items)}{nl}]" if items else "[]"
+    if isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            raise InputError(f"cannot serialize a non-string key in {value!r}")
+        items = [f"{inner}{_quote(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{{','.join(items)}{nl}}}" if items else "{}"
+    if isinstance(value, FactorizationSet):
+        n2, n3, n4, n5 = (inner + "  " * k for k in range(1, 5))
+        # part templates up to the multiplicity, by atom identity (hashing a
+        # Fraction costs more than a template; the set keeps its atoms alive)
+        heads: dict[int, str] = {}
+        items = []
+        for z in value.items:
+            parts, length = [], 0
+            for a, m in z.parts:
+                head = heads.get(id(a))
+                if head is None:
+                    head = heads[id(a)] = f"{n4}[{n5}{_quote(str(a))},{n5}"
+                parts.append(f"{head}{m}{n4}]")
+                length += m
+            parts_text = f"[{','.join(parts)}{n3}]" if parts else "[]"
+            items.append(f'{n2}{{{n3}"parts": {parts_text},{n3}"length": {length}{n2}}}')
+        items_text = f"[{','.join(items)}{inner}]" if items else "[]"
+        return f'{{{inner}"target": {_quote(str(value.target))},{inner}"items": {items_text}{nl}}}'
+    raise InputError(f"cannot serialize {value!r}")
 
 
 def _positive_rational(value: RationalLike) -> Fraction:

@@ -9,13 +9,12 @@ is ever hardcoded, and no result carries over from an earlier run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families, lattice2
 from .errors import InputError
-from .monoid import Budget, Factorization
+from .monoid import Budget, Factorization, _json_text
 
 EXAMPLE_IDS = ("3.2", "3.3", "4.2", "4.3", "4.4", "5")
 
@@ -64,7 +63,7 @@ class PaperReport:
         return "\n".join(lines)
 
     def render_json(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return _json_text(self.to_json())
 
 
 def _claim(statement: str, anchor: str, ok: bool, exact: bool,
