@@ -320,7 +320,7 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     no generator can clear: an exponent above 2, or a prime behind min_index.
     """
     D = target.denominator
-    powers = {d: d ** _int_valuation(D, d) for d in prime_factors(D)}   # ascending d
+    powers = {d: d ** _int_valuation(D, d) for d in prime_factors(D, budget)}   # ascending d
     dead = any(de > d * d for d, de in powers.items()) or (
         bool(powers) and min(powers) < family_prime("sqden", min_index))
     out: list[dict[int, int]] = []

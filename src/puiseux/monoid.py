@@ -568,7 +568,16 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
     length * min and length * max of the remaining atoms (without one, it
     must be zero or at least the smallest atom).  When exactly one part is
     left, the residue is looked up among the atoms not above the current
-    one instead of searched for.
+    one instead of searched for.  When two atoms a0 < a1 are left, the node
+    has no children: a0*m0 + a1*m1 = rem is solved in closed form (Bezout's
+    identity).  With g = gcd(a0, a1) dividing rem, the solutions are the m1
+    congruent to (rem/g) * (a1/g)^-1 mod a0/g with m1 * a1 <= rem, taken
+    ascending as the search would meet them; under a length l the only
+    candidate is m1 = (rem - l*a0) / (a1 - a0), kept if it is an integer
+    in [0, l].
+
+    Work: one budget unit per node, and one per solution a two-atom node
+    solves for, charged before that node emits them.
     """
     k = len(atoms)
     prefix_gcd = [0] * k
@@ -612,11 +621,28 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
                 j = index_of.get(rem, k)
                 if j <= i:
                     out.append(((j, 1), *reversed(path)))
+            elif i == 1:
+                # a0*m0 + a1*m1 = rem in closed form, m1 ascending
+                a0, a1, g = atoms[0], atoms[1], prefix_gcd[1]
+                if need is not None:
+                    m1, r = divmod(rem - need * a0, a1 - a0)
+                    m1s = range(m1, m1 + 1) if r == 0 and 0 <= m1 <= need else range(0)
+                elif rem % g == 0:
+                    step = a0 // g
+                    m1s = range(rem // g * pow(a1 // g, -1, step) % step, rem // a1 + 1, step)
+                else:
+                    m1s = range(0)
+                budget.spend(len(m1s))
+                tail = tuple(reversed(path))
+                for m1 in m1s:
+                    m0 = (rem - m1 * a1) // a0
+                    out.append(((0, m0), (1, m1), *tail) if m0 and m1
+                               else ((0, m0), *tail) if m0 else ((1, m1), *tail))
             elif i == 0:
                 m, r = divmod(rem, atoms[0])
                 if r == 0 and (need is None or need == m):
                     out.append(((0, m), *reversed(path)))
-            elif i > 0 and need != 0 and rem % prefix_gcd[i] == 0:
+            elif i > 1 and need != 0 and rem % prefix_gcd[i] == 0:
                 stack.append(children(i, rem, need))
                 break
         else:

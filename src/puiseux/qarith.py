@@ -12,7 +12,7 @@ import re
 import threading
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Protocol
 
 from .errors import InputError
 
@@ -121,17 +121,62 @@ def prime_index(bound: int) -> int:
     return bisect_left(table, bound) + 1
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| in increasing order."""
+#: The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+#: for every n below _MR_EXACT_BELOW (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+class _Meter(Protocol):
+    def spend(self, amount: int = 1) -> None: ...
+
+
+def _is_strong_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over _MR_BASES, for odd n coprime to
+    every base and below _MR_EXACT_BELOW."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_factors(n: int, budget: _Meter | None = None) -> list[int]:
+    """Distinct prime factors of |n| in increasing order.
+
+    The 13 Miller-Rabin bases are divided out first, uncharged.  Trial
+    division past them charges the budget one unit per step (two
+    candidates, 6j - 1 and 6j + 1) and stops as soon as the cofactor is
+    proven prime, so a product of two huge primes exhausts the budget
+    instead of running for minutes; above _MR_EXACT_BELOW it divides on.
+    """
     n = abs(n)
     out = []
-    for p in (2, 3):
+    for p in _MR_BASES:
+        if p * p > n:
+            break   # n is 1 or a prime, and the loop below will not run
         if n % p == 0:
             out.append(p)
             while n % p == 0:
                 n //= p
-    f = 5
+    f, tested = 41, 1
     while f * f <= n:
+        if n != tested:
+            tested = n
+            if n < _MR_EXACT_BELOW and _is_strong_prime(n):
+                break
+        if budget is not None:
+            budget.spend()
         for p in (f, f + 2):
             if n % p == 0:
                 out.append(p)

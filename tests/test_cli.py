@@ -120,6 +120,16 @@ def test_sqden_member_with_a_huge_denominator_prime_ends_at_once(capsys):
     assert out.strip() == "false"
 
 
+def test_sqden_denominator_factoring_is_charged(capsys):
+    # 1000000007 * 1000000009: trial division to its square root would run
+    # for minutes, so the root's factoring runs out of budget first
+    start = time.perf_counter()
+    code, _, err = run(capsys, "eval", "--budget", "100", "member(family(sqden), 1/1000000016000000063)")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert "budget" in err
+
+
 def test_companion_prime_scan_is_charged_before_it_runs(capsys):
     # the staircase under a_30 needs the odd primes up to 2^30 * p_30
     start = time.perf_counter()

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_atoms, oracle_value_buckets, oracle_vectors
@@ -322,6 +323,82 @@ def test_kernel_paths_are_sparse_distinct_and_canonically_ordered(atoms, target,
     assert dense == sorted(set(dense))
     want = [xs for xs in oracle_vectors(atoms, target) if ell is None or sum(xs) == ell]
     assert sorted(xs[::-1] for xs in dense) == want
+
+
+@st.composite
+def _kernel_cases(draw):
+    """2-5 distinct atoms below 61 whose two smallest often share a factor,
+    and a target past a0 * a1 as far as product enumeration stays small."""
+    g = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+    pair = draw(st.lists(st.integers(1, 60 // g), min_size=2, max_size=2, unique=True))
+    rest = draw(st.lists(st.integers(1, 60), max_size=3))
+    atoms = tuple(sorted({g * x for x in pair} | set(rest)))
+    hi = 2 * atoms[0] * atoms[1] + atoms[-1]
+    while math.prod(hi // a + 1 for a in atoms) > 20_000:
+        hi = hi * 4 // 5
+    return atoms, draw(st.integers(0, hi))
+
+
+@given(case=_kernel_cases(), data=st.data())
+@example(case=((2, 3), 600), data=None)
+@example(case=((4, 6), 598), data=None)
+@example(case=((9, 15, 40), 402), data=None)
+@settings(max_examples=400, deadline=None)
+def test_kernel_emits_the_oracle_vectors_in_canonical_order(case, data):
+    # exact emitted order, not sorted: dense vectors ascending with the
+    # largest atom's multiplicity first, zero multiplicities dropped
+    atoms, target = case
+    vectors = sorted(oracle_vectors(list(atoms), target), key=lambda xs: xs[::-1])
+    lengths = sorted({sum(xs) for xs in vectors})
+    ells = [None, *lengths, 0, 1, 7] if data is None else [
+        data.draw(st.none() | st.sampled_from(lengths or [0]) | st.integers(0, 12))]
+    for ell in ells:
+        want = [tuple((i, x) for i, x in enumerate(xs) if x)
+                for xs in vectors if ell is None or sum(xs) == ell]
+        assert _solve_int(target, atoms, ell, Budget()) == want
+
+
+def _kernel_units(target, atoms, ell=None):
+    meter = Budget(10**9)
+    _solve_int(target, atoms, ell, meter)
+    return 10**9 - meter.left
+
+
+def test_two_atom_kernel_spends_one_unit_per_solution():
+    # the root is the two-atom node: one unit for it, one per solution
+    assert len(_solve_int(600, (2, 3), None, Budget())) == 101
+    assert _kernel_units(600, (2, 3)) == 1 + 101
+    _solve_int(600, (2, 3), None, Budget(102))
+    with pytest.raises(BudgetExceededError):
+        _solve_int(600, (2, 3), None, Budget(101))
+    # under a length there is at most one solution
+    assert _solve_int(600, (2, 3), 250, Budget()) == [((0, 150), (1, 100))]
+    assert _kernel_units(600, (2, 3), 250) == 1 + 1
+    assert _kernel_units(600, (2, 3), 100) == 1
+    # gcd 2 does not divide 601: no solution, no unit beyond the node
+    assert _kernel_units(601, (4, 6)) == 1
+
+
+@pytest.mark.parametrize("atoms, target", [((6, 9, 20), 400), ((7, 11, 13), 300), ((4, 6, 15), 211)])
+def test_kernel_units_are_nodes_above_two_atoms_plus_solutions(atoms, target):
+    a0, _, a2 = atoms
+    vectors = oracle_vectors(list(atoms), target)
+    # the root, each child it keeps (residue zero or at least a0), and one
+    # unit per solution read off at a two-atom node (residue not zero there)
+    kept = sum(1 for m in range(target // a2 + 1) if target - m * a2 == 0 or target - m * a2 >= a0)
+    read_off = sum(1 for xs in vectors if xs[0] or xs[1])
+    assert _kernel_units(target, atoms) == 1 + kept + read_off
+
+
+@pytest.mark.parametrize("query, count, units", [
+    (lambda m, budget: m.factorizations(600, budget=budget), 101, 4 + 1 + 101),
+    (lambda m, budget: m.factorizations_of_length(600, 250, budget=budget), 1, 4 + 1 + 1),
+])
+def test_z_and_zl_on_two_atoms_pin_their_units(query, count, units):
+    # 4 units of membership, then the kernel: its node and one per solution
+    assert len(query(FgMonoid([2, 3]), Budget(units))) == count
+    with pytest.raises(BudgetExceededError):
+        query(FgMonoid([2, 3]), Budget(units - 1))
 
 
 @given(gens=small_gens, data=st.data())

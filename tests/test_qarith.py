@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puiseux import InputError, lcm_den, nth_prime, padic, parse_rational, reduce
-from puiseux.qarith import format_rational, is_prime, prime_factors
+from puiseux import BudgetExceededError, InputError, lcm_den, nth_prime, padic, parse_rational, reduce
+from puiseux.monoid import Budget
+from puiseux.qarith import _MR_EXACT_BELOW, _is_strong_prime, format_rational, is_prime, prime_factors
 
 
 def test_reduce_known_values():
@@ -110,3 +111,62 @@ def test_prime_factors_multiply_back(n):
             remaining //= p
     assert remaining == 1
     assert math.prod(factors) <= n
+
+
+def _trial_division_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] * (n > 1)
+
+
+_primes_past_the_bases = st.sampled_from([43, 47, 53, 97, 1009, 7919])
+
+
+@given(n=st.integers(1, 10**7) | st.builds(lambda a, b, c: a * b * c, _primes_past_the_bases,
+                                             _primes_past_the_bases, st.integers(1, 100)))
+@settings(max_examples=300, deadline=None)
+def test_prime_factors_match_trial_division(n):
+    assert prime_factors(n) == _trial_division_factors(n)
+    assert prime_factors(-n, Budget(10**7)) == _trial_division_factors(n)
+
+
+@pytest.mark.parametrize("n, factors", [
+    # strong pseudoprimes: to bases 2, 3, 5, 7 and to the first 9 primes
+    (3215031751, [151, 751, 28351]),
+    (3825123056546413051, [149491, 747451, 34233211]),
+    # Carmichael numbers
+    (41041, [7, 11, 13, 41]),
+    (62745, [3, 5, 47, 89]),
+    (1000003 * 1000033, [1000003, 1000033]),
+])
+def test_prime_factors_of_pseudoprimes_and_semiprimes(n, factors):
+    assert prime_factors(n) == factors
+
+
+def test_miller_rabin_is_exact_only_below_its_bound():
+    # the first 13 primes as bases: psi_12 is caught by base 41, and the
+    # least strong pseudoprime to all 13 is the bound itself
+    assert not _is_strong_prime(318665857834031151167461)
+    assert _is_strong_prime(_MR_EXACT_BELOW)
+    # so at the bound prime_factors divides on, charged, instead of trusting it
+    with pytest.raises(BudgetExceededError):
+        prime_factors(_MR_EXACT_BELOW, Budget(1000))
+
+
+def test_prime_factors_charge_one_unit_per_trial_division_step():
+    # a proven-prime cofactor costs nothing; the 13 bases are divided out free
+    assert prime_factors(1000000007, Budget(1)) == [1000000007]
+    assert prime_factors(2**40 * 3 * 41**5, Budget(1)) == [2, 3, 41]
+    # 43 * 47: one step (41, 43) finds 43, and the cofactor 47 ends the loop
+    meter = Budget(10)
+    assert prime_factors(43 * 47, meter) == [43, 47]
+    assert meter.left == 9
+    # the cofactor left after 43 is proven prime, so division stops there
+    assert prime_factors(43 * 1000000007, Budget(1)) == [43, 1000000007]
+    with pytest.raises(BudgetExceededError):
+        prime_factors(1000000007 * 1000000009, Budget(100))
