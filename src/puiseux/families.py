@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, NeedsBoundError
 from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _allot, _as_budget,
@@ -387,16 +387,24 @@ def _sum_part_is_atom(atom: Fraction, budget: Budget) -> bool:
 def _finite_factorizations(atoms: Iterable[Fraction], q: Fraction, ell: int | None,
                            budget: Budget) -> FactorizationSet:
     """Factorizations of q (of length ell, if given) over finitely many
-    distinct positive atoms, solved by the integer kernel after scaling by
-    the lcm of the denominators.  A target that does not scale to an
-    integer has none."""
+    distinct positive atoms, scaled by the lcm of their denominators."""
     atoms = sorted(atoms)
     scale = lcm_den(atoms)
+    return _scaled_factorizations(q, scale, [int(a * scale) for a in atoms], ell, budget)
+
+
+def _scaled_factorizations(q: Fraction, scale: int, int_atoms: Sequence[int], ell: int | None,
+                           budget: Budget) -> FactorizationSet:
+    """Factorizations of q (of length ell, if given) over the atoms
+    int_atoms[i]/scale, ascending and distinct, solved by the integer
+    kernel.  A target that does not scale to an integer has none.  Only
+    the atoms some factorization uses are built as Fractions."""
     t = q * scale
     if t.denominator != 1:
         return FactorizationSet(q, ())
-    paths = _checked_paths(int(t), tuple(int(a * scale) for a in atoms), ell, budget)
-    return _paths_to_set(q, atoms, paths)
+    paths = _checked_paths(t.numerator, int_atoms, ell, budget)
+    used = {i for p in paths for i, _ in p}
+    return _paths_to_set(q, {i: Fraction(int_atoms[i], scale) for i in used}, paths)
 
 
 def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
@@ -485,6 +493,16 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
     sample admits exactly the atoms whose offset from the equal split q/ell
     has denominator at most den_bound, and enumerates completely over that
     grid with the integer search.  Counts must grow as den_bound grows.
+
+    The grid is built as integers at its final scale.  With q/ell = a/b and
+    big = b * lcm(1..den_bound), the d offsets j/d of one d give d
+    consecutive terms a*(big/b) + j*(big/d) of a progression over big.  A
+    progression of two or more terms has the gcd of its first term and
+    step, so g, the gcd of big and every term, is known before any term is
+    built; the atoms are the terms divided by g, over scale = big/g, the
+    lcm of their denominators.  Work: one unit per grid atom and 64-bit
+    word of the scale (one per atom up to 127 bits), charged before the
+    grid is built, then the search's.
     """
     q = as_rational(q)
     if q < 1:
@@ -493,14 +511,21 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
         raise InputError("length and denominator bound must be positive")
     budget = _as_budget(budget)
     size = den_bound * (den_bound + 1) // 2
-    _allot(budget, size, size)   # one unit per grid atom, before the grid is built
+    # the first unit per grid atom is charged before the scale is computed,
+    # the rest once its width is known
+    _allot(budget, size, size)
     center = q / ell
-    atoms: set[Fraction] = set()
-    for d in range(1, den_bound + 1):
-        # [1, 2) has length 1, so exactly d offsets j/d land in it
-        lo = math.ceil((1 - center) * d)
-        atoms.update(center + Fraction(j, d) for j in range(lo, lo + d))
-    return _finite_factorizations(atoms, q, ell, budget)
+    a, b = center.numerator, center.denominator
+    big = b * math.lcm(*range(1, den_bound + 1))
+    steps = [big // d for d in range(1, den_bound + 1)]   # steps[0] is big
+    # [1, 2) has length 1, so exactly d offsets j/d land in it, from ceil((1 - a/b) d)
+    firsts = [a * (big // b) - (a - b) * d // b * step for d, step in enumerate(steps, 1)]
+    g = math.gcd(*firsts, *steps)
+    scale = big // g
+    budget.spend(size * (max(1, scale.bit_length() // 64) - 1))
+    int_atoms = sorted({x for first, step in zip(firsts, steps)
+                        for x in range(first // g, (first + big) // g, step // g)})
+    return _scaled_factorizations(q, scale, int_atoms, ell, budget)
 
 
 # -- property reports ---------------------------------------------------------

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, NotAMemberError
 from .qarith import RationalLike, as_rational, lcm_den
@@ -554,7 +554,7 @@ def internal_sum(m: FgMonoid, n: FgMonoid, budget: Budget | int | None = None) -
     return m.internal_sum(n, budget)
 
 
-def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
+def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
                budget: Budget) -> list[tuple[tuple[int, int], ...]]:
     """All ways to write target as a sum of multiples of atoms (ascending,
     distinct), each as a sparse path ((i, m), ...) of the nonzero
@@ -650,7 +650,7 @@ def _solve_int(target: int, atoms: tuple[int, ...], exact_length: int | None,
     return out
 
 
-def _checked_paths(target: int, atoms: tuple[int, ...], exact_length: int | None,
+def _checked_paths(target: int, atoms: Sequence[int], exact_length: int | None,
                    budget: Budget) -> list[tuple[tuple[int, int], ...]]:
     """_solve_int's paths, each re-checked to sum to target."""
     paths = _solve_int(target, atoms, exact_length, budget)
@@ -660,9 +660,11 @@ def _checked_paths(target: int, atoms: tuple[int, ...], exact_length: int | None
     return paths
 
 
-def _paths_to_set(q: RationalLike, atoms: Sequence[Fraction],
+def _paths_to_set(q: RationalLike, atoms: Sequence[Fraction] | Mapping[int, Fraction],
                   paths: Iterable[tuple[tuple[int, int], ...]]) -> FactorizationSet:
-    """The factorizations of q given by kernel paths over atoms (ascending).
+    """The factorizations of q given by kernel paths over atoms (ascending),
+    indexed like the kernel's: a sequence, or a mapping from each index the
+    paths use to its atom.
 
     Ascending indices give each factorization its sorted parts, and the
     kernel's order is already canonical and free of repeats.

@@ -12,6 +12,7 @@ import re
 import threading
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Protocol
 
 from .errors import InputError
@@ -82,17 +83,29 @@ def is_prime(n: int) -> bool:
 # entries never move.
 _primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 _primes_lock = threading.Lock()
+_SEGMENT = 1 << 20   # bytes of one sieve segment, at most
 
 
 def _grow_primes(count: int, bound: int = 0) -> list[int]:
-    """The table, grown to at least count primes and past bound."""
+    """The table, grown to at least count primes and past bound.
+
+    A segmented sieve of Eratosthenes: each segment starts just past the
+    table's largest prime p and is at most p long, so the primes up to p,
+    already in the table, sieve it, and the table ends below twice what
+    was asked for.
+    """
     with _primes_lock:
         table = _primes
-        candidate = table[-1]
         while len(table) < count or table[-1] < bound:
-            candidate += 2
-            if is_prime(candidate):
-                table.append(candidate)
+            lo = table[-1] + 1
+            hi = lo + min(table[-1], _SEGMENT)
+            seg = bytearray([1]) * (hi - lo)
+            for p in table:
+                if p * p >= hi:
+                    break
+                start = max(p * p, -(-lo // p) * p)
+                seg[start - lo::p] = bytes(len(range(start, hi, p)))
+            table.extend(compress(range(lo, hi), seg))
         return table
 
 

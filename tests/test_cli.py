@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from puiseux import qarith
 from puiseux.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -93,6 +94,23 @@ def test_wide_interval_sample_ends_within_the_budget(capsys):
     assert code in (0, 3)
 
 
+def test_interval_grid_too_wide_for_the_budget_is_never_built(capsys):
+    # the first rung, den_bound 1000, is charged per 64-bit word of its
+    # 1,438-bit scale and exceeds the default budget before its grid exists
+    start = time.perf_counter()
+    code, _, err = run(capsys, "paper", "5", "--den-bound", "3000")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert "budget" in err
+
+
+def test_interval_grid_at_den_bound_1000_ends_in_time(capsys):
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "paper", "5", "--den-bound", "1000")
+    assert time.perf_counter() - start < 10
+    assert code in (0, 3)
+
+
 def test_deep_sqden_search_is_not_limited_by_recursion(capsys):
     # the first branch fixes a multiplicity for each of ~5,000 candidate
     # primes, one search level each; the budget runs out past 1,000 levels
@@ -118,6 +136,17 @@ def test_sqden_member_with_a_huge_denominator_prime_ends_at_once(capsys):
     assert time.perf_counter() - start < 5
     assert code == 0
     assert out.strip() == "false"
+
+
+def test_sqden_member_needing_a_large_prime_index_answers_quickly(capsys, monkeypatch):
+    # the generator for p = 1000003 needs p's index; from a fresh table the
+    # sieve grows the table past 10^6
+    monkeypatch.setattr(qarith, "_primes", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "member(family(sqden), 1000004/1000006000009)")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert out.strip() == "true"
 
 
 def test_sqden_denominator_factoring_is_charged(capsys):

@@ -223,6 +223,25 @@ def test_interval_length_samples_match_product_enumeration(q, ell, den_bound):
     assert _as_vectors(zs, atoms) == _oracle_set(atoms, q, ell)
 
 
+@given(q=st.builds(F, st.integers(1, 42), st.integers(1, 6)).filter(lambda q: q >= 1),
+       ell=st.integers(1, 3), den_bound=st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_interval_samples_match_length_enumeration_in_emitted_order(q, ell, den_bound):
+    # the Fraction grid: every j/d, d <= den_bound, with q/ell + j/d in [1, 2)
+    center = q / ell
+    atoms = sorted({center + F(j, d) for d in range(1, den_bound + 1)
+                    for j in range(math.floor((1 - center) * d), math.ceil((2 - center) * d) + 1)
+                    if 1 <= center + F(j, d) < 2})
+    # products of ell parts: up to 28 atoms put the full product of
+    # _oracle_set out of reach; canonical order puts the largest atom's
+    # multiplicity first
+    want = sorted((tuple(parts.count(i) for i in range(len(atoms)))
+                   for parts in itertools.combinations_with_replacement(range(len(atoms)), ell)
+                   if sum(atoms[i] for i in parts) == q), key=lambda xs: xs[::-1])
+    zs = interval_length_factorizations(q, ell, den_bound)
+    assert [tuple(z.multiplicity(a) for a in atoms) for z in zs] == want
+
+
 def test_lengths_length_slices_and_classify_counts_match_product_enumeration():
     # L, Zl at lengths 1-4 (the kernel's last part is a lookup) and the
     # factorization counts behind classify's evidence, on small random

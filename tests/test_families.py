@@ -233,6 +233,18 @@ def test_interval_length_factorizations():
     assert counts[0] < counts[1] < counts[2]
 
 
+@pytest.mark.parametrize("q, ell, den_bound, units", [
+    (F(3), 2, 12, 124), (F(7, 2), 3, 8, 93), (F(3), 2, 18, 273), (F(3), 2, 60, 2932),
+    # the scale, lcm(1..den_bound) here, has 123 bits at 88 and 130 at 89:
+    # at 89 each of its 4,005 grid atoms costs two units
+    (F(3), 2, 88, 6284), (F(3), 2, 89, 6461 + 4005),
+])
+def test_interval_sample_spends_a_pinned_number_of_units(q, ell, den_bound, units):
+    meter = Budget(10**9)
+    interval_length_factorizations(q, ell, den_bound, meter)
+    assert 10**9 - meter.left == units
+
+
 def test_family_properties_reports():
     grams = family_properties("grams", K=4)
     assert grams["flags"]["atomic"] == {"value": True, "provenance": "paper"}

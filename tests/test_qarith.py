@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puiseux import BudgetExceededError, InputError, lcm_den, nth_prime, padic, parse_rational, reduce
+from puiseux import qarith
 from puiseux.monoid import Budget
-from puiseux.qarith import _MR_EXACT_BELOW, _is_strong_prime, format_rational, is_prime, prime_factors
+from puiseux.qarith import (_MR_EXACT_BELOW, _is_strong_prime, format_rational, is_prime, prime_factors,
+                             prime_index)
 
 
 def test_reduce_known_values():
@@ -99,6 +102,19 @@ def test_nth_prime_strictly_increasing(n, lb):
     assert nth_prime(n, lb) < nth_prime(n + 1, lb)
     assert nth_prime(n, lb) >= lb
     assert is_prime(nth_prime(n, lb))
+
+
+def test_sieved_prime_table_matches_trial_division(monkeypatch):
+    # a fresh table, grown by the sieve from its first ten primes
+    monkeypatch.setattr(qarith, "_primes", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    primes = [n for n in range(10**5 + 1) if is_prime(n)]
+    assert prime_index(10**5) == len(primes) + 1
+    assert qarith._primes[-1] < 2 * 10**5   # grown to below twice the bound asked for
+    assert qarith._primes[:len(primes)] == primes
+    assert [nth_prime(i) for i in range(1, len(primes) + 1)] == primes
+    assert [prime_index(n) for n in range(10**5 + 1)] == [bisect_left(primes, n) + 1
+                                                           for n in range(10**5 + 1)]
+    assert [nth_prime(i, 5) for i in range(1, len(primes) - 1)] == primes[2:]
 
 
 @given(n=st.integers(2, 5000))
