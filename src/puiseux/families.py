@@ -152,9 +152,7 @@ def grams_companion(n: int, depth: int, budget: Budget | int | None = None) -> C
         raise InputError("n and depth must be positive")
     a_n = family_generator("grams", n)
     threshold = 2**n * family_prime("grams", n)
-    # one unit per odd number the prime table may test to pass the threshold
-    _as_budget(budget).spend(threshold // 2)
-    f = prime_index(threshold + 1) - 1   # 2 is the first prime, not an odd one
+    f = prime_index(threshold + 1, _as_budget(budget)) - 1   # 2 is the first prime, not an odd one
     half = a_n / 2
     b1 = a_n - family_generator("grams", f)
     if not half < b1 < a_n:
@@ -177,19 +175,22 @@ def truncate(fam: FamilyMonoid | str, count: int, n_max: int | None = None,
 
     For the companion family the truncation takes the first `count` steps of
     each staircase with n up to n_max (default 1); for composite sums it is
-    the internal sum of the component truncations.
+    the internal sum of the component truncations.  One allowance covers the
+    whole truncation, charged one unit per generator before they are built.
     """
     if isinstance(fam, FamilyMonoid):
         n_max = n_max or fam.param("n")
         fam = fam.kind
     if count < 1:
         raise InputError("truncation size must be positive")
+    budget = _as_budget(budget)
     if fam in ("grams", "exA", "exB", "sqden"):
+        budget.spend(count)
         return FgMonoid([family_generator(fam, i) for i in range(1, count + 1)], budget)
     if fam == "companion":
-        # one allowance for every staircase; the prime scans grow with n, so
-        # charging the largest first stops an oversized truncation before it scans
-        budget = _as_budget(budget)
+        # the prime scans grow with n, so charging the largest first stops an
+        # oversized truncation before it scans
+        budget.spend(count * (n_max or 1))
         gens = [b for n in range(n_max or 1, 0, -1) for b in grams_companion(n, count, budget).b]
         return FgMonoid(gens, budget)
     if fam == "exAexB":
@@ -348,7 +349,7 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
         rest = R - m * step // pp
         if rest < 0:
             return   # a leaf: the index of a huge denominator prime is never looked up
-        n = lo if fits else prime_index(p)
+        n = lo if fits else prime_index(p, budget)
         for rest in range(rest, -1, -step):
             if m:
                 chosen[n] = m
@@ -638,9 +639,12 @@ def _exaexb_length2_of_2(window: int, budget: Budget | int | None) -> list[list[
 
 def _interval_ladder(den_bound: int, budget: Budget | int | None) -> dict[int, FactorizationSet]:
     """Length-2 factorizations of 3 in the unit-interval monoid, keyed by an
-    ascending ladder of denominator bounds that ends at or above den_bound."""
-    bounds = sorted({max(2, den_bound // 3), max(3, 2 * den_bound // 3), den_bound})
-    return {d: interval_length_factorizations(3, 2, d, budget) for d in bounds}
+    ascending ladder of denominator bounds that ends at or above den_bound.
+    The largest rung is built first, so a shared budget too small for it
+    runs out before the smaller rungs are searched."""
+    bounds = sorted({max(2, den_bound // 3), max(3, 2 * den_bound // 3), den_bound}, reverse=True)
+    ladder = {d: interval_length_factorizations(3, 2, d, budget) for d in bounds}
+    return dict(reversed(ladder.items()))
 
 
 def _nine_eighths(budget: Budget | int | None,

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, NotAMemberError
-from .qarith import RationalLike, as_rational, lcm_den
+from .qarith import RationalLike, as_rational
 
 
 class Budget:
@@ -45,12 +45,13 @@ class Budget:
     exact one.
     """
 
-    __slots__ = ("left",)
+    __slots__ = ("left", "primes_paid")
 
     def __init__(self, limit: int | None = None):
         if limit is not None and limit <= 0:
             raise InputError("budget must be positive")
         self.left = limit
+        self.primes_paid = 0   # the bound up to which prime scans are charged
 
     def spend(self, amount: int = 1) -> None:
         if self.left is None:
@@ -335,12 +336,18 @@ class FgMonoid:
         gens = tuple(sorted({_positive_rational(g) for g in generators}))
         if not gens:
             raise InputError("at least one generator is required")
+        budget = _as_budget(budget)
+        # one unit per scaled generator and 64-bit word of the scale past the
+        # first, with the scale bounded by its denominators' total width;
+        # charged before the scale is built, and free below 128 bits
+        dens = [g.denominator for g in gens]
+        budget.spend(len(gens) * max(0, sum(map(int.bit_length, dens)) // 64 - 1))
         self.generators = gens
-        self.scale = lcm_den(gens)
+        self.scale = math.lcm(*dens)
         self.int_gens = tuple(int(g * self.scale) for g in gens)
         # Apéry table with respect to int_atoms[0], once one is built
         self._table: list | None = None
-        self.int_atoms = self._minimal_generators(_as_budget(budget))
+        self.int_atoms = self._minimal_generators(budget)
         generator_of = dict(zip(self.int_gens, gens))
         self.atoms = tuple(generator_of[g] for g in self.int_atoms)
         # (cover, bits): bit t decided for all 0 <= t <= cover

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError
+
+if TYPE_CHECKING:   # monoid imports this module
+    from .monoid import Budget
 
 #: Exact reduced fraction: stored with gcd(|num|, den) = 1 and den >= 1,
 #: zero represented as 0/1, ordered like the reals.  The stdlib type already
@@ -78,11 +80,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Shared prime table.  It only ever grows, and growth happens under a lock;
-# readers take a reference once and index into it, which is safe because
-# entries never move.
+#: The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+#: for every n below _MR_EXACT_BELOW (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+# Shared prime table.  A published list is never changed: growth publishes a
+# longer copy in one assignment, so a reader takes `_primes` once and indexes
+# into it, and threads that grow it at once only repeat work.  prime_index
+# alone charges scans: one unit per odd number below the largest bound a budget
+# asks for (free up to 41, the largest Miller-Rabin base), whatever the table holds.
 _primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-_primes_lock = threading.Lock()
 _SEGMENT = 1 << 20   # bytes of one sieve segment, at most
 
 
@@ -94,19 +103,19 @@ def _grow_primes(count: int, bound: int = 0) -> list[int]:
     already in the table, sieve it, and the table ends below twice what
     was asked for.
     """
-    with _primes_lock:
-        table = _primes
-        while len(table) < count or table[-1] < bound:
-            lo = table[-1] + 1
-            hi = lo + min(table[-1], _SEGMENT)
-            seg = bytearray([1]) * (hi - lo)
-            for p in table:
-                if p * p >= hi:
-                    break
-                start = max(p * p, -(-lo // p) * p)
-                seg[start - lo::p] = bytes(len(range(start, hi, p)))
-            table.extend(compress(range(lo, hi), seg))
-        return table
+    global _primes
+    table = _primes
+    while len(table) < count or table[-1] < bound:
+        lo = table[-1] + 1
+        hi = lo + min(table[-1], _SEGMENT)
+        seg = bytearray([1]) * (hi - lo)
+        for p in table:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            seg[start - lo::p] = bytes(len(range(start, hi, p)))
+        _primes = table = table + list(compress(range(lo, hi), seg))
+    return table
 
 
 def nth_prime(n: int, lower_bound: int = 0) -> int:
@@ -118,30 +127,20 @@ def nth_prime(n: int, lower_bound: int = 0) -> int:
     if n < 1:
         raise InputError("prime index must be positive")
     table = _primes
-    while True:
-        start = bisect_left(table, lower_bound)
-        if len(table) - start >= n:
-            return table[start + n - 1]
-        table = _grow_primes(len(table) + n + 16)
+    start = bisect_left(table, lower_bound)
+    if start + n > len(table):   # also when lower_bound lies past the table
+        start = bisect_left(_grow_primes(0, lower_bound), lower_bound)
+        table = _grow_primes(start + n)
+    return table[start + n - 1]
 
 
-def prime_index(bound: int) -> int:
-    """The index of the least prime >= bound in the ordinary prime sequence;
-    for a prime p, the n with nth_prime(n) == p."""
-    table = _primes
-    if table[-1] < bound:
-        table = _grow_primes(0, bound)
-    return bisect_left(table, bound) + 1
-
-
-#: The first 13 primes.  As Miller-Rabin bases they decide primality exactly
-#: for every n below _MR_EXACT_BELOW (Sorenson & Webster, Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-
-
-class _Meter(Protocol):
-    def spend(self, amount: int = 1) -> None: ...
+def prime_index(bound: int, budget: Budget | None = None) -> int:
+    """The index of the least prime >= bound: for a prime p, the n with
+    nth_prime(n) == p.  Charged before the table is read (see _primes)."""
+    if budget is not None and bound > max(_MR_BASES[-1], budget.primes_paid):
+        budget.spend(bound // 2 - budget.primes_paid // 2)
+        budget.primes_paid = bound
+    return bisect_left(_grow_primes(0, bound), bound) + 1
 
 
 def _is_strong_prime(n: int) -> bool:
@@ -164,7 +163,7 @@ def _is_strong_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int, budget: _Meter | None = None) -> list[int]:
+def prime_factors(n: int, budget: Budget | None = None) -> list[int]:
     """Distinct prime factors of |n| in increasing order.
 
     The 13 Miller-Rabin bases are divided out first, uncharged.  Trial

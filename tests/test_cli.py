@@ -111,6 +111,16 @@ def test_interval_grid_at_den_bound_1000_ends_in_time(capsys):
     assert code in (0, 3)
 
 
+def test_interval_ladder_charges_its_largest_rung_first(capsys):
+    # the 1000 rung's grid exceeds the default budget, so the 333 and 666
+    # rungs are never searched
+    start = time.perf_counter()
+    code, _, err = run(capsys, "paper", "5", "--den-bound", "1000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "budget" in err
+
+
 def test_deep_sqden_search_is_not_limited_by_recursion(capsys):
     # the first branch fixes a multiplicity for each of ~5,000 candidate
     # primes, one search level each; the budget runs out past 1,000 levels
@@ -155,6 +165,36 @@ def test_sqden_denominator_factoring_is_charged(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "eval", "--budget", "100", "member(family(sqden), 1/1000000016000000063)")
     assert time.perf_counter() - start < 5
+    assert code == 3
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_sqden_prime_index_is_charged_whatever_the_table_holds(capsys, monkeypatch, warm):
+    # p = 100003 costs 50,001 units for its index, from a fresh table and
+    # from one an unbudgeted scan already grew past it
+    monkeypatch.setattr(qarith, "_primes", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    if warm:
+        qarith.prime_index(100003)
+    code, _, err = run(capsys, "eval", "--budget", "100", "member(family(sqden), 100004/100003)")
+    assert code == 3
+    assert "budget" in err
+    code, out, _ = run(capsys, "eval", "member(family(sqden), 100004/100003)")
+    assert code == 0
+    assert out.strip() == "true"
+
+
+def test_sqden_prime_index_past_the_budget_never_grows_the_table(capsys, monkeypatch):
+    monkeypatch.setattr(qarith, "_primes", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    code, _, _ = run(capsys, "eval", "--budget", "100", "member(family(sqden), 10000020/10000019)")
+    assert code == 3
+    assert qarith._primes[-1] < 10**6
+
+
+def test_large_truncation_is_charged_before_it_is_built(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "eval", "--budget", "100", "atoms(family(sqden, K=20000))")
+    assert time.perf_counter() - start < 1
     assert code == 3
     assert "budget" in err
 

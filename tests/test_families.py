@@ -84,6 +84,25 @@ def test_grams_companion_first_steps():
     assert family_prime("grams", 8) == 23
 
 
+def test_grams_companion_charges_its_prime_scan():
+    # threshold 2^3 * 7 = 56: one unit per odd number below 57
+    assert grams_companion(3, 1, Budget(28)).f_index == 16
+    with pytest.raises(BudgetExceededError):
+        grams_companion(3, 1, Budget(27))
+    # thresholds 6 and 20 lie below the free floor of 41
+    assert grams_companion(2, 1, Budget(1)).f_index == 8
+
+
+def test_a_prime_scan_is_charged_once_per_budget():
+    # the query runs one sqden search per copy of 1 and per part it checks,
+    # and many of them look up the index of p = 1009; the scan to it is paid
+    # once, on top of the searches' nodes
+    q = F(20) + F(1010, 1009**2)
+    meter = Budget(10**9)
+    assert len(family_factorizations("interval1_sqden", q, budget=meter)) == 78
+    assert 10**9 - meter.left == 4775 + 1009 // 2
+
+
 def test_companion_band_bounds():
     for n in (1, 2, 3):
         a_n = family_generator("grams", n)

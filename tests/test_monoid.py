@@ -172,6 +172,18 @@ def test_budget_guard(m23):
     assert len(m23.factorizations(24, budget=10**6)) == 5
 
 
+def test_construction_charges_each_word_of_the_denominators_before_scaling():
+    def spent(gens):
+        meter = Budget(10**6)
+        FgMonoid(gens, meter)
+        return 10**6 - meter.left
+
+    # both scale to the generators 1 and 2; the denominators take 127 bits,
+    # then 129: two 64-bit words, one unit per generator for the second
+    assert spent([F(1, 2**62), F(1, 2**63)]) == 3
+    assert spent([F(1, 2**63), F(1, 2**64)]) == 3 + 2
+
+
 def test_divides_matches_divisor_sets(m23):
     for b in (0, 2, 4, 6, 7, 9, 12):
         divs = set(m23.divisors(b))

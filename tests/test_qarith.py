@@ -1,4 +1,5 @@
 import math
+import threading
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -115,6 +116,59 @@ def test_sieved_prime_table_matches_trial_division(monkeypatch):
     assert [prime_index(n) for n in range(10**5 + 1)] == [bisect_left(primes, n) + 1
                                                            for n in range(10**5 + 1)]
     assert [nth_prime(i, 5) for i in range(1, len(primes) - 1)] == primes[2:]
+
+
+def test_nth_prime_with_a_lower_bound_past_the_table(monkeypatch):
+    monkeypatch.setattr(qarith, "_primes", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    assert nth_prime(2, 100) == 103
+    assert nth_prime(1, 7920) == 7927
+
+
+def test_threads_growing_the_table_at_once_agree_with_one_thread(monkeypatch):
+    # each thread publishes its own longer copy of the table, so threads
+    # racing to grow it only repeat work
+    first = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    bounds = (10**4, 3 * 10**4, 6 * 10**4, 10**5)
+    monkeypatch.setattr(qarith, "_primes", list(first))
+    single = [prime_index(b) for b in bounds]
+    monkeypatch.setattr(qarith, "_primes", list(first))
+    barrier = threading.Barrier(len(bounds))
+    results = [None] * len(bounds)
+
+    def grow(i):
+        barrier.wait()
+        results[i] = prime_index(bounds[i]), qarith._grow_primes(0, bounds[i])
+
+    threads = [threading.Thread(target=grow, args=(i,)) for i in range(len(bounds))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    primes = [n for n in range(2 * 10**5) if is_prime(n)]
+    assert [index for index, _ in results] == single
+    for bound, (_, table) in zip(bounds, results):
+        assert table[-1] >= bound
+        assert table == primes[:len(table)]
+    assert qarith._primes == primes[:len(qarith._primes)]
+
+
+def test_prime_scans_are_charged_by_the_largest_bound_alone(monkeypatch):
+    monkeypatch.setattr(qarith, "_primes", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    # one unit per odd number below the bound, before the table grows
+    with pytest.raises(BudgetExceededError):
+        prime_index(10**7, Budget(5 * 10**6 - 1))
+    assert qarith._primes[-1] == 29
+    # up to 41, the largest Miller-Rabin base, a scan is free
+    assert prime_index(41, Budget(1)) == 13
+    for _ in range(2):   # from a fresh table, then from one grown past the bound
+        meter = Budget(10**6)
+        assert prime_index(100003, meter) == 9593
+        assert 10**6 - meter.left == 50001
+    # a budget pays once for the longest scan it asks for
+    assert prime_index(1009, meter) == 169
+    assert 10**6 - meter.left == 50001
+    assert prime_index(200003, meter) == 17985
+    assert 10**6 - meter.left == 100001
 
 
 @given(n=st.integers(2, 5000))
