@@ -1,49 +1,53 @@
 """Rank-2 counterexample monoids in Z^2 with box-bounded exact searches.
 
-Three closed-form submonoids of the integer lattice:
+Three closed-form submonoids of the integer lattice, each holding in
+column x every point from a floor set by the sign of x up:
 
     quadrant   all points with both coordinates nonnegative
     upperhalf  the origin plus every point strictly above the x-axis
     lexcone    the nonnegative cone of the lexicographic order that gives
                priority to the second coordinate
 
-Atomhood inside a box is sound for these particular monoids because any
-decomposable member of the box admits a decomposition whose summands stay
-within the box enlarged by the per-kind margin below: quadrant summands are
-coordinate-wise dominated (margin 0); an upperhalf point with y >= 2 splits
-off (0, 1) (margin 0); a lexcone point splits off (0, 1) when y >= 2 and
-(1, 0) otherwise, moving x by at most one (margin 1).
+Atomhood inside a box is sound because a decomposable box member has a
+decomposition inside the box enlarged by a per-kind margin: quadrant
+summands are dominated (0); an upperhalf point with y >= 2 splits off
+(0, 1) (0); a lexcone point splits off (0, 1) when y >= 2 and (1, 0)
+otherwise, moving x by at most one (1).
 
-Pairwise sums are taken on bitmasks.  A point with |x|, |y| <= R is bit
-(y + R) * W + (x + R) with row width W = 4R + 1, so the sum of two encoded
-points is the encoded sum shifted by the constant 2R * W + 2R: both
-coordinate sums lie in [-2R, 2R] and an x-sum never wraps into the next
-row.  A + B is then one shift-or of A's mask per point of the smaller set,
-the same idiom `monoid._close_bits` closes a monoid with, and the sums
-inside the box are read back from the result.
+Sumsets: a point with |x|, |y| <= R is bit (y + R) * W + x + R, W = 4R + 1,
+so encoded sums are the sums shifted by 2R * W + 2R and never wrap a row.
+A run of n consecutive x in a row of the smaller set shift-ors the larger
+set's mask with itself by doubling, then shifts it into place: about
+log2(n) + 1 shift-ors per run instead of n.
 
-The factorization search over a point's atoms goes from the last atom to
-the first.  Once every remaining atom has y >= 1, the rest (x, y) takes at
-most y more parts, so x must lie between min(0, y * min x) and
-max(0, y * max x) over the remaining atoms; other branches are cut.
+Factorizations go from the last atom to the first.  Two atoms left with
+det = x0 * y1 - x1 * y0 != 0: Cramer's rule gives the one candidate (a
+parallel pair loops over m1).  One left: rest = m * a0 is checked.  Once
+every remaining atom has 1 <= y_min <= y <= y_max, a rest (x, y) takes
+from ceil(y / y_max) to floor(y / y_min) parts p, so x lies within
+[min p * min x, max p * max x]; other branches are cut.
 
-Every search charges the budget before or as it works: one unit per box
-point enumerated and per search node visited, and `monoid._shift_units`
-(one unit per 8192 mask bits) per shift-or step, charged for the whole
-sumset before its mask is built.
+The searches run on (x, y) pairs; only their results are LatticePoints.
+Budget units, paid before or as the work is done: one per box point before
+a box's members are listed; `monoid._shift_units` per point of the smaller
+set before a sumset's masks, a bound on its shift-ors (`lat_atoms_in_box`
+pays it from the member count before it lists any); one per point sums of
+atoms reach; one per factorization node and per closed-form solution.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
 from .monoid import Budget, _allot, _as_budget, _shift_units
 
-LATTICE_KINDS = ("quadrant", "upperhalf", "lexcone")
-
-_BOX_MARGIN = {"quadrant": 0, "upperhalf": 0, "lexcone": 1}
+Pair = tuple[int, int]
+# per kind: the lowest member of a column x < 0, x = 0 and x > 0 (None: the
+# column has none), and the box margin that keeps atomhood sound
+_KINDS = {"quadrant": ((None, 0, 0), 0), "upperhalf": ((1, 0, 1), 0), "lexcone": ((1, 0, 0), 1)}
+LATTICE_KINDS = tuple(_KINDS)
 
 
 class LatticePoint(NamedTuple):
@@ -61,69 +65,60 @@ class LatticePoint(NamedTuple):
 
 
 ORIGIN = LatticePoint(0, 0)
-PointLike = LatticePoint | tuple[int, int]
+PointLike = LatticePoint | Pair
 
 
-def _point(v: PointLike) -> LatticePoint:
-    return v if isinstance(v, LatticePoint) else LatticePoint(*v)
+def _kind(kind: str) -> tuple[tuple[int | None, int, int], int]:
+    if kind not in _KINDS:
+        raise InputError(f"unknown lattice monoid {kind!r}; known: {', '.join(LATTICE_KINDS)}")
+    return _KINDS[kind]
 
 
 def lat_contains(kind: str, v: PointLike) -> bool:
     """Closed-form membership for the three lattice monoids."""
-    v = _point(v)
-    if kind == "quadrant":
-        return v.x >= 0 and v.y >= 0
-    if kind == "upperhalf":
-        return v == ORIGIN or v.y >= 1
-    if kind == "lexcone":
-        return v.y > 0 or (v.y == 0 and v.x >= 0)
-    raise InputError(f"unknown lattice monoid {kind!r}; known: {', '.join(LATTICE_KINDS)}")
+    floor = _kind(kind)[0][(v[0] > 0) - (v[0] < 0) + 1]
+    return floor is not None and v[1] >= floor
 
 
-def _box(bound: int) -> Iterator[LatticePoint]:
-    """The points with |x|, |y| <= bound, in sorted order."""
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            yield LatticePoint(x, y)
-
-
-def _members_in_box(kind: str, bound: int, budget: Budget) -> list[LatticePoint]:
-    """The box's members of the monoid, in sorted order; the box's points
-    are charged before they are enumerated."""
+def _members_in_box(kind: str, bound: int, budget: Budget) -> list[Pair]:
+    """The box's members in sorted order, after one unit per box point."""
+    floors = _kind(kind)[0]
     budget.spend((2 * bound + 1) ** 2)
-    return [v for v in _box(bound) if lat_contains(kind, v)]
+    return [(x, y) for x in range(-bound, bound + 1)
+            if (floor := floors[(x > 0) - (x < 0) + 1]) is not None for y in range(floor, bound + 1)]
 
 
-def _sumset(a_points: list[LatticePoint], b_points: list[LatticePoint], bound: int,
-            budget: Budget) -> set[LatticePoint]:
-    """{a + b for a in A for b in B} restricted to |x|, |y| <= bound.
+def _charge_sumset(budget: Budget, smaller: int, r: int) -> None:
+    _allot(budget, smaller * _shift_units((4 * r + 1) ** 2), (4 * r + 1) ** 2)
 
-    Bitmask encoding as in the module docstring: one shift-or of the larger
-    set's mask per point of the smaller set.
-    """
-    if not a_points or not b_points:
-        return set()
-    if len(b_points) > len(a_points):
-        a_points, b_points = b_points, a_points
-    r = max(max(abs(v.x), abs(v.y)) for v in a_points + b_points)
-    width = 4 * r + 1
-    size = width * width
-    _allot(budget, len(b_points) * _shift_units(size), size)
-    mask = 0
-    for v in a_points:
-        mask |= 1 << ((v.y + r) * width + v.x + r)
-    sums = 0
-    for v in b_points:
-        sums |= mask << ((v.y + r) * width + v.x + r)
-    bits = format(sums, f"0{size}b")[::-1]
+
+def _runs(points: list[Pair]) -> list[tuple[int, int, int]]:
+    """The distinct points as maximal runs (x, y, n): (x, y) .. (x + n - 1, y)."""
+    cells = sorted({(y, x) for x, y in points})
+    starts = [k for k, (y, x) in enumerate(cells) if not k or cells[k - 1] != (y, x - 1)]
+    return [(cells[k][1], cells[k][0], end - k) for k, end in zip(starts, starts[1:] + [len(cells)])]
+
+
+def _sumset(a_points: list[Pair], b_points: list[Pair], bound: int, budget: Budget) -> set[Pair]:
+    """{a + b for a in A for b in B} restricted to |x|, |y| <= bound."""
+    points = a_points + b_points
+    r = max(max(map(max, points), default=0), -min(map(min, points), default=0))
+    a_points, b_points = sorted((a_points, b_points), key=len, reverse=True)
+    _charge_sumset(budget, len(b_points), r)
+    width, mask, sums = 4 * r + 1, 0, 0
+    for x, y, n in _runs(a_points):
+        mask |= ((1 << n) - 1) << ((y + r) * width + x + r)
+    for x, y, n in _runs(b_points):
+        run, have = mask, 1
+        while have < n:
+            step = min(have, n - have)
+            run |= run << step
+            have += step
+        sums |= run << ((y + r) * width + x + r)
+    bits = format(sums, f"0{width * width}b")[::-1]
     # no sum has a coordinate beyond 2r, and reading past it would wrap rows
-    lim = min(bound, 2 * r)
-    return {
-        LatticePoint(x, y)
-        for y in range(-lim, lim + 1)
-        for x in range(-lim, lim + 1)
-        if bits[(y + 2 * r) * width + x + 2 * r] == "1"
-    }
+    box = range(-min(bound, 2 * r), min(bound, 2 * r) + 1)
+    return {(x, y) for y in box for x in box if bits[(y + 2 * r) * width + x + 2 * r] == "1"}
 
 
 def lat_atoms_in_box(kind: str, bound: int,
@@ -137,12 +132,14 @@ def lat_atoms_in_box(kind: str, bound: int,
     if bound < 1:
         raise InputError("box bound must be positive")
     budget = _as_budget(budget)
-    nonzero = [v for v in _members_in_box(kind, bound + _BOX_MARGIN[kind], budget) if v != ORIGIN]
-    decomposable = _sumset(nonzero, nonzero, bound, budget)
-    return tuple(
-        v for v in nonzero
-        if abs(v.x) <= bound and abs(v.y) <= bound and v not in decomposable
-    )
+    floors, margin = _kind(kind)
+    r = bound + margin
+    # the sumset of the nonzero members (in r, 1 and r columns), paid before any is listed
+    _charge_sumset(budget, sum(n * (r + 1 - f) for n, f in zip((r, 1, r), floors) if f is not None) - 1, r)
+    nonzero = [v for v in _members_in_box(kind, r, budget) if v != (0, 0)]
+    decomposable = _sumset(nonzero, nonzero, bound, Budget())  # paid above
+    return tuple([LatticePoint(x, y) for x, y in nonzero
+                  if abs(x) <= bound and abs(y) <= bound and (x, y) not in decomposable])
 
 
 def lat_atomic_elements_in_box(bound: int,
@@ -158,17 +155,14 @@ def lat_atomic_elements_in_box(bound: int,
 def _sums_in_box(atoms: tuple[LatticePoint, ...], bound: int,
                  budget: Budget) -> tuple[LatticePoint, ...]:
     """Every sum of the given atoms reachable without leaving the box."""
-    reached = {ORIGIN}
-    frontier = [ORIGIN]
+    reached, frontier = {(0, 0)}, [(0, 0)]
     while frontier:
         budget.spend()
-        v = frontier.pop()
-        for a in atoms:
-            w = v + a
-            if abs(w.x) <= bound and abs(w.y) <= bound and w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return tuple(sorted(reached))
+        x, y = frontier.pop()
+        new = {(x + ax, y + ay) for ax, ay in atoms if abs(x + ax) <= bound and abs(y + ay) <= bound}
+        frontier += new - reached
+        reached |= new
+    return tuple([LatticePoint(x, y) for x, y in sorted(reached)])
 
 
 def lex_sum_check(bound: int, budget: Budget | int | None = None) -> bool:
@@ -183,8 +177,7 @@ def lex_sum_check(bound: int, budget: Budget | int | None = None) -> bool:
     budget = _as_budget(budget)
     quadrant = _members_in_box("quadrant", 2 * bound, budget)
     upperhalf = _members_in_box("upperhalf", 2 * bound, budget)
-    summed = _sumset(quadrant, upperhalf, bound, budget)
-    return summed == set(_members_in_box("lexcone", bound, budget))
+    return _sumset(quadrant, upperhalf, bound, budget) == set(_members_in_box("lexcone", bound, budget))
 
 
 def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
@@ -197,55 +190,62 @@ def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
     which is exactly the evidence that factorization sets there are not
     finite even though every length set is a singleton.
     """
-    v = _point(v)
+    v = LatticePoint(*v)
     if not lat_contains(kind, v):
         raise InputError(f"{v} is not an element of {kind}")
     budget = _as_budget(budget)
     return _factorizations(lat_atoms_in_box(kind, bound, budget), v, budget)
 
 
-def _factorizations(atoms: tuple[LatticePoint, ...], v: LatticePoint,
+def _factorizations(atoms: tuple[LatticePoint, ...], v: Pair,
                     budget: Budget) -> tuple[tuple[LatticePoint, ...], ...]:
-    """All multisets of the given atoms summing to v, each sorted, in sorted order.
+    """All multisets of the given ascending distinct atoms summing to v,
+    each sorted, in sorted order, by the search of the module docstring."""
+    xs, ys = [a[0] for a in atoms], [a[1] for a in atoms]
+    # over atoms[0..i]: least and greatest x, least and greatest y
+    lo, hi, low, high = (list(accumulate(c, f)) for c in (xs, ys) for f in (min, max))
+    det = xs[0] * ys[1] - xs[1] * ys[0] if len(atoms) > 1 else 0
+    out, counts = [], [0] * len(atoms)
 
-    Depth-first from the last atom to the first, one budget unit per node,
-    with the height prune of the module docstring.
-    """
-    k = len(atoms)
-    # over atoms[0..i]: least and greatest x, and whether every y >= 1
-    lo = list(accumulate((a.x for a in atoms), min))
-    hi = list(accumulate((a.x for a in atoms), max))
-    lifted = list(accumulate((a.y >= 1 for a in atoms), min))
-    out: list[tuple[LatticePoint, ...]] = []
-    counts = [0] * k
-
-    def children(i: int, rest: LatticePoint) -> Iterator[tuple[int, LatticePoint]]:
-        a = atoms[i]
+    def children(i: int, rx: int, ry: int):
+        ax, ay, j = xs[i], ys[i], i - 1
         # atoms of these monoids never have negative y; atoms on the x-axis
         # have positive x and only ever coexist with other nonnegative-x atoms
-        if a.y > 0:
-            top = rest.y // a.y
-        else:
-            top = rest.x // a.x if rest.x > 0 else 0
-        for m in range(top + 1):
-            x, y = rest.x - m * a.x, rest.y - m * a.y
-            if i and lifted[i - 1] and not min(0, y * lo[i - 1]) <= x <= max(0, y * hi[i - 1]):
-                continue
+        for m in range(ry // ay + 1 if ay > 0 else (rx // ax + 1 if rx > 0 else 1)):
+            x, y = rx - m * ax, ry - m * ay
+            if low[j] >= 1:
+                few, most = -(-y // high[j]), y // low[j]
+                if few > most or not ((most if lo[j] < 0 else few) * lo[j] <= x
+                                      <= (few if hi[j] < 0 else most) * hi[j]):
+                    continue
             counts[i] = m
-            yield i - 1, LatticePoint(x, y)
+            yield j, x, y
         counts[i] = 0
 
     # one child iterator per open level instead of one Python frame, so the
     # depth (one level per atom) is not bounded by the recursion limit
-    stack = [iter([(k - 1, v)])]
+    stack = [iter([(len(atoms) - 1, *v)])]
     while stack:
-        for i, rest in stack[-1]:
+        for i, x, y in stack[-1]:
             budget.spend()
-            if rest == ORIGIN:
-                out.append(tuple(sorted(a for a, m in zip(atoms, counts) for _ in range(m))))
-            elif i >= 0 and rest.y >= 0:
-                stack.append(children(i, rest))
+            if x == y == 0:
+                solved: tuple[int, ...] | None = ()
+            elif i < 0 or y < 0:
+                continue
+            elif i == 0:  # rest = m * a0
+                m = y // ys[0] if ys[0] else x // xs[0]
+                solved = (m,) if m > 0 and m * xs[0] == x and m * ys[0] == y else None
+            elif i == 1 and det:  # Cramer's rule
+                (m0, r0), (m1, r1) = divmod(x * ys[1] - xs[1] * y, det), divmod(xs[0] * y - x * ys[0], det)
+                solved = (m0, m1) if r0 == r1 == 0 and m0 >= 0 and m1 >= 0 else None
+            else:
+                stack.append(children(i, x, y))
                 break
+            if solved:
+                budget.spend()
+            if solved is not None:
+                ms = (*solved, *counts[len(solved):])
+                out.append(tuple([a for a, m in zip(atoms, ms) for _ in range(m)]))
         else:
             stack.pop()
-    return tuple(sorted(set(out)))
+    return tuple(sorted(out))

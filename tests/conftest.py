@@ -11,10 +11,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from puiseux import FgMonoid
+
+# The ci profile prints a reproduction blob with every Hypothesis failure, so
+# a failure a runner found under a random seed can be replayed locally.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def oracle_vectors(int_gens: list[int], target: int) -> list[tuple[int, ...]]:

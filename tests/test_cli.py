@@ -237,6 +237,17 @@ def test_large_lattice_boxes_end_within_the_budget(capsys, example, box, want):
     assert ("budget" in err) == (want == 3)
 
 
+def test_huge_lattice_box_is_refused_before_its_members_are_listed(capsys):
+    # the quadrant atom search at box 1000 would pair ~10^6 members in a
+    # 16-million-bit mask; its sumset is charged from the closed-form member
+    # count before the ~4-million-point box is listed
+    start = time.perf_counter()
+    code, _, err = run(capsys, "paper", "4.4", "--box", "1000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "budget" in err
+
+
 def test_unknown_subcommand_and_example(capsys):
     assert main(["bogus"]) == 2
     capsys.readouterr()

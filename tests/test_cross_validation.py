@@ -386,6 +386,21 @@ def test_pruned_lattice_factorizations_match_product_enumeration(kind):
                 assert lat_factorizations_in_box(kind, (x, y), bound) == tuple(want)
 
 
+@pytest.mark.parametrize("pair, extra", [
+    ((LatticePoint(1, 1), LatticePoint(2, 2)), LatticePoint(3, 1)),
+    ((LatticePoint(0, 1), LatticePoint(0, 2)), LatticePoint(1, 0)),
+    ((LatticePoint(1, 0), LatticePoint(2, 0)), LatticePoint(2, 1)),
+])
+def test_parallel_last_pairs_match_product_enumeration(pair, extra):
+    # det = 0 for the two lowest atoms, so the search loops over the second
+    # instead of solving by Cramer's rule; the extra atom sorts after them
+    for atoms in (pair, (*pair, extra)):
+        for x in range(-2, 8):
+            for y in range(5):
+                want = oracle_lattice_factorizations(atoms, (x, y), y + max(x, 0))
+                assert _factorizations(atoms, (x, y), Budget()) == tuple(want)
+
+
 # atom sets shaped like the upper half-plane's (every y >= 1, any x) or the
 # quadrant's (nonnegative coordinates), the two shapes the height prune and
 # the x-axis step of the factorization search assume

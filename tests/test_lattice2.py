@@ -10,7 +10,7 @@ from puiseux import (
     lat_factorizations_in_box,
     lex_sum_check,
 )
-from puiseux.lattice2 import _factorizations
+from puiseux.lattice2 import LATTICE_KINDS, _factorizations, _members_in_box
 from puiseux.monoid import Budget
 
 P = LatticePoint
@@ -30,6 +30,22 @@ def test_membership_closed_forms():
 
     with pytest.raises(InputError):
         lat_contains("cone", P(0, 0))
+
+
+def test_unknown_kind_is_an_input_error_in_every_search():
+    with pytest.raises(InputError):
+        lat_atoms_in_box("cone", 3)
+    with pytest.raises(InputError):
+        lat_factorizations_in_box("cone", P(0, 1), 3)
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_members_in_box_match_the_membership_filter_of_the_box(bound):
+    box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
+    for kind in LATTICE_KINDS:
+        budget = Budget(10**6)
+        assert _members_in_box(kind, bound, budget) == [v for v in box if lat_contains(kind, v)]
+        assert 10**6 - budget.left == len(box)
 
 
 def test_atoms_in_box():
@@ -108,22 +124,63 @@ def test_lexcone_factorizations():
         lat_factorizations_in_box("lexcone", P(-1, 0), 5)
 
 
-@pytest.mark.parametrize("search", [
-    lambda budget: lat_atoms_in_box("lexcone", 10, budget=budget),
-    lambda budget: lex_sum_check(10, budget=budget),
-    lambda budget: lat_atomic_elements_in_box(10, budget=budget),
-    lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget),
-])
+# each search with the units it spends at box 10: box points, sumset shift-ors,
+# reached sums, and (the last) factorization nodes and closed-form solutions
+_SEARCH_UNITS = [
+    (lambda budget: lat_atoms_in_box("lexcone", 10, budget=budget), 793),
+    (lambda budget: lex_sum_check(10, budget=budget), 4244),
+    (lambda budget: lat_atomic_elements_in_box(10, budget=budget), 804),
+    (lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget), 1141),
+]
+
+
+@pytest.mark.parametrize("search", [search for search, _ in _SEARCH_UNITS])
 def test_lattice_searches_charge_the_budget(search):
-    # each search spends the same units every time: exactly that many
+    # each search spends its pinned units every time: exactly that many
     # suffice, one fewer runs out; at box 10 it is far below the default 10^7
     meter = Budget(10**7)
     search(meter)
     spent = 10**7 - meter.left
     assert 0 < spent < 10**5
+    assert spent == dict(_SEARCH_UNITS)[search]
     search(Budget(spent))
     with pytest.raises(BudgetExceededError):
         search(Budget(spent - 1))
+
+
+@pytest.mark.parametrize("atoms, v, units", [
+    # two atoms, det != 0: the root solves by Cramer's rule (node + solution)
+    ((P(0, 1), P(1, 0)), P(3, 2), 2),
+    ((P(0, 1), P(1, 0)), P(0, 0), 1),
+    ((P(-1, 1), P(2, 1)), P(0, 2), 1),   # no integer solution: the node alone
+    # a parallel pair loops over m1: children (2,2) and (0,0); the first
+    # checks (2,2) = 2 * (1,1) directly
+    ((P(1, 1), P(2, 2)), P(2, 2), 4),
+    ((P(2, 0),), P(6, 0), 2),
+    ((P(2, 0),), P(5, 0), 1),
+    # both children, rests (1,3) and (-1,1), are cut: a rest of odd height y
+    # would take at least ceil(y / 2) and at most floor(y / 2) parts of height 2
+    ((P(0, 2), P(1, 2), P(2, 2)), P(1, 3), 1),
+])
+def test_search_charges_one_unit_per_node_and_closed_form_solution(atoms, v, units):
+    meter = Budget(10**6)
+    _factorizations(atoms, v, meter)
+    assert 10**6 - meter.left == units
+
+
+def test_upperhalf_sample_and_quadrant_units():
+    # the samples paper scenario 4.4 searches at box 10
+    upper, quadrant = lat_atoms_in_box("upperhalf", 10), lat_atoms_in_box("quadrant", 10)
+    meter = Budget(10**7)
+    for v in (P(x, y) for x in (-2, 0, 1) for y in (1, 2, 3)):
+        zs = _factorizations(upper, v, meter)
+        assert {len(z) for z in zs} == {v.y}
+    assert 10**7 - meter.left == 1895
+    meter = Budget(10**7)
+    for v in _members_in_box("quadrant", 10, meter):
+        assert len(_factorizations(quadrant, v, meter)) == 1
+    # the box's 441 points, then one node and one Cramer solution per nonzero member
+    assert 10**7 - meter.left == 441 + 2 * 120 + 1
 
 
 def test_factorization_search_is_not_limited_by_recursion():
