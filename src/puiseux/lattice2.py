@@ -30,9 +30,9 @@ from ceil(y / y_max) to floor(y / y_min) parts p, so x lies within
 The searches run on (x, y) pairs; only their results are LatticePoints.
 Budget units, paid before or as the work is done: one per box point before
 a box's members are listed; `monoid._shift_units` per point of the smaller
-set before a sumset's masks, a bound on its shift-ors (`lat_atoms_in_box`
-pays it from the member count before it lists any); one per point sums of
-atoms reach; one per factorization node and per closed-form solution.
+set, a bound on a sumset's shift-ors, paid by its caller from the closed-form
+member count before any member is listed; one per point sums of atoms
+reach; one per factorization node and per closed-form solution.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ def _members_in_box(kind: str, bound: int, budget: Budget) -> list[Pair]:
             if (floor := floors[(x > 0) - (x < 0) + 1]) is not None for y in range(floor, bound + 1)]
 
 
+def _member_count(kind: str, bound: int) -> int:
+    """len(_members_in_box(kind, bound)): bound, 1 and bound columns from their floors."""
+    return sum(n * (bound + 1 - f) for n, f in zip((bound, 1, bound), _kind(kind)[0]) if f is not None)
+
+
 def _charge_sumset(budget: Budget, smaller: int, r: int) -> None:
     _allot(budget, smaller * _shift_units((4 * r + 1) ** 2), (4 * r + 1) ** 2)
 
@@ -99,12 +104,11 @@ def _runs(points: list[Pair]) -> list[tuple[int, int, int]]:
     return [(cells[k][1], cells[k][0], end - k) for k, end in zip(starts, starts[1:] + [len(cells)])]
 
 
-def _sumset(a_points: list[Pair], b_points: list[Pair], bound: int, budget: Budget) -> set[Pair]:
+def _sumset(a_points: list[Pair], b_points: list[Pair], bound: int) -> set[Pair]:
     """{a + b for a in A for b in B} restricted to |x|, |y| <= bound."""
     points = a_points + b_points
     r = max(max(map(max, points), default=0), -min(map(min, points), default=0))
     a_points, b_points = sorted((a_points, b_points), key=len, reverse=True)
-    _charge_sumset(budget, len(b_points), r)
     width, mask, sums = 4 * r + 1, 0, 0
     for x, y, n in _runs(a_points):
         mask |= ((1 << n) - 1) << ((y + r) * width + x + r)
@@ -132,12 +136,10 @@ def lat_atoms_in_box(kind: str, bound: int,
     if bound < 1:
         raise InputError("box bound must be positive")
     budget = _as_budget(budget)
-    floors, margin = _kind(kind)
-    r = bound + margin
-    # the sumset of the nonzero members (in r, 1 and r columns), paid before any is listed
-    _charge_sumset(budget, sum(n * (r + 1 - f) for n, f in zip((r, 1, r), floors) if f is not None) - 1, r)
+    r = bound + _kind(kind)[1]
+    _charge_sumset(budget, _member_count(kind, r) - 1, r)  # the nonzero members
     nonzero = [v for v in _members_in_box(kind, r, budget) if v != (0, 0)]
-    decomposable = _sumset(nonzero, nonzero, bound, Budget())  # paid above
+    decomposable = _sumset(nonzero, nonzero, bound)
     return tuple([LatticePoint(x, y) for x, y in nonzero
                   if abs(x) <= bound and abs(y) <= bound and (x, y) not in decomposable])
 
@@ -146,8 +148,6 @@ def lat_atomic_elements_in_box(bound: int,
                                budget: Budget | int | None = None) -> tuple[LatticePoint, ...]:
     """Members of the lexicographic cone in the box that are sums of its
     box atoms; with atom set {(1,0)} this is the nonnegative x-axis."""
-    if bound < 1:
-        raise InputError("box bound must be positive")
     budget = _as_budget(budget)
     return _sums_in_box(lat_atoms_in_box("lexcone", bound, budget), bound, budget)
 
@@ -174,10 +174,10 @@ def lex_sum_check(bound: int, budget: Budget | int | None = None) -> bool:
     """
     if bound < 1:
         raise InputError("box bound must be positive")
-    budget = _as_budget(budget)
-    quadrant = _members_in_box("quadrant", 2 * bound, budget)
-    upperhalf = _members_in_box("upperhalf", 2 * bound, budget)
-    return _sumset(quadrant, upperhalf, bound, budget) == set(_members_in_box("lexcone", bound, budget))
+    budget, r = _as_budget(budget), 2 * bound
+    _charge_sumset(budget, min(_member_count("quadrant", r), _member_count("upperhalf", r)), r)
+    quadrant, upperhalf = (_members_in_box(kind, r, budget) for kind in ("quadrant", "upperhalf"))
+    return _sumset(quadrant, upperhalf, bound) == set(_members_in_box("lexcone", bound, budget))
 
 
 def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,

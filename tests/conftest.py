@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from fractions import Fraction
 
-from hypothesis import settings
-
 from puiseux import FgMonoid
 
-# The ci profile prints a reproduction blob with every Hypothesis failure, so
-# a failure a runner found under a random seed can be replayed locally.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+try:
+    from hypothesis import settings
+except ImportError:  # only the modules that use Hypothesis fail to collect
+    pass
+else:
+    # Every Hypothesis failure prints a reproduction blob, so a failure found
+    # under a random seed, on any machine, can be replayed elsewhere.
+    settings.register_profile("repo", print_blob=True)
+    settings.load_profile("repo")
 
 
 def oracle_vectors(int_gens: list[int], target: int) -> list[tuple[int, ...]]:

@@ -237,12 +237,14 @@ def test_large_lattice_boxes_end_within_the_budget(capsys, example, box, want):
     assert ("budget" in err) == (want == 3)
 
 
-def test_huge_lattice_box_is_refused_before_its_members_are_listed(capsys):
-    # the quadrant atom search at box 1000 would pair ~10^6 members in a
-    # 16-million-bit mask; its sumset is charged from the closed-form member
-    # count before the ~4-million-point box is listed
+@pytest.mark.parametrize("example", ["3.2", "4.4"])
+def test_huge_lattice_box_is_refused_before_its_members_are_listed(capsys, example):
+    # at box 1000 the quadrant atom search of 4.4 would pair ~10^6 members in
+    # a 16-million-bit mask, and the sum check of 3.2 would list two boxes of
+    # ~4 and ~8 million points; each sumset is charged from the closed-form
+    # member counts before any box is listed
     start = time.perf_counter()
-    code, _, err = run(capsys, "paper", "4.4", "--box", "1000")
+    code, _, err = run(capsys, "paper", example, "--box", "1000")
     assert time.perf_counter() - start < 1
     assert code == 3
     assert "budget" in err

@@ -361,7 +361,7 @@ def test_bitmask_sumset_matches_pairwise_sums(a_points, b_points, bound):
         for a in a_points for b in b_points
         if abs(a.x + b.x) <= bound and abs(a.y + b.y) <= bound
     }
-    assert _sumset(a_points, b_points, bound, Budget()) == want
+    assert _sumset(a_points, b_points, bound) == want
 
 
 @pytest.mark.parametrize("bound", range(1, 9))

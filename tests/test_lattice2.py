@@ -10,7 +10,7 @@ from puiseux import (
     lat_factorizations_in_box,
     lex_sum_check,
 )
-from puiseux.lattice2 import LATTICE_KINDS, _factorizations, _members_in_box
+from puiseux.lattice2 import LATTICE_KINDS, _factorizations, _member_count, _members_in_box
 from puiseux.monoid import Budget
 
 P = LatticePoint
@@ -44,8 +44,10 @@ def test_members_in_box_match_the_membership_filter_of_the_box(bound):
     box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
     for kind in LATTICE_KINDS:
         budget = Budget(10**6)
-        assert _members_in_box(kind, bound, budget) == [v for v in box if lat_contains(kind, v)]
+        members = _members_in_box(kind, bound, budget)
+        assert members == [v for v in box if lat_contains(kind, v)]
         assert 10**6 - budget.left == len(box)
+        assert _member_count(kind, bound) == len(members)
 
 
 def test_atoms_in_box():
