@@ -62,7 +62,7 @@ from .lattice2 import (
     lat_factorizations_in_box,
     lex_sum_check,
 )
-from .dsl import Evaluator, ParseError, eval_program, parse, print_program, render
+from .dsl import Evaluator, ParseError, parse, print_program, render
 from .reports import EXAMPLE_IDS, PaperReport, run_paper_example
 
 __version__ = "0.1.0"
@@ -91,7 +91,6 @@ __all__ = [
     "antimatter_witness",
     "as_rational",
     "divisor_candidates",
-    "eval_program",
     "factorizations_via_offsets",
     "family",
     "family_factorizations",

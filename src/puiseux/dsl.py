@@ -296,9 +296,9 @@ MonoidValue = FgMonoid | families.FamilyMonoid
 class Evaluator:
     """Single-session evaluation environment.
 
-    `bound_defaults` supplies window/den_bound values for family queries
-    that would otherwise fail loudly; the CLI fills it only from flags the
-    user passed explicitly, so nothing is ever defaulted silently.
+    `bound_defaults` supplies window/den_bound values for every family
+    query whose expression leaves them unset; the CLI fills it only from
+    flags the user passed explicitly, so nothing is ever defaulted silently.
     """
 
     env: dict[str, MonoidValue] = field(default_factory=dict)
@@ -359,7 +359,10 @@ class Evaluator:
         value = self.eval_mexpr(q.expr)
         if isinstance(value, FgMonoid):
             return self._fg_query(q, value)
-        return self._family_query(q, value)
+        # folded at the query, not per family term, so a summand's explicit
+        # bound still beats a flag after a sum merges the terms' params
+        params = {**self.bound_defaults, **dict(value.params)}
+        return self._family_query(q, families.FamilyMonoid(value.kind, tuple(sorted(params.items()))))
 
     def _fg_query(self, q: Query, m: FgMonoid):
         budget = self.budget
@@ -383,26 +386,25 @@ class Evaluator:
 
     def _family_query(self, q: Query, fam: families.FamilyMonoid):
         budget = self.budget
-        window = fam.param("window", self.bound_defaults.get("window"))
-        den_bound = fam.param("den_bound", self.bound_defaults.get("den_bound"))
         if q.head == "props":
             return families.family_properties(fam, budget=budget)
         if q.head == "member":
             return families.family_member(fam, q.args[0], budget)
         if q.head == "Z":
-            return families.family_factorizations(fam.kind, q.args[0], window, budget)
+            return families.family_factorizations(fam, q.args[0], budget=budget)
         if q.head == "L":
             if fam.kind == "interval1":
                 return LengthSet(Fraction(q.args[0]), families.interval_lengths(q.args[0]))
-            zs = families.family_factorizations(fam.kind, q.args[0], window, budget)
+            zs = families.family_factorizations(fam, q.args[0], budget=budget)
             return LengthSet(zs.target, zs.lengths())
         if q.head == "Zl":
             target, ell = q.args
             if fam.kind == "interval1":
+                den_bound = fam.param("den_bound")
                 if den_bound is None:
                     raise NeedsBoundError("Zl on interval1 needs den_bound=...")
                 return families.interval_length_factorizations(target, ell, den_bound, budget)
-            zs = families.family_factorizations(fam.kind, target, window, budget)
+            zs = families.family_factorizations(fam, target, budget=budget)
             # a subsequence of a canonical set is itself canonical
             return FactorizationSet(zs.target, tuple(z for z in zs if z.length == ell))
         if q.head == "divides":
@@ -419,12 +421,6 @@ class Evaluator:
             raise NeedsBoundError(f"mcd on {fam.kind} is not supported;"
                                   f" {families._bound_hint(fam.kind)}")
         raise InputError(f"unknown query {q.head!r}")
-
-
-def eval_program(text: str, env: dict[str, MonoidValue] | None = None,
-                 budget: int | None = None) -> list[tuple[Stmt, object]]:
-    evaluator = Evaluator(env=env or {}, budget=budget)
-    return evaluator.run_text(text)
 
 
 # -- result rendering ------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, NeedsBoundError
 from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _allot, _as_budget,
@@ -385,15 +385,6 @@ def _sum_part_is_atom(atom: Fraction, budget: Budget) -> bool:
     return len(_sqden_solutions(atom, 1, budget)) == 1
 
 
-def _finite_factorizations(atoms: Iterable[Fraction], q: Fraction, ell: int | None,
-                           budget: Budget) -> FactorizationSet:
-    """Factorizations of q (of length ell, if given) over finitely many
-    distinct positive atoms, scaled by the lcm of their denominators."""
-    atoms = sorted(atoms)
-    scale = lcm_den(atoms)
-    return _scaled_factorizations(q, scale, [int(a * scale) for a in atoms], ell, budget)
-
-
 def _scaled_factorizations(q: Fraction, scale: int, int_atoms: Sequence[int], ell: int | None,
                            budget: Budget) -> FactorizationSet:
     """Factorizations of q (of length ell, if given) over the atoms
@@ -414,14 +405,15 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
                           trace: list | None = None) -> FactorizationSet:
     """Factorization set of q over a family's atoms.
 
-    exAexB requires a window (number of admitted indices) and is exact over
+    exAexB requires a window (number of admitted indices; a FamilyMonoid
+    brings its own window parameter instead) and is exact over
     that windowed atom set, searched by the same integer kernel as finitely
     generated monoids.  sqden and interval1_sqden are exact and
     window-free thanks to the valuation pruning; parts are re-checked for
     atomhood in the sum before being reported.
     """
     if isinstance(kind, FamilyMonoid):
-        window = window or kind.param("window")
+        window = kind.param("window")
         kind = kind.kind
     q = as_rational(q)
     if q <= 0:
@@ -430,9 +422,9 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
     if kind == "exAexB":
         if window is None:
             raise NeedsBoundError("the exAexB search needs window=... (admitted indices)")
-        atoms = [family_generator("exA", i) for i in range(1, window + 1)]
-        atoms += [family_generator("exB", i) for i in range(1, window + 1)]
-        return _finite_factorizations(atoms, q, None, budget)
+        atoms = sorted(family_generator(k, i) for k in ("exA", "exB") for i in range(1, window + 1))
+        scale = lcm_den(atoms)
+        return _scaled_factorizations(q, scale, [int(a * scale) for a in atoms], None, budget)
     if kind in ("sqden", "interval1_sqden"):
         # any q > 1 splits off a sqden generator below q - 1, so 1 is the
         # only part interval1 can contribute: index 0, the largest atom, so

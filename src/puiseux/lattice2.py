@@ -199,8 +199,9 @@ def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
 
 def _factorizations(atoms: tuple[LatticePoint, ...], v: Pair,
                     budget: Budget) -> tuple[tuple[LatticePoint, ...], ...]:
-    """All multisets of the given ascending distinct atoms summing to v,
-    each sorted, in sorted order, by the search of the module docstring."""
+    """All multisets of the given ascending distinct atoms (at least one)
+    summing to v (y >= 0), each sorted, in sorted order, by the search of
+    the module docstring; no child takes a rest's y below 0."""
     xs, ys = [a[0] for a in atoms], [a[1] for a in atoms]
     # over atoms[0..i]: least and greatest x, least and greatest y
     lo, hi, low, high = (list(accumulate(c, f)) for c in (xs, ys) for f in (min, max))
@@ -230,8 +231,6 @@ def _factorizations(atoms: tuple[LatticePoint, ...], v: Pair,
             budget.spend()
             if x == y == 0:
                 solved: tuple[int, ...] | None = ()
-            elif i < 0 or y < 0:
-                continue
             elif i == 0:  # rest = m * a0
                 m = y // ys[0] if ys[0] else x // xs[0]
                 solved = (m,) if m > 0 and m * xs[0] == x and m * ys[0] == y else None

@@ -192,12 +192,6 @@ class Factorization:
                 return m
         return 0
 
-    def add_atom(self, atom: RationalLike, mult: int) -> "Factorization":
-        atom = as_rational(atom)
-        items = dict(self.parts)
-        items[atom] = items.get(atom, 0) + mult
-        return Factorization.of(items)
-
     def __str__(self) -> str:
         if not self.parts:
             return "0"
@@ -456,8 +450,7 @@ class FgMonoid:
         budget = _as_budget(budget)
         x, y, d = as_rational(x), as_rational(y), as_rational(d)
         for v in (x, y):
-            if v < 0 or not self.contains(v, budget):
-                raise NotAMemberError(f"{v} is not an element of {self}")
+            self._int_target(v, budget)   # NotAMemberError outside the monoid
         if not (self.divides(d, x, budget) and self.divides(d, y, budget)):
             return False
         residual_common = set(self.divisors(x - d, budget)) & set(self.divisors(y - d, budget))
@@ -725,6 +718,13 @@ def max_cyclic_divisor(s: FgMonoid, a: RationalLike, r: RationalLike,
     return 0
 
 
+def _extension(m: FgMonoid, r: Fraction, budget: Budget) -> FgMonoid:
+    """S = M + N_0*r for an r outside M; r is then an atom of S."""
+    if m.contains(r, budget):
+        raise InputError(f"{r} already lies in {m}")
+    return FgMonoid(m.generators + (r,), budget)
+
+
 def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
                   budget: Budget | int | None = None) -> Factorization:
     """Rewrite an atom of M over the atoms of S = M + N_0*r.
@@ -736,19 +736,16 @@ def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
     """
     r, a = as_rational(r), as_rational(a)
     budget = _as_budget(budget)
-    if m.contains(r, budget):
-        raise InputError(f"{r} already lies in {m}")
+    s = _extension(m, r, budget)
     if a not in m.atoms:
         raise InputError(f"{a} is not an atom of {m}")
-    ext = add_cyclic(m, r, budget)
-    s = ext.monoid
     mult = max_cyclic_divisor(s, a, r, budget)
     rest = a - mult * r
     if not m.contains(rest, budget):
         raise RuntimeError("maximal r-multiple left a remainder outside the base monoid")
     z = m.factorizations(rest, budget).items[0]
     if mult:
-        z = z.add_atom(r, mult)
+        z = Factorization.of({**dict(z.parts), r: mult})
     s_atoms = set(s.atoms)
     if any(atom not in s_atoms for atom, _ in z.parts):
         raise RuntimeError("refactorization produced a part that is not an atom of the extension")
@@ -766,14 +763,7 @@ def mcd_via_extension(m: FgMonoid, r: RationalLike, x: RationalLike, y: Rational
     """
     r, x, y = as_rational(r), as_rational(x), as_rational(y)
     budget = _as_budget(budget)
-    if m.contains(r, budget):
-        raise InputError(f"{r} already lies in {m}")
-    ext = add_cyclic(m, r, budget)
-    s = ext.monoid
-    for v in (x, y):
-        if v < 0 or not s.contains(v, budget):
-            raise NotAMemberError(f"{v} is not an element of {s}")
-
+    s = _extension(m, r, budget)
     mx = max_cyclic_divisor(s, x, r, budget)
     my = max_cyclic_divisor(s, y, r, budget)
     if mx > my:
@@ -816,12 +806,8 @@ def factorizations_via_offsets(m: FgMonoid, r: RationalLike, s_value: RationalLi
     """
     r, s_value = as_rational(r), as_rational(s_value)
     budget = _as_budget(budget)
-    if m.contains(r, budget):
-        raise InputError(f"{r} already lies in {m}")
-    ext = add_cyclic(m, r, budget)
-    s = ext.monoid
-    if s_value < 0 or not s.contains(s_value, budget):
-        raise NotAMemberError(f"{s_value} is not an element of {s}")
+    s = _extension(m, r, budget)
+    s._int_target(s_value, budget)   # NotAMemberError outside S
     s_atoms = set(s.atoms)
     items: list[Factorization] = []
     c = 0
@@ -829,7 +815,7 @@ def factorizations_via_offsets(m: FgMonoid, r: RationalLike, s_value: RationalLi
         rest = s_value - c * r
         if m.contains(rest, budget):
             for z in m.factorizations(rest, budget).items:
-                lifted = z.add_atom(r, c) if c else z
+                lifted = Factorization.of({**dict(z.parts), r: c}) if c else z
                 if all(atom in s_atoms for atom, _ in lifted.parts):
                     items.append(lifted)
         c += 1

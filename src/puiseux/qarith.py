@@ -218,7 +218,7 @@ def padic(q: RationalLike, p: int) -> int:
     q = as_rational(q)
     if q == 0:
         raise InputError("p-adic valuation is undefined at zero")
-    if not is_prime(p):
+    if prime_factors(p) != [p]:   # Miller-Rabin, not trial division up to sqrt(p)
         raise InputError(f"{p} is not prime")
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from puiseux import qarith
 from puiseux.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -71,6 +75,37 @@ def test_eval_window_flag_supplies_bound(capsys):
     code, out, _ = run(capsys, "eval", "--window", "6", "Zl(family(exAexB), 2, 2)")
     assert code == 0
     assert len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize("flags, program, explicit, provenance", [
+    (["--window", "4"], "props(family(exAexB))", "props(family(exAexB, window=4))", "window=4"),
+    (["--den-bound", "6"], "props(family(interval1))", "props(family(interval1, den_bound=6))",
+     "den_bound=6"),
+    (["--window", "4"], "props(family(exAexB, window=3))", "props(family(exAexB, window=3))",
+     "window=3"),
+], ids=["window", "den_bound", "explicit_window_wins"])
+def test_bound_flags_fill_only_the_bounds_a_family_leaves_unset(capsys, flags, program, explicit,
+                                                                provenance):
+    code, flagged, _ = run(capsys, "eval", *flags, program)
+    assert code == 0
+    code, written, _ = run(capsys, "eval", explicit)
+    assert code == 0
+    assert flagged == written
+    assert f'"provenance": "evidence({provenance})"' in flagged
+
+
+def test_nonpositive_budget_is_usage_error(capsys):
+    code, _, err = run(capsys, "eval", "--budget", "0", "atoms(pm(2))")
+    assert code == 2
+    assert "budget must be positive" in err
+
+
+def test_module_entry_point_writes_the_golden():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-m", "puiseux", "paper", "4.3", "--json"], env=env,
+                            cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN_DIR / "paper_4_3.json").read_text()
 
 
 def test_deep_interval_sample_is_not_limited_by_recursion(capsys):

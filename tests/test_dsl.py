@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_atoms
 from puiseux import (
     FactorizationSet,
     FgMonoid,
@@ -209,6 +210,10 @@ def test_eval_fg_queries():
     (_, lengths), = ev.run_text("L(pm(2,3), 12)")
     assert isinstance(lengths, LengthSet) and lengths.lengths == (4, 5, 6)
 
+    (_, atoms), = ev.run_text("atoms(pm(2,3) + cyclic(3/4))")
+    # scaled by 4 the generators are 8, 12, 3, and 12 = 4·3
+    assert atoms == tuple(F(a, 4) for a in oracle_atoms([3, 8, 12])) == (F(3, 4), F(2))
+
 
 def test_eval_family_queries():
     ev = Evaluator()
@@ -226,6 +231,11 @@ def test_eval_family_queries():
 
     (_, zs), = ev.run_text("Zl(family(interval1, den_bound=4), 3, 2)")
     assert len(zs) == 3
+
+    (_, lengths), = ev.run_text("L(family(interval1), 7/2)")
+    # ell parts from [1, 2) sum to q exactly when ell <= q < 2 ell
+    q = F(7, 2)
+    assert lengths.lengths == tuple(ell for ell in range(1, 8) if ell <= q < 2 * ell) == (2, 3)
 
 
 def test_eval_family_truncation_yields_fg():
@@ -273,6 +283,9 @@ def test_bound_defaults_come_from_explicit_flags_only():
     flagged = Evaluator(bound_defaults={"window": 4})
     (_, zs), = flagged.run_text("Zl(family(exAexB), 2, 2)")
     assert len(zs) == 4
+    # a summand's own window still beats the flag once the sum merges them
+    (_, zs), = flagged.run_text("Zl(family(exA, window=3) + family(exB), 2, 2)")
+    assert len(zs) == 3
 
 
 def test_render_text():

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_fraction_member
+from conftest import oracle_atoms, oracle_fraction_member
 from puiseux import (
     BudgetExceededError,
     InputError,
@@ -60,6 +61,12 @@ def test_truncations():
     s2 = truncate("sqden", 2)
     assert s2.generators == (F(4, 9), F(3, 4))
     assert s2.atoms == s2.generators
+
+    gc2 = truncate("gramscompanion", 2)
+    gens = [family_generator("grams", 1), family_generator("grams", 2), *grams_companion(1, 2).b]
+    scale = math.lcm(*(g.denominator for g in gens))
+    expected = tuple(F(a, scale) for a in oracle_atoms(sorted(int(g * scale) for g in gens)))
+    assert gc2.atoms == expected == (F(1, 20), F(29, 336), F(25, 168), F(1, 6))
 
     with pytest.raises(InputError):
         truncate("interval1", 3)
@@ -281,6 +288,12 @@ def test_family_properties_reports():
     assert interval["flags"]["bbm"]["value"] is True
     assert interval["flags"]["ffm"]["value"] is False
     assert interval["evidence"]["strictly_increasing"] is True
+
+    companion = family_properties("companion")
+    a_1, staircase = family_generator("grams", 1), grams_companion(1, 6).b
+    assert companion["evidence"]["staircase_n1"] == [str(b) for b in staircase]
+    assert all(a_1 / 2 < b < a_1 for b in staircase)
+    assert companion["evidence"]["band_respected"] is True
 
     antimatter = family_properties("gramscompanion")
     assert antimatter["flags"]["antimatter"]["value"] is True

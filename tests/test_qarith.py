@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -38,6 +39,13 @@ def test_padic_rejects_bad_input():
         padic(0, 2)
     with pytest.raises(InputError):
         padic(Fraction(1, 2), 4)
+
+
+def test_padic_proves_a_huge_prime_by_miller_rabin():
+    p = 10**18 + 9
+    start = time.perf_counter()
+    assert padic(Fraction(1, p), p) == -1
+    assert time.perf_counter() - start < 1
 
 
 def test_nth_prime_sequences():
