@@ -440,8 +440,14 @@ class FgMonoid:
         tx, ty = self._int_target(x, budget), self._int_target(y, budget)
         reach = self._reach(max(tx, ty), budget)
         common = [d for d in range(min(tx, ty) + 1) if reach[d] == reach[tx - d] == reach[ty - d] == "1"]
-        return tuple(Fraction(d, self.scale) for i, d in enumerate(common)
-                     if not any(reach[e - d] == "1" for e in common[i + 1:]))
+        # a common divisor e above d with e - d in M gives one at d + a for
+        # any atom a of e - d (x - d - a = (x - e) + (e - d - a)), so one
+        # step per atom decides maximality: linear in the divisors, not
+        # quadratic
+        is_common = set(common)
+        atoms = self.int_atoms
+        return tuple(Fraction(d, self.scale) for d in common
+                     if not any(d + a in is_common for a in atoms))
 
     def is_mcd(self, x: RationalLike, y: RationalLike, d: RationalLike,
                budget: Budget | int | None = None) -> bool:

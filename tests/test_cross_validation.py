@@ -21,7 +21,7 @@ import random
 import time
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -470,6 +470,8 @@ def test_printer_parser_round_trip_on_generated_trees(stmts):
 
 @given(stmts=st.lists(_stmts, min_size=1, max_size=5))
 @settings(max_examples=300, deadline=None)
+# 22,149 common divisors: a pairwise maximality scan over them took > 5 s
+@example(stmts=[Query("mcd", Family("grams", (("K", 4),)), (Fraction(13, 6), Fraction(11, 6)))])
 def test_generated_programs_end_in_a_documented_exit_code(stmts):
     # 0 success, 2 usage or input error, 3 budget exhausted; never a
     # traceback, and never a run that outlasts its budget
