@@ -405,15 +405,14 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
                           trace: list | None = None) -> FactorizationSet:
     """Factorization set of q over a family's atoms.
 
-    exAexB requires a window (number of admitted indices; a FamilyMonoid
-    brings its own window parameter instead) and is exact over
+    exAexB requires a window (number of admitted indices) and is exact over
     that windowed atom set, searched by the same integer kernel as finitely
     generated monoids.  sqden and interval1_sqden are exact and
     window-free thanks to the valuation pruning; parts are re-checked for
     atomhood in the sum before being reported.
     """
     if isinstance(kind, FamilyMonoid):
-        window = kind.param("window")
+        window = window or kind.param("window")
         kind = kind.kind
     q = as_rational(q)
     if q <= 0:

@@ -726,9 +726,9 @@ def max_cyclic_divisor(s: FgMonoid, a: RationalLike, r: RationalLike,
 
 def _extension(m: FgMonoid, r: Fraction, budget: Budget) -> FgMonoid:
     """S = M + N_0*r for an r outside M; r is then an atom of S."""
-    if m.contains(r, budget):
+    if (ext := add_cyclic(m, r, budget)).r_in_base:
         raise InputError(f"{r} already lies in {m}")
-    return FgMonoid(m.generators + (r,), budget)
+    return ext.monoid
 
 
 def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
@@ -742,9 +742,10 @@ def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
     """
     r, a = as_rational(r), as_rational(a)
     budget = _as_budget(budget)
-    s = _extension(m, r, budget)
-    if a not in m.atoms:
+    # an r in M is reported first; its cached membership makes the second check free
+    if a not in m.atoms and not m.contains(r, budget):
         raise InputError(f"{a} is not an atom of {m}")
+    s = _extension(m, r, budget)
     mult = max_cyclic_divisor(s, a, r, budget)
     rest = a - mult * r
     if not m.contains(rest, budget):
@@ -752,8 +753,7 @@ def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
     z = m.factorizations(rest, budget).items[0]
     if mult:
         z = Factorization.of({**dict(z.parts), r: mult})
-    s_atoms = set(s.atoms)
-    if any(atom not in s_atoms for atom, _ in z.parts):
+    if any(atom not in s.atoms for atom, _ in z.parts):
         raise RuntimeError("refactorization produced a part that is not an atom of the extension")
     return z
 
@@ -770,6 +770,8 @@ def mcd_via_extension(m: FgMonoid, r: RationalLike, x: RationalLike, y: Rational
     r, x, y = as_rational(r), as_rational(x), as_rational(y)
     budget = _as_budget(budget)
     s = _extension(m, r, budget)
+    for v in (x, y):
+        s._int_target(v, budget)   # NotAMemberError outside S, before any search
     mx = max_cyclic_divisor(s, x, r, budget)
     my = max_cyclic_divisor(s, y, r, budget)
     if mx > my:

@@ -170,6 +170,12 @@ def test_exaexb_window_counts():
         family_factorizations("exAexB", 2)
 
 
+def test_exaexb_window_argument_beats_the_descriptor_window():
+    assert family_factorizations(family("exAexB", window=3), 2) == family_factorizations("exAexB", 2, window=3)
+    assert family_factorizations(family("exAexB", window=3), 2, window=5) == family_factorizations("exAexB", 2, window=5)
+    assert family_factorizations(family("exAexB"), 2, window=5) == family_factorizations("exAexB", 2, window=5)
+
+
 def test_interval_sqden_sum_is_not_atomic_at_9_8():
     trace: list = []
     zs = family_factorizations("interval1_sqden", F(9, 8), trace=trace)
