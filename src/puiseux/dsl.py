@@ -235,7 +235,12 @@ class _Parser:
         return Ident(tok.text)
 
     def int_literal(self) -> int:
-        return int(self.expect("INT").text)
+        tok = self.expect("INT")
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than the interpreter's int-string digit limit
+            raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                             tok.line, tok.col) from None
 
     def rat(self) -> Fraction:
         if self.peek().kind != "INT":
@@ -243,8 +248,8 @@ class _Parser:
         num = self.int_literal()
         if self.peek().kind == "/":
             self.advance()
-            den_tok = self.expect("INT")
-            den = int(den_tok.text)
+            den_tok = self.peek()
+            den = self.int_literal()
             if den == 0:
                 raise ParseError("zero denominator in rational literal",
                                  den_tok.line, den_tok.col)

@@ -14,25 +14,24 @@ summands are dominated (0); an upperhalf point with y >= 2 splits off
 (0, 1) (0); a lexcone point splits off (0, 1) when y >= 2 and (1, 0)
 otherwise, moving x by at most one (1).
 
-Sumsets: a point with |x|, |y| <= R is bit (y + R) * W + x + R, W = 4R + 1,
-so encoded sums are the sums shifted by 2R * W + 2R and never wrap a row.
-A run of n consecutive x in a row of the smaller set shift-ors the larger
-set's mask with itself by doubling, then shifts it into place: about
-log2(n) + 1 shift-ors per run instead of n.
+Sumsets: row y of a box is at most three runs, the columns x < 0, x = 0 and
+x > 0 whose floor y reaches.  Point (x, y), |x|, |y| <= R, is bit (y + R) *
+(4R + 1) + x + R, so sums never wrap a row; a run of n points shift-ors the
+other set's mask with itself by doubling, log2(n) + 1 times instead of n.
 
-Factorizations go from the last atom to the first.  Two atoms left with
-det = x0 * y1 - x1 * y0 != 0: Cramer's rule gives the one candidate (a
-parallel pair loops over m1).  One left: rest = m * a0 is checked.  Once
-every remaining atom has 1 <= y_min <= y <= y_max, a rest (x, y) takes
-from ceil(y / y_max) to floor(y / y_min) parts p, so x lies within
-[min p * min x, max p * max x]; other branches are cut.
+Factorizations go from the last (largest) atom to the first: a node, a rest
+with atoms[0..i] left, takes m >= 1 parts of atom i, then jumps straight to
+the next lower atom that can take one; the last two, if not parallel, are
+solved by Cramer's rule.  With 1 <= y_min <= y <= y_max over the atoms left,
+a rest (x, y) takes ceil(y / y_max) to floor(y / y_min) parts p, so x lies
+in [min p * min x, max p * max x]; this window shrinks with the atoms left,
+so the first level it fails ends a jump.
 
-The searches run on (x, y) pairs; only their results are LatticePoints.
 Budget units, paid before or as the work is done: one per box point before
-a box's members are listed; `monoid._shift_units` per point of the smaller
-set, a bound on a sumset's shift-ors, paid by its caller from the closed-form
-member count before any member is listed; one per point sums of atoms
-reach; one per factorization node and per closed-form solution.
+its runs or members are built; `monoid._shift_units` per point of a sumset's
+smaller set, from the closed-form member count; one per point sums of atoms
+reach; one per factorization node and jump (never per skipped level) and one
+per closed-form solution.  Only results are built as LatticePoints.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .errors import InputError
 from .monoid import Budget, _allot, _as_budget, _shift_units
 
 Pair = tuple[int, int]
+Run = tuple[int, int, int]   # (x, y, n): the points (x, y) .. (x + n - 1, y)
 # per kind: the lowest member of a column x < 0, x = 0 and x > 0 (None: the
 # column has none), and the box margin that keeps atomhood sound
 _KINDS = {"quadrant": ((None, 0, 0), 0), "upperhalf": ((1, 0, 1), 0), "lexcone": ((1, 0, 0), 1)}
@@ -80,68 +80,77 @@ def lat_contains(kind: str, v: PointLike) -> bool:
     return floor is not None and v[1] >= floor
 
 
-def _members_in_box(kind: str, bound: int, budget: Budget) -> list[Pair]:
+def lat_members_in_box(kind: str, bound: int, budget: Budget) -> list[Pair]:
     """The box's members in sorted order, after one unit per box point."""
-    floors = _kind(kind)[0]
     budget.spend((2 * bound + 1) ** 2)
-    return [(x, y) for x in range(-bound, bound + 1)
-            if (floor := floors[(x > 0) - (x < 0) + 1]) is not None for y in range(floor, bound + 1)]
+    return sorted([(x + k, y) for x, y, n in _row_runs(kind, bound) for k in range(n)])
 
 
 def _member_count(kind: str, bound: int) -> int:
-    """len(_members_in_box(kind, bound)): bound, 1 and bound columns from their floors."""
+    """len(lat_members_in_box(kind, bound)): bound, 1 and bound columns from their floors."""
     return sum(n * (bound + 1 - f) for n, f in zip((bound, 1, bound), _kind(kind)[0]) if f is not None)
 
 
-def _charge_sumset(budget: Budget, smaller: int, r: int) -> None:
-    _allot(budget, smaller * _shift_units((4 * r + 1) ** 2), (4 * r + 1) ** 2)
+def _row_runs(kind: str, bound: int, origin: bool = True) -> list[Run]:
+    """The box's members (without the origin if not origin) as maximal runs, by row."""
+    floors, runs = _kind(kind)[0], []
+    for y in range(-bound, bound + 1):
+        for x, n, floor in zip((-bound, 0, 1), (bound, 1, bound), floors):
+            if floor is not None and y >= floor and n and (origin or x or y):
+                if runs and runs[-1][1] == y and runs[-1][0] + runs[-1][2] == x:
+                    x, n = runs[-1][0], runs.pop()[2] + n
+                runs.append((x, y, n))
+    return runs
 
 
-def _runs(points: list[Pair]) -> list[tuple[int, int, int]]:
-    """The distinct points as maximal runs (x, y, n): (x, y) .. (x + n - 1, y)."""
-    cells = sorted({(y, x) for x, y in points})
-    starts = [k for k, (y, x) in enumerate(cells) if not k or cells[k - 1] != (y, x - 1)]
-    return [(cells[k][1], cells[k][0], end - k) for k, end in zip(starts, starts[1:] + [len(cells)])]
+def _mask(runs: list[Run], offset: int, width: int) -> int:
+    """The runs as a bitmask, point (x, y) at bit (y + offset) * width + x + offset."""
+    mask = 0
+    for x, y, n in runs:
+        mask |= ((1 << n) - 1) << ((y + offset) * width + x + offset)
+    return mask
 
 
-def _sumset(a_points: list[Pair], b_points: list[Pair], bound: int) -> set[Pair]:
-    """{a + b for a in A for b in B} restricted to |x|, |y| <= bound."""
-    points = a_points + b_points
-    r = max(max(map(max, points), default=0), -min(map(min, points), default=0))
-    a_points, b_points = sorted((a_points, b_points), key=len, reverse=True)
-    width, mask, sums = 4 * r + 1, 0, 0
-    for x, y, n in _runs(a_points):
-        mask |= ((1 << n) - 1) << ((y + r) * width + x + r)
-    for x, y, n in _runs(b_points):
+def _sumset(a_runs: list[Run], b_runs: list[Run], r: int) -> int:
+    """{a + b for a in A for b in B} for runs inside |x|, |y| <= r, as a mask
+    with offset 2r and width 4r + 1; shift-ors once per doubling of a B run."""
+    width, sums = 4 * r + 1, 0
+    mask = _mask(a_runs, r, width)
+    for x, y, n in b_runs:
         run, have = mask, 1
         while have < n:
             step = min(have, n - have)
             run |= run << step
             have += step
         sums |= run << ((y + r) * width + x + r)
-    bits = format(sums, f"0{width * width}b")[::-1]
-    # no sum has a coordinate beyond 2r, and reading past it would wrap rows
-    box = range(-min(bound, 2 * r), min(bound, 2 * r) + 1)
-    return {(x, y) for y in box for x in box if bits[(y + 2 * r) * width + x + 2 * r] == "1"}
+    return sums
+
+
+def _points(mask: int, bound: int, r: int) -> list[Pair]:
+    """The sorted points, |x|, |y| <= bound, of a mask with offset 2r and width 4r + 1."""
+    width, out = 4 * r + 1, []
+    while mask:
+        y, x = divmod((mask & -mask).bit_length() - 1, width)
+        mask &= mask - 1
+        if abs(x - 2 * r) <= bound and abs(y - 2 * r) <= bound:
+            out.append((x - 2 * r, y - 2 * r))
+    return sorted(out)
 
 
 def lat_atoms_in_box(kind: str, bound: int,
                      budget: Budget | int | None = None) -> tuple[LatticePoint, ...]:
-    """Atoms of the monoid with |x|, |y| <= bound, by exhaustive decomposition.
-
-    A box member is decomposable iff it is a sum of two nonzero members of
-    the box enlarged by the documented per-kind margin, which suffices for
-    completeness (see module docstring).
-    """
+    """Atoms of the monoid with |x|, |y| <= bound: the nonzero members that
+    are no sum of two nonzero members of the box enlarged by the per-kind
+    margin, which suffices for completeness (see module docstring)."""
     if bound < 1:
         raise InputError("box bound must be positive")
-    budget = _as_budget(budget)
-    r = bound + _kind(kind)[1]
-    _charge_sumset(budget, _member_count(kind, r) - 1, r)  # the nonzero members
-    nonzero = [v for v in _members_in_box(kind, r, budget) if v != (0, 0)]
-    decomposable = _sumset(nonzero, nonzero, bound)
-    return tuple([LatticePoint(x, y) for x, y in nonzero
-                  if abs(x) <= bound and abs(y) <= bound and (x, y) not in decomposable])
+    budget, r = _as_budget(budget), bound + _kind(kind)[1]
+    width = 4 * r + 1
+    _allot(budget, (_member_count(kind, r) - 1) * _shift_units(width ** 2), width ** 2)
+    budget.spend((2 * r + 1) ** 2)  # the enlarged box's points
+    nonzero = _row_runs(kind, r, origin=False)
+    atoms = _mask(_row_runs(kind, bound, origin=False), 2 * r, width) & ~_sumset(nonzero, nonzero, r)
+    return tuple([LatticePoint(x, y) for x, y in _points(atoms, bound, r)])
 
 
 def lat_atomic_elements_in_box(bound: int,
@@ -149,11 +158,11 @@ def lat_atomic_elements_in_box(bound: int,
     """Members of the lexicographic cone in the box that are sums of its
     box atoms; with atom set {(1,0)} this is the nonnegative x-axis."""
     budget = _as_budget(budget)
-    return _sums_in_box(lat_atoms_in_box("lexcone", bound, budget), bound, budget)
+    return lat_sums_in_box(lat_atoms_in_box("lexcone", bound, budget), bound, budget)
 
 
-def _sums_in_box(atoms: tuple[LatticePoint, ...], bound: int,
-                 budget: Budget) -> tuple[LatticePoint, ...]:
+def lat_sums_in_box(atoms: tuple[LatticePoint, ...], bound: int,
+                    budget: Budget) -> tuple[LatticePoint, ...]:
     """Every sum of the given atoms reachable without leaving the box."""
     reached, frontier = {(0, 0)}, [(0, 0)]
     while frontier:
@@ -174,10 +183,13 @@ def lex_sum_check(bound: int, budget: Budget | int | None = None) -> bool:
     """
     if bound < 1:
         raise InputError("box bound must be positive")
-    budget, r = _as_budget(budget), 2 * bound
-    _charge_sumset(budget, min(_member_count("quadrant", r), _member_count("upperhalf", r)), r)
-    quadrant, upperhalf = (_members_in_box(kind, r, budget) for kind in ("quadrant", "upperhalf"))
-    return _sumset(quadrant, upperhalf, bound) == set(_members_in_box("lexcone", bound, budget))
+    budget, r, width = _as_budget(budget), 2 * bound, 8 * bound + 1
+    smaller = min(_member_count("quadrant", r), _member_count("upperhalf", r))
+    _allot(budget, smaller * _shift_units(width ** 2), width ** 2)
+    budget.spend(2 * (2 * r + 1) ** 2 + (2 * bound + 1) ** 2)  # both summands' boxes and the cone's
+    box = _mask([(-bound, y, 2 * bound + 1) for y in range(-bound, bound + 1)], 2 * r, width)
+    sums = _sumset(_row_runs("upperhalf", r), _row_runs("quadrant", r), r)
+    return sums & box == _mask(_row_runs("lexcone", bound), 2 * r, width)
 
 
 def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
@@ -194,57 +206,63 @@ def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
     if not lat_contains(kind, v):
         raise InputError(f"{v} is not an element of {kind}")
     budget = _as_budget(budget)
-    return _factorizations(lat_atoms_in_box(kind, bound, budget), v, budget)
+    return lat_factorizations_over(lat_atoms_in_box(kind, bound, budget), v, budget)
 
 
-def _factorizations(atoms: tuple[LatticePoint, ...], v: Pair,
-                    budget: Budget) -> tuple[tuple[LatticePoint, ...], ...]:
-    """All multisets of the given ascending distinct atoms (at least one)
-    summing to v (y >= 0), each sorted, in sorted order, by the search of
-    the module docstring; no child takes a rest's y below 0."""
+def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
+                            budget: Budget) -> tuple[tuple[LatticePoint, ...], ...]:
+    """All multisets of the given ascending distinct atoms summing to v, each
+    sorted, in sorted order, by the search of the module docstring.  At least one
+    atom; all have y >= 0, and one with y = 0 has x > 0 and no atom of x < 0 beside."""
     xs, ys = [a[0] for a in atoms], [a[1] for a in atoms]
-    # over atoms[0..i]: least and greatest x, least and greatest y
-    lo, hi, low, high = (list(accumulate(c, f)) for c in (xs, ys) for f in (min, max))
     det = xs[0] * ys[1] - xs[1] * ys[0] if len(atoms) > 1 else 0
-    out, counts = [], [0] * len(atoms)
+    closed = 2 if det else 0   # levels below this one are solved by Cramer's rule
+    out: list[tuple[LatticePoint, ...]] = []
+    path: list[tuple[int, int]] = []   # nonzero (i, m) on the open path, largest i first
+
+    def emit(*ms: int) -> None:
+        out.append(tuple([atoms[j] for j, m in (*enumerate(ms), *reversed(path)) for _ in range(m)]))
+
+    def fits(i: int, x: int, y: int) -> bool:
+        if i < 0:
+            return x == y == 0
+        if low[i] < 1:
+            return True
+        few, most = -(-y // high[i]), y // low[i]
+        return few <= most and (most if xs[0] < 0 else few) * xs[0] <= x <= (few if xs[i] < 0 else most) * xs[i]
 
     def children(i: int, rx: int, ry: int):
-        ax, ay, j = xs[i], ys[i], i - 1
-        # atoms of these monoids never have negative y; atoms on the x-axis
-        # have positive x and only ever coexist with other nonnegative-x atoms
-        for m in range(ry // ay + 1 if ay > 0 else (rx // ax + 1 if rx > 0 else 1)):
-            x, y = rx - m * ax, ry - m * ay
-            if low[j] >= 1:
-                few, most = -(-y // high[j]), y // low[j]
-                if few > most or not ((most if lo[j] < 0 else few) * lo[j] <= x
-                                      <= (few if hi[j] < 0 else most) * hi[j]):
-                    continue
-            counts[i] = m
-            yield j, x, y
-        counts[i] = 0
+        """Rests after m >= 1 parts of atom i, then the rest at the level a jump lands on."""
+        base = len(path)
+        for m in range(1, ry // ys[i] + 1 if ys[i] else max(rx, 0) // xs[i] + 1):
+            if fits(i - 1, rx - m * xs[i], ry - m * ys[i]):
+                path[base:] = [(i, m)]
+                yield i - 1, rx - m * xs[i], ry - m * ys[i]
+        del path[base:]
+        for j in range(i - 1, -1, -1):
+            if not fits(j, rx, ry):
+                return
+            if j < closed or (ry >= ys[j] and fits(j, rx - xs[j], ry - ys[j])):
+                yield j, rx, ry
+                return
 
-    # one child iterator per open level instead of one Python frame, so the
-    # depth (one level per atom) is not bounded by the recursion limit
+    if len(atoms) > closed:  # y ranges of atoms[0..i] (x ranges: xs[0]..xs[i]); none for a Cramer root
+        low, high = list(accumulate(ys, min)), list(accumulate(ys, max))
+    # child iterators, not Python frames: the depth is not bounded by the recursion limit
     stack = [iter([(len(atoms) - 1, *v)])]
     while stack:
         for i, x, y in stack[-1]:
             budget.spend()
             if x == y == 0:
-                solved: tuple[int, ...] | None = ()
-            elif i == 0:  # rest = m * a0
-                m = y // ys[0] if ys[0] else x // xs[0]
-                solved = (m,) if m > 0 and m * xs[0] == x and m * ys[0] == y else None
-            elif i == 1 and det:  # Cramer's rule
+                emit()
+            elif i < closed:
                 (m0, r0), (m1, r1) = divmod(x * ys[1] - xs[1] * y, det), divmod(xs[0] * y - x * ys[0], det)
-                solved = (m0, m1) if r0 == r1 == 0 and m0 >= 0 and m1 >= 0 else None
+                if r0 == r1 == 0 and m0 >= 0 and m1 >= 0:
+                    budget.spend()
+                    emit(m0, m1)
             else:
                 stack.append(children(i, x, y))
                 break
-            if solved:
-                budget.spend()
-            if solved is not None:
-                ms = (*solved, *counts[len(solved):])
-                out.append(tuple([a for a, m in zip(atoms, ms) for _ in range(m)]))
         else:
             stack.pop()
     return tuple(sorted(out))

@@ -638,7 +638,10 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
                     m1s = range(rem // g * pow(a1 // g, -1, step) % step, rem // a1 + 1, step)
                 else:
                     m1s = range(0)
-                budget.spend(len(m1s))
+                try:
+                    budget.spend(len(m1s))
+                except OverflowError:  # len() of a range past sys.maxsize items
+                    budget.spend((m1s.stop - m1s.start - 1) // m1s.step + 1)
                 tail = tuple(reversed(path))
                 for m1 in m1s:
                     m0 = (rem - m1 * a1) // a0

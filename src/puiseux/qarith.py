@@ -144,8 +144,8 @@ def prime_index(bound: int, budget: Budget | None = None) -> int:
 
 
 def _is_strong_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin over _MR_BASES, for odd n coprime to
-    every base and below _MR_EXACT_BELOW."""
+    """Miller-Rabin over _MR_BASES, for odd n coprime to every base: False
+    proves n composite, and True proves it prime below _MR_EXACT_BELOW."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -218,7 +218,10 @@ def padic(q: RationalLike, p: int) -> int:
     q = as_rational(q)
     if q == 0:
         raise InputError("p-adic valuation is undefined at zero")
-    if prime_factors(p) != [p]:   # Miller-Rabin, not trial division up to sqrt(p)
+    # Miller-Rabin refuses a composite at once and proves a prime below
+    # _MR_EXACT_BELOW; only a prime past it is proven by trial division
+    if not (p in _MR_BASES or p > 1 and all(p % b for b in _MR_BASES) and _is_strong_prime(p)
+            and (p < _MR_EXACT_BELOW or prime_factors(p) == [p])):
         raise InputError(f"{p} is not prime")
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 

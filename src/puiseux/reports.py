@@ -99,7 +99,7 @@ def _lexcone_scenario(box: int, budget: Budget) -> PaperReport:
     quadrant_atoms = lattice2.lat_atoms_in_box("quadrant", box, budget=budget)
     upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box, budget=budget)
     cone_atoms = lattice2.lat_atoms_in_box("lexcone", box, budget=budget)
-    atomic = lattice2._sums_in_box(cone_atoms, box, budget)
+    atomic = lattice2.lat_sums_in_box(cone_atoms, box, budget)
 
     claims = (
         _claim(
@@ -223,8 +223,8 @@ def _lattice_ffm_scenario(box: int, budget: Budget) -> PaperReport:
     upper_atoms = lattice2.lat_atoms_in_box("upperhalf", box, budget=budget)
 
     quadrant_unique = True
-    for v in lattice2._members_in_box("quadrant", box, budget):
-        if len(lattice2._factorizations(quadrant_atoms, v, budget)) != 1:
+    for v in lattice2.lat_members_in_box("quadrant", box, budget):
+        if len(lattice2.lat_factorizations_over(quadrant_atoms, v, budget)) != 1:
             quadrant_unique = False
             break
 
@@ -236,7 +236,7 @@ def _lattice_ffm_scenario(box: int, budget: Budget) -> PaperReport:
                                                 budget=budget)
         growth_counts.append(len(zs))
     for v in sample:
-        zs = lattice2._factorizations(upper_atoms, v, budget)
+        zs = lattice2.lat_factorizations_over(upper_atoms, v, budget)
         upper_lengths_ok &= {len(z) for z in zs} == {v.y}
 
     mcd_ok = True

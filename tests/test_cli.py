@@ -71,6 +71,15 @@ def test_eval_budget_exhaustion_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("query", ["Z", "L"])
+def test_two_atom_closed_form_past_sys_maxsize_is_charged(capsys, query):
+    # the last two atoms solve 2·m0 + 3·m1 = 10^20 in about 1.7·10^19 ways,
+    # more than len() of a range can count: the count is charged instead
+    code, _, err = run(capsys, "eval", f"{query}(pm(2,3), {10**20})")
+    assert code == 3
+    assert "budget" in err
+
+
 def test_eval_window_flag_supplies_bound(capsys):
     code, out, _ = run(capsys, "eval", "--window", "6", "Zl(family(exAexB), 2, 2)")
     assert code == 0
@@ -322,6 +331,22 @@ def test_repl_session(capsys, monkeypatch):
     assert "atoms: 2, 3" in out
     assert "M = FgMonoid(2, 3)" in out
     assert "error:" in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
+def test_repl_keeps_running_after_a_literal_past_the_digit_limit(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"member(pm(2,3), {'7' * 5000})\nmember(pm(2,3), 7)\n"))
+    monkeypatch.setattr("builtins.input", lambda prompt="": input_from_stdin(prompt))
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["error: line 1, col 17: integer literal of 5000 digits is too long", "true", ""]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
+def test_eval_literal_past_the_digit_limit_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "eval", f"member(pm(2,3), {'7' * 5000})")
+    assert code == 2
+    assert "digits is too long" in err
 
 
 def input_from_stdin(prompt=""):

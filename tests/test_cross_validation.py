@@ -49,7 +49,7 @@ from puiseux import (
 from puiseux.cli import main
 from puiseux.dsl import Family, FgLiteral, Ident, Let, Query, Sum
 from puiseux.families import _sqden_solutions
-from puiseux.lattice2 import LATTICE_KINDS, LatticePoint, _factorizations, _sumset
+from puiseux.lattice2 import LATTICE_KINDS, LatticePoint, _points, _sumset, lat_factorizations_over
 from puiseux.monoid import Budget
 
 F = Fraction
@@ -354,14 +354,16 @@ _lattice_points = st.lists(st.builds(LatticePoint, st.integers(-7, 7), st.intege
 @given(a_points=_lattice_points, b_points=_lattice_points, bound=st.integers(0, 16))
 @settings(max_examples=300, deadline=None)
 def test_bitmask_sumset_matches_pairwise_sums(a_points, b_points, bound):
-    # two independent sets with negative coordinates; bounds both below and
-    # above the largest coordinate sum (14) cut the read-back box
+    # two independent sets with negative coordinates, each point a run of
+    # one; bounds both below and above the largest coordinate sum (14) cut
+    # the read-back box
     want = {
         (a.x + b.x, a.y + b.y)
         for a in a_points for b in b_points
         if abs(a.x + b.x) <= bound and abs(a.y + b.y) <= bound
     }
-    assert _sumset(a_points, b_points, bound) == want
+    runs = [[(x, y, 1) for x, y in points] for points in (a_points, b_points)]
+    assert set(_points(_sumset(*runs, 7), bound, 7)) == want
 
 
 @pytest.mark.parametrize("bound", range(1, 9))
@@ -398,7 +400,7 @@ def test_parallel_last_pairs_match_product_enumeration(pair, extra):
         for x in range(-2, 8):
             for y in range(5):
                 want = oracle_lattice_factorizations(atoms, (x, y), y + max(x, 0))
-                assert _factorizations(atoms, (x, y), Budget()) == tuple(want)
+                assert lat_factorizations_over(atoms, (x, y), Budget()) == tuple(want)
 
 
 # atom sets shaped like the upper half-plane's (every y >= 1, any x) or the
@@ -416,7 +418,7 @@ _quadrant_atoms = st.sets(st.builds(LatticePoint, st.integers(0, 3), st.integers
 def test_pruned_factorizations_of_generated_atoms_match_product_enumeration(atoms, v):
     atoms = tuple(sorted(atoms))
     want = oracle_lattice_factorizations(atoms, v, v.y + max(v.x, 0))
-    assert _factorizations(atoms, v, Budget()) == tuple(want)
+    assert lat_factorizations_over(atoms, v, Budget()) == tuple(want)
 
 
 _rat = st.fractions(min_value=F(1, 12), max_value=8, max_denominator=12)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,22 @@ def test_parse_error_carries_position():
         parse("let M =\n  pm(2,,3)")
     assert err.value.line == 2
     assert err.value.col == 8
+
+
+_LONG = "7" * 5000   # past CPython's default int-string digit limit of 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
+@pytest.mark.parametrize("text, col", [
+    (f"member(pm(2,3), {_LONG})", 17),
+    (f"member(pm(2,3), 1/{_LONG})", 19),
+    (f"Zl(pm(2,3), 6, {_LONG})", 16),
+    (f"atoms(family(grams, K={_LONG}))", 23),
+], ids=["target", "denominator", "length", "parameter"])
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(text, col):
+    with pytest.raises(ParseError, match="5000 digits is too long") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, col)
 
 
 def test_tokens_carry_line_and_column():

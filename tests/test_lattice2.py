@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puiseux import (
     BudgetExceededError,
@@ -10,7 +12,8 @@ from puiseux import (
     lat_factorizations_in_box,
     lex_sum_check,
 )
-from puiseux.lattice2 import LATTICE_KINDS, _factorizations, _member_count, _members_in_box
+from puiseux.lattice2 import (LATTICE_KINDS, _member_count, _row_runs, lat_factorizations_over,
+                              lat_members_in_box)
 from puiseux.monoid import Budget
 
 P = LatticePoint
@@ -44,10 +47,32 @@ def test_members_in_box_match_the_membership_filter_of_the_box(bound):
     box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
     for kind in LATTICE_KINDS:
         budget = Budget(10**6)
-        members = _members_in_box(kind, bound, budget)
+        members = lat_members_in_box(kind, bound, budget)
         assert members == [v for v in box if lat_contains(kind, v)]
         assert 10**6 - budget.left == len(box)
         assert _member_count(kind, bound) == len(members)
+
+
+def _maximal_runs(points):
+    """The distinct points as maximal runs (x, y, n) of consecutive x in a row, by row."""
+    cells = sorted({(y, x) for x, y in points})
+    runs = []
+    for y, x in cells:
+        if runs and runs[-1][1] == y and runs[-1][0] + runs[-1][2] == x:
+            runs[-1] = (runs[-1][0], y, runs[-1][2] + 1)
+        else:
+            runs.append((x, y, 1))
+    return runs
+
+
+@given(kind=st.sampled_from(LATTICE_KINDS), bound=st.integers(0, 12), origin=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_row_runs_are_the_maximal_runs_of_the_box_members(kind, bound, origin):
+    # the members by the membership filter of the box, not through the runs
+    box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
+    members = [v for v in box if lat_contains(kind, v) and (origin or v != (0, 0))]
+    assert _row_runs(kind, bound, origin) == _maximal_runs(members)
+    assert sorted(members) == [v for v in lat_members_in_box(kind, bound, Budget()) if origin or v != (0, 0)]
 
 
 def test_atoms_in_box():
@@ -127,12 +152,12 @@ def test_lexcone_factorizations():
 
 
 # each search with the units it spends at box 10: box points, sumset shift-ors,
-# reached sums, and (the last) factorization nodes and closed-form solutions
+# reached sums, and (the last) factorization nodes, jumps and closed-form solutions
 _SEARCH_UNITS = [
     (lambda budget: lat_atoms_in_box("lexcone", 10, budget=budget), 793),
     (lambda budget: lex_sum_check(10, budget=budget), 4244),
     (lambda budget: lat_atomic_elements_in_box(10, budget=budget), 804),
-    (lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget), 1141),
+    (lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget), 886),
 ]
 
 
@@ -155,18 +180,23 @@ def test_lattice_searches_charge_the_budget(search):
     ((P(0, 1), P(1, 0)), P(3, 2), 2),
     ((P(0, 1), P(1, 0)), P(0, 0), 1),
     ((P(-1, 1), P(2, 1)), P(0, 2), 1),   # no integer solution: the node alone
-    # a parallel pair loops over m1: children (2,2) and (0,0); the first
-    # checks (2,2) = 2 * (1,1) directly
+    # a parallel pair is searched: the root, its child (0,0) after one (2,2),
+    # the jump to the atom (1,1) with the rest (2,2), and its child (0,0)
     ((P(1, 1), P(2, 2)), P(2, 2), 4),
+    # a single atom: the root and its one child that leaves (0,0)
     ((P(2, 0),), P(6, 0), 2),
     ((P(2, 0),), P(5, 0), 1),
     # both children, rests (1,3) and (-1,1), are cut: a rest of odd height y
     # would take at least ceil(y / 2) and at most floor(y / 2) parts of height 2
     ((P(0, 2), P(1, 2), P(2, 2)), P(1, 3), 1),
+    # the root's one child (-6,0) is cut, and its jump skips the atoms (2,1)
+    # .. (-1,1), which cannot take a part of (-3,1), straight to the last two:
+    # root, jump and one Cramer solution
+    (tuple(P(n, 1) for n in range(-3, 4)), P(-3, 1), 3),
 ])
 def test_search_charges_one_unit_per_node_and_closed_form_solution(atoms, v, units):
     meter = Budget(10**6)
-    _factorizations(atoms, v, meter)
+    lat_factorizations_over(atoms, v, meter)
     assert 10**6 - meter.left == units
 
 
@@ -175,17 +205,22 @@ def test_upperhalf_sample_and_quadrant_units():
     upper, quadrant = lat_atoms_in_box("upperhalf", 10), lat_atoms_in_box("quadrant", 10)
     meter = Budget(10**7)
     for v in (P(x, y) for x in (-2, 0, 1) for y in (1, 2, 3)):
-        zs = _factorizations(upper, v, meter)
+        zs = lat_factorizations_over(upper, v, meter)
         assert {len(z) for z in zs} == {v.y}
-    assert 10**7 - meter.left == 1895
+    assert 10**7 - meter.left == 835
     meter = Budget(10**7)
-    for v in _members_in_box("quadrant", 10, meter):
-        assert len(_factorizations(quadrant, v, meter)) == 1
+    for v in lat_members_in_box("quadrant", 10, meter):
+        assert len(lat_factorizations_over(quadrant, v, meter)) == 1
     # the box's 441 points, then one node and one Cramer solution per nonzero member
     assert 10**7 - meter.left == 441 + 2 * 120 + 1
 
 
 def test_factorization_search_is_not_limited_by_recursion():
-    # 1,201 atoms, one search level each, beyond the default recursion limit
+    # 1,201 atoms: the jump goes straight from the root to (0,1)
     atoms = tuple(P(n, 1) for n in range(-600, 601))
-    assert _factorizations(atoms, P(0, 1), Budget()) == ((P(0, 1),),)
+    assert lat_factorizations_over(atoms, P(0, 1), Budget()) == ((P(0, 1),),)
+    # every atom (n,1) with n >= 0 can take a part of (0,2), so the jumps from
+    # the root chain through 1,001 open nodes, beyond the default recursion limit
+    atoms = tuple(P(n, 1) for n in range(-1000, 1001))
+    want = tuple(sorted((P(-n, 1), P(n, 1)) for n in range(1001)))
+    assert lat_factorizations_over(atoms, P(0, 2), Budget()) == want

@@ -48,6 +48,17 @@ def test_padic_proves_a_huge_prime_by_miller_rabin():
     assert time.perf_counter() - start < 1
 
 
+def test_padic_refuses_a_composite_by_miller_rabin():
+    # trial division would run to 10^9 before it found a factor of the first;
+    # the second is a strong pseudoprime to the bases 2, 3, 5 and 7
+    start = time.perf_counter()
+    for p in (1000000007 * 1000000009, 3215031751, 43 * 47, 41 * 41, 1, 0, -7):
+        with pytest.raises(InputError, match="not prime"):
+            padic(1, p)
+    assert time.perf_counter() - start < 1
+    assert [padic(p * p, p) for p in (2, 41, 43, 2**61 - 1)] == [2, 2, 2, 2]
+
+
 def test_nth_prime_sequences():
     assert nth_prime(3, 0) == 5
     assert nth_prime(2, 3) == 5
