@@ -24,18 +24,22 @@ with atoms[0..i] left, takes m >= 1 parts of atom i, then jumps straight to
 the next lower atom that can take one; the last two, if not parallel, are
 solved by Cramer's rule.  With 1 <= y_min <= y <= y_max over the atoms left,
 a rest (x, y) takes ceil(y / y_max) to floor(y / y_min) parts p, so x lies
-in [min p * min x, max p * max x]; this window shrinks with the atoms left,
-so the first level it fails ends a jump.
+in [least, greatest] = [min p * min x, max p * max x]; this window shrinks
+with the atoms left, so the first level it fails ends a jump.  A jump bisects
+past each atom j with x_j - min x > x - least, which cannot take a part;
+over atoms of one height (upperhalf's) it then tests at most two windows.
 
 Budget units, paid before or as the work is done: one per box point before
 its runs or members are built; `monoid._shift_units` per point of a sumset's
 smaller set, from the closed-form member count; one per point sums of atoms
-reach; one per factorization node and jump (never per skipped level) and one
-per closed-form solution.  Only results are built as LatticePoints.
+reach; one per factorization node, jump and closed-form solution, and none
+per skipped level, so over atoms of mixed heights a jump may test windows no
+unit pays for.  Only results are built as LatticePoints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -176,11 +180,8 @@ def lat_sums_in_box(atoms: tuple[LatticePoint, ...], bound: int,
 
 def lex_sum_check(bound: int, budget: Budget | int | None = None) -> bool:
     """Does quadrant + upperhalf coincide with the lexicographic cone on the box?
-
-    The pairwise sums are taken over the twice-enlarged box, which covers
-    every decomposition of a box point: a sum landing in the box can use the
-    trivial splits v = v + 0 with each summand already inside the box.
-    """
+    Sums over the twice-enlarged box cover every decomposition of a box point:
+    one landing in the box can use the trivial split v = v + 0, both inside."""
     if bound < 1:
         raise InputError("box bound must be positive")
     budget, r, width = _as_budget(budget), 2 * bound, 8 * bound + 1
@@ -195,13 +196,10 @@ def lex_sum_check(bound: int, budget: Budget | int | None = None) -> bool:
 def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
                               budget: Budget | int | None = None
                               ) -> tuple[tuple[LatticePoint, ...], ...]:
-    """All multisets of box atoms summing to v, each sorted, in sorted order.
-
-    Complete over the atoms found in the box; for upperhalf this grows with
-    the box (every split (n, 1) + (x - n, 1) of (x, 2) is a new multiset),
-    which is exactly the evidence that factorization sets there are not
-    finite even though every length set is a singleton.
-    """
+    """All multisets of box atoms summing to v, each sorted, in sorted order;
+    for upperhalf they grow with the box (every split (n, 1) + (x - n, 1) of
+    (x, 2) is one), the evidence that its factorization sets are not finite
+    even though every length set is a singleton."""
     v = LatticePoint(*v)
     if not lat_contains(kind, v):
         raise InputError(f"{v} is not an element of {kind}")
@@ -224,22 +222,24 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
         out.append(tuple([atoms[j] for j, m in (*enumerate(ms), *reversed(path)) for _ in range(m)]))
 
     def fits(i: int, x: int, y: int) -> bool:
-        if i < 0:
-            return x == y == 0
-        if low[i] < 1:
-            return True
+        if i < 0 or low[i] < 1:  # no atom left, or one of height 0 (then no window)
+            return i >= 0 or x == y == 0
         few, most = -(-y // high[i]), y // low[i]
         return few <= most and (most if xs[0] < 0 else few) * xs[0] <= x <= (few if xs[i] < 0 else most) * xs[i]
 
     def children(i: int, rx: int, ry: int):
         """Rests after m >= 1 parts of atom i, then the rest at the level a jump lands on."""
-        base = len(path)
-        for m in range(1, ry // ys[i] + 1 if ys[i] else max(rx, 0) // xs[i] + 1):
+        base, cap = len(path), ry // ys[i] if ys[i] else max(rx, 0) // xs[i]
+        for m in range(max(1, cap) if i == 0 else 1, cap + 1):  # the last atom leaves 0 only at cap
             if fits(i - 1, rx - m * xs[i], ry - m * ys[i]):
                 path[base:] = [(i, m)]
                 yield i - 1, rx - m * xs[i], ry - m * ys[i]
         del path[base:]
-        for j in range(i - 1, -1, -1):
+        top = i - 1   # bisect past the atoms too far right to take a part (module docstring)
+        if top >= closed and low[top] >= 1:
+            least = (ry // low[top] if xs[0] < 0 else -(-ry // high[top])) * xs[0]
+            top = max(closed - 1, bisect_right(xs, rx - least + xs[0], 0, i) - 1)
+        for j in range(top, -1, -1):
             if not fits(j, rx, ry):
                 return
             if j < closed or (ry >= ys[j] and fits(j, rx - xs[j], ry - ys[j])):

@@ -638,10 +638,8 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
                     m1s = range(rem // g * pow(a1 // g, -1, step) % step, rem // a1 + 1, step)
                 else:
                     m1s = range(0)
-                try:
-                    budget.spend(len(m1s))
-                except OverflowError:  # len() of a range past sys.maxsize items
-                    budget.spend((m1s.stop - m1s.start - 1) // m1s.step + 1)
+                # len(m1s) without len(), which overflows past sys.maxsize items
+                budget.spend(max(0, -((m1s.start - m1s.stop) // m1s.step)))
                 tail = tuple(reversed(path))
                 for m1 in m1s:
                     m0 = (rem - m1 * a1) // a0

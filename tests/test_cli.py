@@ -281,6 +281,20 @@ def test_large_lattice_boxes_end_within_the_budget(capsys, example, box, want):
     assert ("budget" in err) == (want == 3)
 
 
+def test_largest_upperhalf_box_the_default_budget_admits_ends_in_time(capsys):
+    # box 175 is the largest 4.4 runs within the default budget; its upper
+    # half-plane sample searches over 351 atoms of height 1, where a jump
+    # tests at most two windows, so the units it spends bound its time
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "paper", "4.4", "--box", "175")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.strip().endswith("PASS")
+    code, _, err = run(capsys, "paper", "4.4", "--box", "176")
+    assert code == 3
+    assert "budget" in err
+
+
 @pytest.mark.parametrize("example", ["3.2", "4.4"])
 def test_huge_lattice_box_is_refused_before_its_members_are_listed(capsys, example):
     # at box 1000 the quadrant atom search of 4.4 would pair ~10^6 members in

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,7 +222,26 @@ def test_factorization_search_is_not_limited_by_recursion():
     atoms = tuple(P(n, 1) for n in range(-600, 601))
     assert lat_factorizations_over(atoms, P(0, 1), Budget()) == ((P(0, 1),),)
     # every atom (n,1) with n >= 0 can take a part of (0,2), so the jumps from
-    # the root chain through 1,001 open nodes, beyond the default recursion limit
-    atoms = tuple(P(n, 1) for n in range(-1000, 1001))
-    want = tuple(sorted((P(-n, 1), P(n, 1)) for n in range(1001)))
-    assert lat_factorizations_over(atoms, P(0, 2), Budget()) == want
+    # the root chain through 5,001 open nodes, beyond the default recursion
+    # limit; from each rest (-n,1) the jump lands on the atom (-n,1) itself,
+    # which a level-by-level scan reaches after tens of millions of window
+    # tests in all, the bisection after two per jump
+    atoms = tuple(P(n, 1) for n in range(-5000, 5001))
+    want = tuple(sorted((P(-n, 1), P(n, 1)) for n in range(5001)))
+    meter = Budget(10**7)
+    start = time.perf_counter()
+    assert lat_factorizations_over(atoms, P(0, 2), meter) == want
+    assert time.perf_counter() - start < 2
+    # nodes, jumps and Cramer solutions: a level-by-level scan charges the same
+    assert 10**7 - meter.left == 20002
+
+
+def test_a_last_atom_tries_only_the_part_count_that_can_leave_zero():
+    # (1,0) is lexcone's one box atom: the rest (10^7, 1) is no multiple of it,
+    # found by one window test instead of one per part count up to 10^7
+    meter = Budget(10**6)
+    start = time.perf_counter()
+    assert lat_factorizations_in_box("lexcone", P(10**7, 1), 3, budget=meter) == ()
+    assert time.perf_counter() - start < 0.5
+    assert 10**6 - meter.left == 122   # the atom search at box 3, then the root
+    assert lat_factorizations_in_box("lexcone", P(5, 0), 3) == ((P(1, 0),) * 5,)
