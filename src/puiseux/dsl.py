@@ -399,7 +399,7 @@ class Evaluator:
             return families.family_factorizations(fam, q.args[0], budget=budget)
         if q.head == "L":
             if fam.kind == "interval1":
-                return LengthSet(Fraction(q.args[0]), families.interval_lengths(q.args[0]))
+                return LengthSet(Fraction(q.args[0]), families.interval_lengths(q.args[0], budget))
             zs = families.family_factorizations(fam, q.args[0], budget=budget)
             return LengthSet(zs.target, zs.lengths())
         if q.head == "Zl":
@@ -434,10 +434,14 @@ class Evaluator:
 def render(value: object, json_mode: bool = False) -> str:
     """Deterministic text or JSON for every query result type; JSON from
     `monoid._json_text` (two-space indent, ASCII-escaped, keys in the order
-    built) is byte for byte what `json.dumps(..., indent=2)` gives."""
-    if json_mode:
-        return _json_text(_jsonable(value))
-    return _text(value)
+    built) is byte for byte what `json.dumps(..., indent=2)` gives.  A
+    result holding an integer past the interpreter's int-string digit limit
+    is an InputError."""
+    try:
+        return _json_text(_jsonable(value)) if json_mode else _text(value)
+    except ValueError:  # the only ValueError here: int-to-str past the digit limit
+        raise InputError("the result holds an integer too long to print "
+                         "(past the interpreter's int-string digit limit)") from None
 
 
 def _jsonable(value: object):

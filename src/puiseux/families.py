@@ -465,15 +465,18 @@ def family_member(kind: str | FamilyMonoid, q: RationalLike,
     raise NeedsBoundError(f"no exact membership procedure for {kind}; {_bound_hint(kind)}")
 
 
-def interval_lengths(q: RationalLike) -> tuple[int, ...]:
-    """Length set of q in {0} u Q>=1: ell works iff ell <= q < 2*ell."""
+def interval_lengths(q: RationalLike, budget: Budget | int | None = None) -> tuple[int, ...]:
+    """Length set of q in {0} u Q>=1: ell works iff ell <= q < 2*ell, that
+    is for the integers in (q/2, q].  One unit per length, charged before
+    the tuple is built."""
     q = as_rational(q)
     if q == 0:
         return (0,)
     if q < 1:
         raise InputError(f"{q} is not an element of the unit-interval monoid")
-    lo = int(q // 2) + 1
-    return tuple(ell for ell in range(lo, int(q) + 1) if ell <= q < 2 * ell)
+    lo, count = int(q // 2) + 1, int(q) - int(q // 2)
+    _allot(_as_budget(budget), count, count)
+    return tuple(range(lo, lo + count))
 
 
 def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,

@@ -22,6 +22,9 @@ construction for the largest generator, and again whenever a membership
 query would grow the bitmask.  The range scans (divisors, mcd sets, cyclic
 divisors, smallest members) read the bitmask, since they are O(target)
 anyway.
+
+The cyclic-extension procedures (the last section) run on the integers of
+S = M + N_0*r too, and charge only these structures and the kernel's nodes.
 """
 
 from __future__ import annotations
@@ -307,7 +310,7 @@ def _json_text(value: object, nl: str = "\n") -> str:
 
 def _positive_rational(value: RationalLike) -> Fraction:
     q = as_rational(value)
-    if q <= 0:
+    if q.numerator <= 0:
         raise InputError(f"generator {q} is not positive")
     return q
 
@@ -327,22 +330,23 @@ class FgMonoid:
     """
 
     def __init__(self, generators: Iterable[RationalLike], budget: Budget | int | None = None):
-        gens = tuple(sorted({_positive_rational(g) for g in generators}))
+        # deduplicated on (numerator, denominator), sorted as scaled integers
+        gens = {(q.numerator, q.denominator): q for q in map(_positive_rational, generators)}
         if not gens:
             raise InputError("at least one generator is required")
         budget = _as_budget(budget)
         # one unit per scaled generator and 64-bit word of the scale past the
         # first, with the scale bounded by its denominators' total width;
         # charged before the scale is built, and free below 128 bits
-        dens = [g.denominator for g in gens]
-        budget.spend(len(gens) * max(0, sum(map(int.bit_length, dens)) // 64 - 1))
-        self.generators = gens
-        self.scale = math.lcm(*dens)
-        self.int_gens = tuple(int(g * self.scale) for g in gens)
+        budget.spend(len(gens) * max(0, sum(d.bit_length() for _, d in gens) // 64 - 1))
+        self.scale = math.lcm(*(d for _, d in gens))
+        scaled = sorted((n * (self.scale // d), q) for (n, d), q in gens.items())
+        self.int_gens = tuple(t for t, _ in scaled)
+        self.generators = tuple(q for _, q in scaled)
         # Apéry table with respect to int_atoms[0], once one is built
         self._table: list | None = None
         self.int_atoms = self._minimal_generators(budget)
-        generator_of = dict(zip(self.int_gens, gens))
+        generator_of = dict(scaled)
         self.atoms = tuple(generator_of[g] for g in self.int_atoms)
         # (cover, bits): bit t decided for all 0 <= t <= cover
         self._state: tuple[int, int] = (0, 1)
@@ -381,14 +385,14 @@ class FgMonoid:
     def contains(self, q: RationalLike, budget: Budget | int | None = None) -> bool:
         """Exact membership: is q a nonnegative-integer combination of generators?"""
         q = as_rational(q)
-        if q < 0:
+        if q.numerator < 0:
             raise InputError("membership is only defined for nonnegative rationals")
-        if q == 0:
-            return True
-        t = q * self.scale
-        if t.denominator != 1:
-            return False
-        t = int(t)
+        # q * scale is an integer iff q's (reduced) denominator divides the scale
+        d = q.denominator
+        return self.scale % d == 0 and self._member(q.numerator * (self.scale // d), budget)
+
+    def _member(self, t: int, budget: Budget | int | None) -> bool:
+        """contains for an integer t >= 0 on this monoid's grid."""
         table = self._table
         if table is None:
             cover, bits = self._state
@@ -415,9 +419,9 @@ class FgMonoid:
 
     def _int_target(self, q: RationalLike, budget: Budget) -> int:
         q = as_rational(q)
-        if q < 0 or not self.contains(q, budget):
+        if q.numerator < 0 or not self.contains(q, budget):
             raise NotAMemberError(f"{q} is not an element of {self}")
-        return int(q * self.scale)
+        return q.numerator * (self.scale // q.denominator)
 
     # -- divisibility structure --------------------------------------------
 
@@ -681,6 +685,9 @@ def _paths_to_set(q: RationalLike, atoms: Sequence[Fraction] | Mapping[int, Frac
 
 
 # -- cyclic extensions: the constructive procedures behind the sum theorems --
+# They run on S's scaled integers (r is step = r * S.scale; M's grid is S's
+# divided by f = S.scale / M.scale) and charge S's construction, S's bitmask
+# where they scan, M's table or bitmask per membership test, and kernel nodes.
 
 
 @dataclass(frozen=True)
@@ -708,6 +715,12 @@ def add_cyclic(m: FgMonoid, r: RationalLike, budget: Budget | int | None = None)
     return CyclicExtension(m, r, s, in_base)
 
 
+def _r_multiple(reach: str, t: int, step: int) -> int:
+    """Largest k >= 0 with reach[t - k*step] == "1", for reach[t] == "1"."""
+    k = reach[t % step:t:step].find("1")
+    return t // step - k if k >= 0 else 0
+
+
 def max_cyclic_divisor(s: FgMonoid, a: RationalLike, r: RationalLike,
                        budget: Budget | int | None = None) -> int:
     """Largest m >= 0 with a - m*r in S; finite because r > 0."""
@@ -718,18 +731,27 @@ def max_cyclic_divisor(s: FgMonoid, a: RationalLike, r: RationalLike,
     t = s._int_target(a, budget)
     # a - m*r stays on the integer grid of S only when den divides m
     step, den = (r * s.scale).as_integer_ratio()
-    reach = s._reach(t, budget)
-    for k in range(t // step, 0, -1):
-        if reach[t - k * step] == "1":
-            return den * k
-    return 0
+    return den * _r_multiple(s._reach(t, budget), t, step)
 
 
-def _extension(m: FgMonoid, r: Fraction, budget: Budget) -> FgMonoid:
-    """S = M + N_0*r for an r outside M; r is then an atom of S."""
+def _extension(m: FgMonoid, r: Fraction, budget: Budget) -> tuple[FgMonoid, int, int]:
+    """S = M + N_0*r for an r outside M, r on S's grid, and f = S.scale / M.scale."""
     if (ext := add_cyclic(m, r, budget)).r_in_base:
         raise InputError(f"{r} already lies in {m}")
-    return ext.monoid
+    s = ext.monoid
+    return s, r.numerator * (s.scale // r.denominator), s.scale // m.scale
+
+
+def _lifter(m: FgMonoid, s: FgMonoid, step: int, f: int):
+    """Lift a kernel path over M's atoms, plus c parts r, to a kernel path
+    over S's atoms; None when one of its parts is no atom of S."""
+    index_of = {a: j for j, a in enumerate(s.int_atoms)}
+    index, r_index = [index_of.get(a * f) for a in m.int_atoms], index_of[step]
+
+    def lift(p, c):
+        q = [(index[i], k) for i, k in p]
+        return None if any(j is None for j, _ in q) else tuple(sorted(q + [(r_index, c)] if c else q))
+    return lift
 
 
 def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
@@ -739,24 +761,30 @@ def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
     Strips the maximal multiple of r first; the remainder then factors over
     atoms of M, and maximality forces every part of that factorization to
     stay an atom of S.  This is the constructive witness that atomicity
-    survives a cyclic extension.
+    survives a cyclic extension.  The remainder's factorization is the
+    kernel's first over M's atoms.
     """
     r, a = as_rational(r), as_rational(a)
     budget = _as_budget(budget)
     # an r in M is reported first; its cached membership makes the second check free
     if a not in m.atoms and not m.contains(r, budget):
         raise InputError(f"{a} is not an atom of {m}")
-    s = _extension(m, r, budget)
-    mult = max_cyclic_divisor(s, a, r, budget)
-    rest = a - mult * r
-    if not m.contains(rest, budget):
+    s, step, f = _extension(m, r, budget)
+    t = s._int_target(a, budget)
+    mult = _r_multiple(s._reach(t, budget), t, step)
+    rest = t - mult * step
+    if rest % f or not m._member(rest // f, budget):
         raise RuntimeError("maximal r-multiple left a remainder outside the base monoid")
-    z = m.factorizations(rest, budget).items[0]
-    if mult:
-        z = Factorization.of({**dict(z.parts), r: mult})
-    if any(atom not in s.atoms for atom, _ in z.parts):
+    p = _lifter(m, s, step, f)(_checked_paths(rest // f, m.int_atoms, None, budget)[0], mult)
+    if p is None:
         raise RuntimeError("refactorization produced a part that is not an atom of the extension")
-    return z
+    return Factorization(tuple((s.atoms[j], k) for j, k in p))
+
+
+def _first_common(a: str, b: str, c: str) -> int:
+    """The first index at which all three strings (of one length) hold "1", or -1."""
+    common = int(a, 2) & int(b, 2) & int(c, 2) if a else 0
+    return len(a) - common.bit_length() if common else -1
 
 
 def mcd_via_extension(m: FgMonoid, r: RationalLike, x: RationalLike, y: RationalLike,
@@ -767,40 +795,42 @@ def mcd_via_extension(m: FgMonoid, r: RationalLike, x: RationalLike, y: Rational
     the shared multiple of r, then repeatedly take a maximal common divisor
     in the base monoid and peel off a smallest nonzero residual common
     divisor, which strictly decreases the r-multiple of the second element.
+    The one taken in M is its largest common divisor, m.mcd_set(x, y)[-1]
+    (one above it would be larger), found by a scan down M's reach; the
+    residual one by a scan up S's.
     """
     r, x, y = as_rational(r), as_rational(x), as_rational(y)
     budget = _as_budget(budget)
-    s = _extension(m, r, budget)
-    for v in (x, y):
-        s._int_target(v, budget)   # NotAMemberError outside S, before any search
-    mx = max_cyclic_divisor(s, x, r, budget)
-    my = max_cyclic_divisor(s, y, r, budget)
+    s, step, f = _extension(m, r, budget)
+    # NotAMemberError outside S, before any search
+    x, y = s._int_target(x, budget), s._int_target(y, budget)
+    sr, mr = s._reach(max(x, y), budget), ""
+    mx, my = _r_multiple(sr, x, step), _r_multiple(sr, y, step)
     if mx > my:
         x, y, mx, my = y, x, my, mx
-    shared = mx * r
-    x, y = x - shared, y - shared
-    my -= mx
-    return shared + _mcd_zero_case(m, s, r, x, y, my + 1, budget)
-
-
-def _mcd_zero_case(m: FgMonoid, s: FgMonoid, r: Fraction, x: Fraction, y: Fraction,
-                   fuel: int, budget: Budget) -> Fraction:
+    d = mx * step
+    x, y = x - d, y - d
     # Invariant: r does not divide x in S, so every divisor of x lives in M.
-    if fuel < 0:
-        raise RuntimeError("maximal-common-divisor recursion exceeded its proof bound")
-    my = max_cyclic_divisor(s, y, r, budget)
-    if my == 0:
-        return m.mcd_set(x, y, budget)[-1]
-    y_stripped = y - my * r
-    d1 = m.mcd_set(x, y_stripped, budget)[-1]
-    residual_common = sorted(
-        set(s.divisors(x - d1, budget)) & set(s.divisors(y - d1, budget))
-    )
-    nonzero = [d for d in residual_common if d != 0]
-    if not nonzero:
-        return d1
-    d2 = nonzero[0]
-    return d1 + d2 + _mcd_zero_case(m, s, r, x - d1 - d2, y - d1 - d2, fuel - 1, budget)
+    # Nor ys, by the maximality of its r-multiple.  Both are tested as
+    # m.mcd_set(x, ys) tests them, so M's structures are charged as there.
+    for _ in range(my - mx + 2):
+        ys = y - _r_multiple(sr, y, step) * step
+        xm, ym = x // f, ys // f
+        if x % f or ys % f or not (m._member(xm, budget) and m._member(ym, budget)):
+            raise RuntimeError("maximal-common-divisor construction left the base monoid")
+        if len(mr) <= max(xm, ym):
+            mr = m._reach(max(xm, ym), budget)
+        n = min(xm, ym)
+        d1 = (n - _first_common(mr[n::-1], mr[xm - n:xm + 1], mr[ym - n:ym + 1])) * f
+        if ys == y:
+            return Fraction(d + d1, s.scale)
+        d, x, y = d + d1, x - d1, y - d1
+        n = min(x, y)
+        k = _first_common(sr[1:n + 1], sr[x - n:x][::-1], sr[y - n:y][::-1])
+        if k < 0:
+            return Fraction(d, s.scale)
+        d, x, y = d + k + 1, x - k - 1, y - k - 1
+    raise RuntimeError("maximal-common-divisor construction exceeded its proof bound")
 
 
 def factorizations_via_offsets(m: FgMonoid, r: RationalLike, s_value: RationalLike,
@@ -811,21 +841,18 @@ def factorizations_via_offsets(m: FgMonoid, r: RationalLike, s_value: RationalLi
     base factorization by c copies of r, then filters to multisets whose
     parts are all atoms of S.  The filtered union equals the direct
     enumeration over S; unfiltered it may mention base atoms that stop
-    being atoms after the extension.
+    being atoms after the extension.  Sorting the lifted kernel paths puts
+    the union in canonical order (see FactorizationSet).
     """
     r, s_value = as_rational(r), as_rational(s_value)
     budget = _as_budget(budget)
-    s = _extension(m, r, budget)
-    s._int_target(s_value, budget)   # NotAMemberError outside S
-    s_atoms = set(s.atoms)
-    items: list[Factorization] = []
-    c = 0
-    while c * r <= s_value:
-        rest = s_value - c * r
-        if m.contains(rest, budget):
-            for z in m.factorizations(rest, budget).items:
-                lifted = Factorization.of({**dict(z.parts), r: c}) if c else z
-                if all(atom in s_atoms for atom, _ in lifted.parts):
-                    items.append(lifted)
-        c += 1
-    return FactorizationSet.of(s_value, items)
+    s, step, f = _extension(m, r, budget)
+    t = s._int_target(s_value, budget)   # NotAMemberError outside S
+    lift = _lifter(m, s, step, f)
+    paths = []
+    for c in range(t // step + 1):
+        rest = t - c * step
+        if rest % f == 0 and m._member(rest // f, budget):
+            lifted = (lift(p, c) for p in _checked_paths(rest // f, m.int_atoms, None, budget))
+            paths += (p for p in lifted if p is not None)
+    return _paths_to_set(s_value, s.atoms, sorted(paths, key=lambda p: p[::-1]))

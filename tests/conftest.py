@@ -126,6 +126,53 @@ def random_extension_instances(seed: int, count: int) -> list[tuple[FgMonoid, Fr
     return out
 
 
+def oracle_extension_tables(gens, r: Fraction, limit: Fraction) -> tuple[int, set[int], set[int]]:
+    """The members of M = <gens> and of S = M + N_0*r up to limit, on the
+    integer grid of scale, the lcm of the denominators of gens and r, as
+    (scale, M's members, S's members): the values of the product
+    enumeration."""
+    scale = math.lcm(r.denominator, *(g.denominator for g in gens))
+    ints, top = [int(g * scale) for g in gens], int(limit * scale)
+    in_m = set(oracle_value_buckets(ints, top))
+    return scale, in_m, set(oracle_value_buckets([*ints, int(r * scale)], top))
+
+
+def oracle_r_multiple(in_s: set[int], t: int, step: int) -> int:
+    """The largest k >= 0 with t - k*step a member, for a member t."""
+    return max(k for k in range(t // step + 1) if t - k * step in in_s)
+
+
+def oracle_common_divisors(members: set[int], x: int, y: int) -> list[int]:
+    """Every d with d, x - d and y - d members, ascending."""
+    return [d for d in range(min(x, y) + 1) if {d, x - d, y - d} <= members]
+
+
+def oracle_mcd_via_extension(gens, r: Fraction, x: Fraction, y: Fraction) -> Fraction:
+    """The construction mcd_via_extension documents, over oracle tables.
+
+    Strip the shared multiple of r from x and y (x being the one with the
+    smaller r-multiple); then, while y still holds a copy of r, add the
+    largest common divisor d1 in M of x and y stripped of its r-multiple,
+    and the smallest nonzero common divisor d2 in S of x - d1 and y - d1,
+    and subtract both from x and y.
+    """
+    scale, in_m, in_s = oracle_extension_tables(gens, r, max(x, y))
+    step, x, y = (int(v * scale) for v in (r, x, y))
+    mx, my = oracle_r_multiple(in_s, x, step), oracle_r_multiple(in_s, y, step)
+    if mx > my:
+        x, y = y, x
+    d = min(mx, my) * step
+    x, y = x - d, y - d
+    while True:
+        stripped = y - oracle_r_multiple(in_s, y, step) * step
+        d1 = oracle_common_divisors(in_m, x, stripped)[-1]
+        later = oracle_common_divisors(in_s, x - d1, y - d1)[1:]
+        if stripped == y or not later:
+            return Fraction(d + d1, scale)
+        d2 = later[0]
+        d, x, y = d + d1 + d2, x - d1 - d2, y - d1 - d2
+
+
 def random_member(rng: random.Random, m: FgMonoid, max_parts: int = 5) -> Fraction:
     """A random element of m as a small combination of its atoms."""
     total = Fraction(0)

@@ -363,6 +363,26 @@ def test_eval_literal_past_the_digit_limit_is_a_usage_error(capsys):
     assert "digits is too long" in err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string digit limit")
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_result_past_the_digit_limit_is_a_usage_error(capsys, flags):
+    # the literal is as long as the limit allows; 2n copies of 1/2 make a
+    # multiplicity (and a length) one digit longer
+    n = "9" * sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "eval", *flags, f"Z(pm(1/2), {n})")
+    assert (code, out) == (2, "")
+    assert "too long to print" in err
+
+
+def test_interval_length_set_is_charged_before_it_is_built(capsys):
+    # 500,000 lengths in (q/2, q], one unit each, against a budget of 100
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--budget", "100", "L(family(interval1), 1000000)")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "budget" in err
+
+
 def input_from_stdin(prompt=""):
     import sys
 

@@ -1,9 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_extension_instances, random_member
+from conftest import (
+    oracle_atoms,
+    oracle_common_divisors,
+    oracle_extension_tables,
+    oracle_mcd_via_extension,
+    oracle_r_multiple,
+    oracle_value_buckets,
+    oracle_vectors,
+    random_extension_instances,
+    random_member,
+)
 from puiseux import (
     FgMonoid,
     InputError,
@@ -148,3 +159,61 @@ def test_extension_preserves_atomicity_of_generators():
         s = FgMonoid(gens_m) + FgMonoid(gens_n)
         for g in s.generators:
             assert len(s.factorizations(g)) >= 1
+
+
+# -- the integer-grid procedures against the oracle tables -----------------------
+
+
+def canonical(vectors):
+    # canonical order compares vectors over the atoms in descending order
+    return sorted(vectors, key=lambda v: v[::-1])
+
+
+def test_mcd_via_extension_is_the_documented_construction():
+    rng = random.Random(47)
+    for m, r in random_extension_instances(seed=53, count=120):
+        s = add_cyclic(m, r).monoid
+        x, y = (random_member(rng, s, 3) + rng.randint(0, 2) * r for _ in range(2))
+        assert mcd_via_extension(m, r, x, y) == oracle_mcd_via_extension(m.generators, r, x, y)
+
+
+def test_refactor_atom_strips_the_oracle_r_multiple():
+    for m, r in random_extension_instances(seed=59, count=120):
+        scale, in_m, in_s = oracle_extension_tables(m.generators, r, max(m.generators))
+        step = int(r * scale)
+        m_atoms = oracle_atoms([int(g * scale) for g in m.generators])
+        s_atoms = oracle_atoms(sorted([int(g * scale) for g in m.generators] + [step]))
+        for a in m_atoms:
+            z = refactor_atom(m, r, F(a, scale))
+            k = oracle_r_multiple(in_s, a, step)
+            assert z.multiplicity(r) == k
+            rest = a - k * step
+            assert rest in in_m
+            # the remainder's factorization is the first over M's atoms in canonical order
+            first = canonical(oracle_vectors(m_atoms, rest))[0]
+            assert dict(z.parts) == {**{F(b, scale): n for b, n in zip(m_atoms, first) if n},
+                                     **({r: k} if k else {})}
+            assert all(int(p * scale) in s_atoms for p, _ in z.parts)
+
+
+def test_offsets_are_the_oracle_vectors_over_the_atoms_of_s():
+    rng = random.Random(61)
+    for m, r in random_extension_instances(seed=67, count=120):
+        target = random_member(rng, add_cyclic(m, r).monoid, 4)
+        scale = math.lcm(r.denominator, *(g.denominator for g in m.generators))
+        s_atoms = oracle_atoms(sorted([int(g * scale) for g in m.generators] + [int(r * scale)]))
+        want = canonical(oracle_vectors(s_atoms, int(target * scale)))
+        got = factorizations_via_offsets(m, r, target)
+        assert [dict(z.parts) for z in got] == [
+            {F(a, scale): n for a, n in zip(s_atoms, v) if n} for v in want]
+
+
+def test_last_maximal_common_divisor_is_the_largest_common_divisor():
+    # mcd_via_extension takes the largest common divisor in M for m.mcd_set(x, y)[-1]
+    rng = random.Random(71)
+    for m, _ in random_extension_instances(seed=73, count=120):
+        x, y = random_member(rng, m, 4), random_member(rng, m, 4)
+        scale = math.lcm(*(g.denominator for g in m.generators))
+        members = set(oracle_value_buckets([int(g * scale) for g in m.generators], int(max(x, y) * scale)))
+        largest = oracle_common_divisors(members, int(x * scale), int(y * scale))[-1]
+        assert m.mcd_set(x, y)[-1] == F(largest, scale)

@@ -252,6 +252,16 @@ def test_interval_lengths():
         interval_lengths(F(1, 2))
 
 
+def test_interval_lengths_charge_one_unit_per_length_first():
+    meter = Budget(10)
+    assert interval_lengths(F(21, 2), meter) == (6, 7, 8, 9, 10)
+    assert meter.left == 5
+    with pytest.raises(BudgetExceededError):
+        interval_lengths(22, Budget(10))   # 11 lengths
+    with pytest.raises(BudgetExceededError, match="too large"):
+        interval_lengths(10**40)   # refused even on an unlimited budget
+
+
 def test_interval_length_factorizations():
     pairs = interval_length_factorizations(3, 2, 12)
     for n in range(3, 13):

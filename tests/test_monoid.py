@@ -184,6 +184,37 @@ def test_construction_charges_each_word_of_the_denominators_before_scaling():
     assert spent([F(1, 2**63), F(1, 2**64)]) == 3 + 2
 
 
+@pytest.mark.parametrize("gens, generators, int_gens, atoms, scale, units", [
+    # equal values in every spelling collapse to one generator
+    ([1, "1", F(2, 2), "3/2", F(3, 2)], (F(1), F(3, 2)), (2, 3), (F(1), F(3, 2)), 2, 4),
+    (["7/12", F(1, 3), 2, "1/3", F(7, 12), "5/4"], (F(1, 3), F(7, 12), F(5, 4), F(2)),
+     (4, 7, 15, 24), (F(1, 3), F(7, 12)), 12, 7),
+    # 143 bits of denominators: one unit per generator for the second word
+    ([F(1, 2**70), "1/2", F(3, 2**69), F(2, 2**71)], (F(1, 2**70), F(3, 2**69), F(1, 2)),
+     (1, 6, 2**69), (F(1, 2**70),), 2**70, 4),
+])
+def test_construction_dedups_and_sorts_on_the_integer_side(gens, generators, int_gens, atoms, scale, units):
+    meter = Budget(10**6)
+    m = FgMonoid(gens, meter)
+    assert (m.generators, m.int_gens, m.atoms, m.scale) == (generators, int_gens, atoms, scale)
+    assert all(type(g) is Fraction for g in m.generators + m.atoms)
+    assert 10**6 - meter.left == units
+
+
+@pytest.mark.parametrize("gens, message", [
+    ([], "at least one generator is required"),
+    (iter([]), "at least one generator is required"),
+    ([1, 0, -1], "generator 0 is not positive"),
+    ([2, "-3", "y"], "generator -3 is not positive"),
+    (["x", 0], "not a rational literal: 'x'"),
+    ([1.5], "cannot interpret 1.5 as a rational"),
+])
+def test_construction_reports_the_first_bad_generator(gens, message):
+    with pytest.raises(InputError) as err:
+        FgMonoid(gens)
+    assert str(err.value) == message
+
+
 def test_divides_matches_divisor_sets(m23):
     for b in (0, 2, 4, 6, 7, 9, 12):
         divs = set(m23.divisors(b))
