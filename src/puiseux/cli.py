@@ -8,6 +8,7 @@ parse error, 3 search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -49,6 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="box half-width for lattice searches")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built on its first call: parsing leaves no
+    state in it, and building one costs about a millisecond."""
+    return build_parser()
 
 
 def _bound_defaults(args: argparse.Namespace) -> dict[str, int]:
@@ -103,9 +111,8 @@ def _run_paper(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

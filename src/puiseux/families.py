@@ -421,9 +421,18 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
     if kind == "exAexB":
         if window is None:
             raise NeedsBoundError("the exAexB search needs window=... (admitted indices)")
-        atoms = sorted(family_generator(k, i) for k in ("exA", "exB") for i in range(1, window + 1))
+        if window < 1:
+            raise InputError("window must be positive")
+        # as the interval grid: one unit per atom before the atoms exist, the
+        # rest per 64-bit word of their scale past the first before they are
+        # scaled
+        size = 2 * window
+        _allot(budget, size, size)
+        atoms = [family_generator(k, i) for k in ("exA", "exB") for i in range(1, window + 1)]
         scale = lcm_den(atoms)
-        return _scaled_factorizations(q, scale, [int(a * scale) for a in atoms], None, budget)
+        budget.spend(size * (max(1, scale.bit_length() // 64) - 1))
+        int_atoms = sorted(a.numerator * (scale // a.denominator) for a in atoms)
+        return _scaled_factorizations(q, scale, int_atoms, None, budget)
     if kind in ("sqden", "interval1_sqden"):
         # any q > 1 splits off a sqden generator below q - 1, so 1 is the
         # only part interval1 can contribute: index 0, the largest atom, so

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -161,9 +162,32 @@ def _apery(gens: Sequence[int], budget: Budget) -> tuple[list, list[int]]:
     return table, [a] + atoms
 
 
-def _grown_cover(cover: int, t: int) -> int:
-    # doubling keeps the total closure work within twice the last closure
-    return max(t, 2 * cover, 256)
+def _grown_cover(base: int, t: int) -> int:
+    # doubling from the last cover a query grew keeps the total closure work
+    # within twice the last closure
+    return max(t, 2 * base, 256)
+
+
+def _scale_units(count: int, den_bits: int) -> int:
+    """Budget units of scaling count generators whose denominators total
+    den_bits bits: one per generator and 64-bit word of the scale past the
+    first, with the scale bounded by that total; free below 128 bits."""
+    return count * max(0, den_bits // 64 - 1)
+
+
+def _common_divisors(reach: str, n: int, x: int, y: int) -> int:
+    """The d <= n (n <= min(x, y)) with reach[d], reach[x - d] and
+    reach[y - d] all "1", as the set bits of an int."""
+    return int(reach[n::-1], 2) & int(reach[x - n:x + 1], 2) & int(reach[y - n:y + 1], 2)
+
+
+def _ones(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    bits = format(mask, "b")[::-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 @dataclass(frozen=True)
@@ -322,11 +346,18 @@ class FgMonoid:
     table once one is built, and by a reachability mask otherwise; the
     table is taken, at construction or by the first membership query that
     would grow the mask, whenever it costs fewer budget units than that
-    mask.  The mask, which the range scans always read, grows on demand and
-    is replaced by one assignment of a (cover, bits) pair; the table is
-    published by one assignment and never changes.  So concurrent readers
-    always observe a consistent structure; two threads that build one at
-    once only repeat work.
+    mask.  When the atoms were sieved on a mask, its closure (exactly the
+    members up to the largest generator) is the first cover.  The mask,
+    which the range scans always read, grows on demand to at least twice
+    the last cover a query grew (the base; none at first, so the first
+    growth past the sieve's cover costs what growth from nothing costs)
+    and is replaced by one assignment of a (cover, bits, base) triple; the
+    table is published by one assignment and never changes.  So concurrent
+    readers always observe a consistent structure; two threads that build
+    one at once only repeat work.
+
+    A cyclic extension M + N_0*r (add_cyclic) is built on M's grid, from
+    M's scaled generators and r's step, by the builder __init__ ends in.
     """
 
     def __init__(self, generators: Iterable[RationalLike], budget: Budget | int | None = None):
@@ -335,43 +366,65 @@ class FgMonoid:
         if not gens:
             raise InputError("at least one generator is required")
         budget = _as_budget(budget)
-        # one unit per scaled generator and 64-bit word of the scale past the
-        # first, with the scale bounded by its denominators' total width;
-        # charged before the scale is built, and free below 128 bits
-        budget.spend(len(gens) * max(0, sum(d.bit_length() for _, d in gens) // 64 - 1))
-        self.scale = math.lcm(*(d for _, d in gens))
-        scaled = sorted((n * (self.scale // d), q) for (n, d), q in gens.items())
-        self.int_gens = tuple(t for t, _ in scaled)
-        self.generators = tuple(q for _, q in scaled)
-        # Apéry table with respect to int_atoms[0], once one is built
-        self._table: list | None = None
-        self.int_atoms = self._minimal_generators(budget)
-        generator_of = dict(scaled)
-        self.atoms = tuple(generator_of[g] for g in self.int_atoms)
-        # (cover, bits): bit t decided for all 0 <= t <= cover
-        self._state: tuple[int, int] = (0, 1)
+        den_bits = sum(d.bit_length() for _, d in gens)
+        # charged before the scale is built
+        budget.spend(_scale_units(len(gens), den_bits))
+        scale = math.lcm(*(d for _, d in gens))
+        scaled = sorted((n * (scale // d), q) for (n, d), q in gens.items())
+        self._build(scale, tuple(t for t, _ in scaled), tuple(q for _, q in scaled), den_bits, budget)
 
     # -- construction -----------------------------------------------------
 
-    def _minimal_generators(self, budget: Budget) -> tuple[int, ...]:
-        gens = self.int_gens
-        limit = gens[-1]
-        if _table_is_cheaper(len(gens), gens[0], limit):
-            self._table, atoms = _apery(gens, budget)
+    def _build(self, scale: int, int_gens: tuple[int, ...], generators: tuple[Fraction, ...],
+               den_bits: int, budget: Budget) -> None:
+        """Finish a construction from distinct generators sorted on their grid:
+        sieve the atoms and seed the membership structure."""
+        self.scale, self.int_gens, self.generators = scale, int_gens, generators
+        self._den_bits = den_bits   # what an extension's scale charge adds to
+        limit = int_gens[-1]
+        # Apéry table with respect to int_atoms[0], once one is built
+        self._table: list | None = None
+        # (cover, bits, base): bit t decided for all 0 <= t <= cover, and the
+        # last cover a query grew, which the next growth doubles
+        if _table_is_cheaper(len(int_gens), int_gens[0], limit):
+            self._table, atoms = _apery(int_gens, budget)
+            self._state = (0, 1, 0)
         else:
-            atoms, _ = _sieve(gens, 1, lambda bits, g: (bits >> g) & 1,
-                              lambda bits, g: _close_bits(bits, (g,), limit, budget))
-        return tuple(atoms)
+            atoms, bits = _sieve(int_gens, 1, lambda bits, g: (bits >> g) & 1,
+                                 lambda bits, g: _close_bits(bits, (g,), limit, budget))
+            # closed under every atom, so exactly the members up to limit
+            self._state = (limit, bits, 0)
+        self.int_atoms = tuple(atoms)
+        generator_of = dict(zip(int_gens, generators))
+        self.atoms = tuple(generator_of[g] for g in self.int_atoms)
+
+    def _extended(self, r: Fraction, budget: Budget) -> "FgMonoid":
+        """FgMonoid(self.generators + (r,)) for a positive r that is no
+        generator here, charged the same units, but built on this grid:
+        nothing is re-validated, deduplicated or sorted as Fractions."""
+        den_bits = self._den_bits + r.denominator.bit_length()
+        budget.spend(_scale_units(len(self.int_gens) + 1, den_bits))
+        scale = math.lcm(self.scale, r.denominator)
+        f = scale // self.scale
+        step = r.numerator * (scale // r.denominator)
+        int_gens = [g * f for g in self.int_gens]
+        i = bisect_left(int_gens, step)
+        int_gens.insert(i, step)
+        s = FgMonoid.__new__(FgMonoid)
+        s._build(scale, tuple(int_gens), self.generators[:i] + (r,) + self.generators[i:],
+                 den_bits, budget)
+        return s
 
     # -- membership -------------------------------------------------------
 
-    def _ensure_cover(self, t: int, budget: Budget) -> tuple[int, int]:
-        state = cover, bits = self._state
+    def _ensure_cover(self, t: int, budget: Budget) -> int:
+        """The bits of a cover of at least t."""
+        cover, bits, base = self._state
         if t > cover:
-            cover = _grown_cover(cover, t)
-            state = (cover, _close_bits(bits, self.int_atoms, cover, budget))
-            self._state = state
-        return state
+            cover = _grown_cover(base, t)
+            bits = _close_bits(bits, self.int_atoms, cover, budget)
+            self._state = (cover, bits, cover)
+        return bits
 
     def _reach(self, t: int, budget: Budget) -> str:
         """Membership of 0..t as a string: reach[d] == "1" iff d is reachable.
@@ -379,7 +432,7 @@ class FgMonoid:
         The cover is masked to t + 1 bits before formatting, so the cost
         follows t rather than the cover.
         """
-        _, bits = self._ensure_cover(t, budget)
+        bits = self._ensure_cover(t, budget)
         return format(bits & ((1 << (t + 1)) - 1), f"0{t + 1}b")[::-1]
 
     def contains(self, q: RationalLike, budget: Budget | int | None = None) -> bool:
@@ -395,14 +448,14 @@ class FgMonoid:
         """contains for an integer t >= 0 on this monoid's grid."""
         table = self._table
         if table is None:
-            cover, bits = self._state
+            cover, bits, base = self._state
             if t > cover:
                 budget = _as_budget(budget)
                 atoms = self.int_atoms
-                if _table_is_cheaper(len(atoms), atoms[0], _grown_cover(cover, t)):
+                if _table_is_cheaper(len(atoms), atoms[0], _grown_cover(base, t)):
                     table = self._table = _apery(atoms, budget)[0]
                     return t >= table[t % len(table)]
-                _, bits = self._ensure_cover(t, budget)
+                bits = self._ensure_cover(t, budget)
             return bool((bits >> t) & 1)
         return t >= table[t % len(table)]
 
@@ -429,8 +482,9 @@ class FgMonoid:
         """The finite set {d in M : q - d in M}, ascending."""
         budget = _as_budget(budget)
         t = self._int_target(q, budget)
-        reach = self._reach(t, budget)
-        return tuple(Fraction(d, self.scale) for d in range(t + 1) if reach[d] == reach[t - d] == "1")
+        # the divisors of t are its common divisors with itself
+        common = _common_divisors(self._reach(t, budget), t, t, t)
+        return tuple(Fraction(d, self.scale) for d in _ones(common))
 
     def mcd_set(self, x: RationalLike, y: RationalLike, budget: Budget | int | None = None) -> tuple[Fraction, ...]:
         """All maximal common divisors of {x, y}, ascending.
@@ -442,16 +496,14 @@ class FgMonoid:
         """
         budget = _as_budget(budget)
         tx, ty = self._int_target(x, budget), self._int_target(y, budget)
-        reach = self._reach(max(tx, ty), budget)
-        common = [d for d in range(min(tx, ty) + 1) if reach[d] == reach[tx - d] == reach[ty - d] == "1"]
+        common = _common_divisors(self._reach(max(tx, ty), budget), min(tx, ty), tx, ty)
         # a common divisor e above d with e - d in M gives one at d + a for
         # any atom a of e - d (x - d - a = (x - e) + (e - d - a)), so one
-        # step per atom decides maximality: linear in the divisors, not
-        # quadratic
-        is_common = set(common)
-        atoms = self.int_atoms
-        return tuple(Fraction(d, self.scale) for d in common
-                     if not any(d + a in is_common for a in atoms))
+        # shift per atom decides maximality
+        above = 0
+        for a in self.int_atoms:
+            above |= common >> a
+        return tuple(Fraction(d, self.scale) for d in _ones(common & ~above))
 
     def is_mcd(self, x: RationalLike, y: RationalLike, d: RationalLike,
                budget: Budget | int | None = None) -> bool:
@@ -711,7 +763,7 @@ def add_cyclic(m: FgMonoid, r: RationalLike, budget: Budget | int | None = None)
         raise InputError("cyclic generator must be positive")
     budget = _as_budget(budget)
     in_base = m.contains(r, budget)
-    s = m if in_base else FgMonoid(m.generators + (r,), budget)
+    s = m if in_base else m._extended(r, budget)
     return CyclicExtension(m, r, s, in_base)
 
 
@@ -781,12 +833,6 @@ def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
     return Factorization(tuple((s.atoms[j], k) for j, k in p))
 
 
-def _first_common(a: str, b: str, c: str) -> int:
-    """The first index at which all three strings (of one length) hold "1", or -1."""
-    common = int(a, 2) & int(b, 2) & int(c, 2) if a else 0
-    return len(a) - common.bit_length() if common else -1
-
-
 def mcd_via_extension(m: FgMonoid, r: RationalLike, x: RationalLike, y: RationalLike,
                       budget: Budget | int | None = None) -> Fraction:
     """A maximal common divisor of {x, y} in S = M + N_0*r.
@@ -796,8 +842,9 @@ def mcd_via_extension(m: FgMonoid, r: RationalLike, x: RationalLike, y: Rational
     in the base monoid and peel off a smallest nonzero residual common
     divisor, which strictly decreases the r-multiple of the second element.
     The one taken in M is its largest common divisor, m.mcd_set(x, y)[-1]
-    (one above it would be larger), found by a scan down M's reach; the
-    residual one by a scan up S's.
+    (one above it would be larger), the highest bit of M's common-divisor
+    mask (as mcd_set builds it); the residual one is the lowest nonzero
+    bit of S's.
     """
     r, x, y = as_rational(r), as_rational(x), as_rational(y)
     budget = _as_budget(budget)
@@ -820,16 +867,17 @@ def mcd_via_extension(m: FgMonoid, r: RationalLike, x: RationalLike, y: Rational
             raise RuntimeError("maximal-common-divisor construction left the base monoid")
         if len(mr) <= max(xm, ym):
             mr = m._reach(max(xm, ym), budget)
-        n = min(xm, ym)
-        d1 = (n - _first_common(mr[n::-1], mr[xm - n:xm + 1], mr[ym - n:ym + 1])) * f
+        # 0 is a common divisor, so the largest one is found
+        d1 = (_common_divisors(mr, min(xm, ym), xm, ym).bit_length() - 1) * f
         if ys == y:
             return Fraction(d + d1, s.scale)
         d, x, y = d + d1, x - d1, y - d1
-        n = min(x, y)
-        k = _first_common(sr[1:n + 1], sr[x - n:x][::-1], sr[y - n:y][::-1])
-        if k < 0:
+        # the nonzero common divisors in S, bit k - 1 for k
+        later = _common_divisors(sr, min(x, y), x, y) >> 1
+        if not later:
             return Fraction(d, s.scale)
-        d, x, y = d + k + 1, x - k - 1, y - k - 1
+        k = (later & -later).bit_length()
+        d, x, y = d + k, x - k, y - k
     raise RuntimeError("maximal-common-divisor construction exceeded its proof bound")
 
 

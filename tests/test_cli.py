@@ -383,6 +383,41 @@ def test_interval_length_set_is_charged_before_it_is_built(capsys):
     assert "budget" in err
 
 
+def test_exaexb_window_is_charged_before_it_is_built(capsys):
+    # 200,000 atoms, one unit each, against a budget of 100: no generator,
+    # prime or scale is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--budget", "100", "Z(family(exAexB, window=100000), 2)")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "budget" in err
+
+
+def test_mcd_of_large_targets_reads_bitmasks(capsys):
+    # ten million candidate divisors, each tested by integer masks, not one
+    # by one
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "mcd(pm(2,3), 10000000, 10000001)")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (0, "9999998\n")
+
+
+def test_repeated_in_process_calls_match_fresh_processes(capsys, monkeypatch):
+    # main builds its parser once per process; a bad argv or --help must not
+    # leave anything in it that a later call sees
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80", "PYTHONIOENCODING": "utf-8"}
+    calls = [["paper"], ["--help"], ["eval", "--bogus", "Z(pm(2,3), 6)"], ["paper", "--help"],
+             ["eval", "Z(pm(2,3), 6)"], ["paper", "4.3", "--json"]]
+    fresh = []
+    for argv in calls:
+        result = subprocess.run([sys.executable, "-m", "puiseux", *argv], env=env, cwd=ROOT,
+                                capture_output=True, timeout=120)
+        fresh.append((result.returncode, result.stdout.decode(), result.stderr.decode()))
+    assert [code for code, _, _ in fresh] == [2, 0, 2, 0, 0, 0]
+    assert [run(capsys, *argv) for argv in calls + calls] == fresh + fresh
+
+
 def input_from_stdin(prompt=""):
     import sys
 

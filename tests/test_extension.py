@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     oracle_atoms,
     oracle_common_divisors,
     oracle_extension_tables,
+    oracle_fraction_member,
     oracle_mcd_via_extension,
     oracle_r_multiple,
     oracle_value_buckets,
@@ -16,6 +19,7 @@ from conftest import (
     random_member,
 )
 from puiseux import (
+    Budget,
     FgMonoid,
     InputError,
     NotAMemberError,
@@ -49,6 +53,31 @@ def test_add_cyclic(m23):
 
     with pytest.raises(InputError):
         add_cyclic(m23, 0)
+
+
+@st.composite
+def _cyclic_cases(draw):
+    # generators over a shared denominator: past 64 bits each, their
+    # denominators charge the scale's words
+    big = draw(st.sampled_from([1, 2**64 + 1, 3**41]))
+    frac = st.builds(lambda n, d: F(n, d * big), st.integers(1, 30), st.integers(1, 4))
+    gens, r = draw(st.lists(frac, min_size=1, max_size=4)), draw(frac)
+    assume(not oracle_fraction_member(gens, r))
+    return gens, r
+
+
+@given(case=_cyclic_cases())
+@settings(max_examples=150, deadline=None)
+def test_add_cyclic_builds_what_the_generators_build(case):
+    gens, r = case
+    meter, front = Budget(10**6), Budget(10**6)
+    s = add_cyclic(FgMonoid(gens), r, meter).monoid
+    m = FgMonoid(gens)
+    m.contains(r, front)
+    t = FgMonoid(m.generators + (r,), front)
+    assert (s.generators, s.int_gens, s.atoms, s.scale) == (t.generators, t.int_gens, t.atoms, t.scale)
+    assert (s._table is None, s._state[0]) == (t._table is None, t._state[0])
+    assert meter.left == front.left
 
 
 def test_max_cyclic_divisor(m23):

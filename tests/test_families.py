@@ -168,6 +168,9 @@ def test_exaexb_window_counts():
             assert a + b == 2 and a.denominator == b.denominator
     with pytest.raises(NeedsBoundError):
         family_factorizations("exAexB", 2)
+    # a negative window would credit the per-atom charge
+    with pytest.raises(InputError):
+        family_factorizations("exAexB", 2, window=-3)
 
 
 def test_exaexb_window_argument_beats_the_descriptor_window():

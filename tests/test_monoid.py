@@ -315,6 +315,39 @@ def test_far_membership_stays_within_a_small_budget():
     assert values[4].lengths == (5345960,)
 
 
+@given(int_gens=st.lists(st.integers(2, 25), min_size=1, max_size=3, unique=True), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sieve_seeded_cover_answers_membership_in_any_order(int_gens, data):
+    m = FgMonoid(int_gens)
+    limit = m.int_gens[-1]
+    # the atom sieve left its closure as the first cover
+    assert m._table is None and m._state[0] == limit
+    members = set(oracle_value_buckets(sorted(int_gens), 2 * limit))
+    order = data.draw(st.permutations(range(2 * limit + 1)))
+    assert [m.contains(t) for t in order] == [t in members for t in order]
+    assert m._reach(2 * limit, Budget()) == "".join("1" if t in members else "0" for t in range(2 * limit + 1))
+
+
+def test_first_growth_past_the_sieve_cover_spends_what_growth_from_nothing_spends():
+    def spent(m, t):
+        meter = Budget(10**6)
+        m.contains(t, meter)
+        return 10**6 - meter.left
+
+    seeded, empty = FgMonoid([3000, 3001]), FgMonoid([3000, 3001])
+    assert seeded._table is None and seeded._state[0] == 3001
+    empty._state = (0, 1, 0)
+    # inside the sieve's cover: free
+    assert spent(seeded, 2999) == 0
+    # one unit to allot and one shift per atom up to 3500; doubling the
+    # sieve's cover instead would close up to 6002, two shifts per atom
+    assert spent(seeded, 3500) == spent(empty, 3500) == 3
+    # the next growth doubles the cover the query grew, to 7000
+    assert spent(seeded, 4000) == spent(empty, 4000) == 5
+    assert seeded._state == empty._state
+    assert seeded.contains(6002) and not seeded.contains(6003)
+
+
 def test_factorization_value_and_length():
     z = Factorization.of({F(3, 4): 4, F(2): 1})
     assert z.length == 5
