@@ -29,7 +29,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help=f"search-node budget (default {DEFAULT_BUDGET})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser main reads, built on its first call: parsing leaves no
+    state in it, and building one costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="puiseux",
         description="Exact factorization computations in Puiseux monoids.",
@@ -50,13 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="box half-width for lattice searches")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main reads, built on its first call: parsing leaves no
-    state in it, and building one costs about a millisecond."""
-    return build_parser()
 
 
 def _bound_defaults(args: argparse.Namespace) -> dict[str, int]:
@@ -112,7 +108,7 @@ def _run_paper(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, NeedsBoundError
 from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _allot, _as_budget,
-                     _checked_paths, _paths_to_set, internal_sum)
+                     _checked_paths, _depth_first, _paths_to_set, internal_sum)
 from .qarith import (RationalLike, _int_valuation, as_rational, lcm_den, nth_prime, prime_factors,
                      prime_index)
 
@@ -357,19 +357,14 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
             m += pp
         chosen.pop(n, None)
 
-    # One child iterator per open level instead of one Python frame, so
-    # the depth (one level per prime) is not bounded by the recursion limit.
-    stack = [iter([(target.numerator, min_index)])]
-    while stack:
-        for rest, lo in stack[-1]:
-            budget.spend()
-            if rest == 0:
-                out.append(dict(chosen))
-            elif rest > 0:
-                stack.append(children(rest, lo))
-                break
-        else:
-            stack.pop()
+    def expand(node: tuple[int, int]) -> Iterator[tuple[int, int]] | None:
+        rest, lo = node
+        if rest == 0:
+            out.append(dict(chosen))
+        elif rest > 0:
+            return children(rest, lo)
+
+    _depth_first((target.numerator, min_index), expand, budget)
     return out
 
 
@@ -415,8 +410,8 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
         window = window or kind.param("window")
         kind = kind.kind
     q = as_rational(q)
-    if q <= 0:
-        raise InputError("target must be positive")
+    if q < 0:
+        raise InputError("target must be nonnegative")
     budget = _as_budget(budget)
     if kind == "exAexB":
         if window is None:

@@ -32,9 +32,9 @@ over atoms of one height (upperhalf's) it then tests at most two windows.
 Budget units, paid before or as the work is done: one per box point before
 its runs or members are built; `monoid._shift_units` per point of a sumset's
 smaller set, from the closed-form member count; one per point sums of atoms
-reach; one per factorization node, jump and closed-form solution, and none
-per skipped level, so over atoms of mixed heights a jump may test windows no
-unit pays for.  Only results are built as LatticePoints.
+reach; beyond `_depth_first`'s unit per search node, one per closed-form
+solution, and none per skipped level, so over atoms of mixed heights a jump
+may test windows no unit pays for.  Only results are built as LatticePoints.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InputError
-from .monoid import Budget, _allot, _as_budget, _shift_units
+from .monoid import Budget, _allot, _as_budget, _depth_first, _shift_units
 
 Pair = tuple[int, int]
 Run = tuple[int, int, int]   # (x, y, n): the points (x, y) .. (x + n - 1, y)
@@ -246,23 +246,19 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
                 yield j, rx, ry
                 return
 
+    def expand(node):
+        i, x, y = node
+        if x == y == 0:
+            emit()
+        elif i < closed:
+            (m0, r0), (m1, r1) = divmod(x * ys[1] - xs[1] * y, det), divmod(xs[0] * y - x * ys[0], det)
+            if r0 == r1 == 0 and m0 >= 0 and m1 >= 0:
+                budget.spend()
+                emit(m0, m1)
+        else:
+            return children(i, x, y)
+
     if len(atoms) > closed:  # y ranges of atoms[0..i] (x ranges: xs[0]..xs[i]); none for a Cramer root
         low, high = list(accumulate(ys, min)), list(accumulate(ys, max))
-    # child iterators, not Python frames: the depth is not bounded by the recursion limit
-    stack = [iter([(len(atoms) - 1, *v)])]
-    while stack:
-        for i, x, y in stack[-1]:
-            budget.spend()
-            if x == y == 0:
-                emit()
-            elif i < closed:
-                (m0, r0), (m1, r1) = divmod(x * ys[1] - xs[1] * y, det), divmod(xs[0] * y - x * ys[0], det)
-                if r0 == r1 == 0 and m0 >= 0 and m1 >= 0:
-                    budget.spend()
-                    emit(m0, m1)
-            else:
-                stack.append(children(i, x, y))
-                break
-        else:
-            stack.pop()
+    _depth_first((len(atoms) - 1, *v), expand, budget)
     return tuple(sorted(out))

@@ -35,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, NotAMemberError
 from .qarith import RationalLike, as_rational
@@ -67,6 +67,23 @@ class Budget:
 
 def _as_budget(budget: Budget | int | None) -> Budget:
     return budget if isinstance(budget, Budget) else Budget(budget)
+
+
+def _depth_first(root: tuple, expand: Callable[[tuple], Iterator[tuple] | None], budget: Budget) -> None:
+    """Visit root and its descendants in preorder, charging one budget unit
+    per node before expand(node), which handles a leaf (appending to its
+    search's own output) and returns None, or returns the node's child
+    iterator, visited before the next sibling.  The stack holds iterators,
+    not Python frames, so depth is not bounded by the recursion limit."""
+    spend, stack = budget.spend, [iter((root,))]
+    while stack:
+        for node in stack[-1]:
+            spend()
+            if (children := expand(node)) is not None:
+                stack.append(children)
+                break
+        else:
+            stack.pop()
 
 
 def _allot(budget: Budget, units: int, size: int) -> None:
@@ -638,8 +655,8 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
     candidate is m1 = (rem - l*a0) / (a1 - a0), kept if it is an integer
     in [0, l].
 
-    Work: one budget unit per node, and one per solution a two-atom node
-    solves for, charged before that node emits them.
+    Work: beyond `_depth_first`'s unit per node, one unit per solution a
+    two-atom node solves for, charged before that node emits them.
     """
     k = len(atoms)
     prefix_gcd = [0] * k
@@ -670,46 +687,41 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
             yield i - 1, new_rem, None if need is None else need - m
         del path[base:]
 
-    # One child iterator per open level instead of one Python frame, so
-    # the depth (one level per atom) is not bounded by the recursion limit.
-    stack = [iter([(k - 1, target, exact_length)])]
-    while stack:
-        for i, rem, need in stack[-1]:
-            budget.spend()
-            if rem == 0:
-                if not need:
-                    out.append(tuple(reversed(path)))
-            elif need == 1:
-                j = index_of.get(rem, k)
-                if j <= i:
-                    out.append(((j, 1), *reversed(path)))
-            elif i == 1:
-                # a0*m0 + a1*m1 = rem in closed form, m1 ascending
-                a0, a1, g = atoms[0], atoms[1], prefix_gcd[1]
-                if need is not None:
-                    m1, r = divmod(rem - need * a0, a1 - a0)
-                    m1s = range(m1, m1 + 1) if r == 0 and 0 <= m1 <= need else range(0)
-                elif rem % g == 0:
-                    step = a0 // g
-                    m1s = range(rem // g * pow(a1 // g, -1, step) % step, rem // a1 + 1, step)
-                else:
-                    m1s = range(0)
-                # len(m1s) without len(), which overflows past sys.maxsize items
-                budget.spend(max(0, -((m1s.start - m1s.stop) // m1s.step)))
-                tail = tuple(reversed(path))
-                for m1 in m1s:
-                    m0 = (rem - m1 * a1) // a0
-                    out.append(((0, m0), (1, m1), *tail) if m0 and m1
-                               else ((0, m0), *tail) if m0 else ((1, m1), *tail))
-            elif i == 0:
-                m, r = divmod(rem, atoms[0])
-                if r == 0 and (need is None or need == m):
-                    out.append(((0, m), *reversed(path)))
-            elif i > 1 and need != 0 and rem % prefix_gcd[i] == 0:
-                stack.append(children(i, rem, need))
-                break
-        else:
-            stack.pop()
+    def expand(node: tuple[int, int, int | None]) -> Iterator[tuple[int, int, int | None]] | None:
+        i, rem, need = node
+        if rem == 0:
+            if not need:
+                out.append(tuple(reversed(path)))
+        elif need == 1:
+            j = index_of.get(rem, k)
+            if j <= i:
+                out.append(((j, 1), *reversed(path)))
+        elif i == 1:
+            # a0*m0 + a1*m1 = rem in closed form, m1 ascending
+            a0, a1, g = atoms[0], atoms[1], prefix_gcd[1]
+            if need is not None:
+                m1, r = divmod(rem - need * a0, a1 - a0)
+                m1s = range(m1, m1 + 1) if r == 0 and 0 <= m1 <= need else range(0)
+            elif rem % g == 0:
+                step = a0 // g
+                m1s = range(rem // g * pow(a1 // g, -1, step) % step, rem // a1 + 1, step)
+            else:
+                m1s = range(0)
+            # len(m1s) without len(), which overflows past sys.maxsize items
+            budget.spend(max(0, -((m1s.start - m1s.stop) // m1s.step)))
+            tail = tuple(reversed(path))
+            for m1 in m1s:
+                m0 = (rem - m1 * a1) // a0
+                out.append(((0, m0), (1, m1), *tail) if m0 and m1
+                           else ((0, m0), *tail) if m0 else ((1, m1), *tail))
+        elif i == 0:
+            m, r = divmod(rem, atoms[0])
+            if r == 0 and (need is None or need == m):
+                out.append(((0, m), *reversed(path)))
+        elif i > 1 and need != 0 and rem % prefix_gcd[i] == 0:
+            return children(i, rem, need)
+
+    _depth_first((k - 1, target, exact_length), expand, budget)
     return out
 
 

@@ -80,6 +80,25 @@ def test_two_atom_closed_form_past_sys_maxsize_is_charged(capsys, query):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("program, reference", [
+    ("Z(family(sqden), 0)", "Z(pm(2,3), 0)"),
+    ("Z(family(interval1_sqden), 0)", "Z(pm(2,3), 0)"),
+    ("Z(family(exAexB, window=3), 0)", "Z(pm(2,3), 0)"),
+    ("L(family(sqden), 0)", "L(pm(2,3), 0)"),
+])
+def test_zero_has_the_empty_factorization_in_every_family(capsys, flags, program, reference):
+    want = run(capsys, "eval", *flags, reference)
+    assert want[0] == 0 and want[1]
+    assert run(capsys, "eval", *flags, program) == want
+
+
+def test_negative_family_target_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "eval", "Z(family(sqden), -1)")
+    assert code == 2
+    assert "error" in err
+
+
 def test_eval_window_flag_supplies_bound(capsys):
     code, out, _ = run(capsys, "eval", "--window", "6", "Zl(family(exAexB), 2, 2)")
     assert code == 0

@@ -197,6 +197,14 @@ def test_interval_sqden_factorizations():
     assert len(family_factorizations("sqden", F(9, 8))) == 0
 
 
+@pytest.mark.parametrize("kind", ["sqden", "interval1_sqden", "exAexB"])
+def test_family_factorizations_of_zero_and_below(kind):
+    # 0 has exactly the empty factorization; a negative target is refused
+    assert [z.parts for z in family_factorizations(kind, 0, window=3)] == [()]
+    with pytest.raises(InputError):
+        family_factorizations(kind, F(-1, 2), window=3)
+
+
 @pytest.mark.parametrize("q, nodes", [
     (F(43, 36), 3), (F(6), 8), (F(15, 2), 8), (F(25, 12), 3), (F(99, 4), 242), (F(1001, 100), 9),
 ])

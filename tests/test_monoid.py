@@ -17,7 +17,7 @@ from puiseux import (
     internal_sum,
 )
 from puiseux.dsl import Evaluator
-from puiseux.monoid import Budget, _solve_int
+from puiseux.monoid import Budget, _depth_first, _solve_int
 
 F = Fraction
 
@@ -464,6 +464,50 @@ def test_kernel_units_are_nodes_above_two_atoms_plus_solutions(atoms, target):
     kept = sum(1 for m in range(target // a2 + 1) if target - m * a2 == 0 or target - m * a2 >= a0)
     read_off = sum(1 for xs in vectors if xs[0] or xs[1])
     assert _kernel_units(target, atoms) == 1 + kept + read_off
+
+
+def _preorder(tree, node, out):
+    out.append(node)
+    for child in tree[node]:
+        _preorder(tree, child, out)
+    return out
+
+
+@given(picks=st.lists(st.integers(0, 10**6), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_depth_first_visits_a_tree_in_preorder_one_unit_per_node(picks):
+    # node i > 0 hangs under one of the nodes before it, children in id order
+    tree = {0: []}
+    for i, pick in enumerate(picks, 1):
+        tree[pick % i].append(i)
+        tree[i] = []
+    want = _preorder(tree, 0, [])
+    seen = []
+
+    def expand(node):
+        seen.append(node)
+        # a leaf returns None or, as a search may, an empty iterator
+        return iter(tree[node]) if tree[node] or node % 2 else None
+
+    _depth_first(0, expand, Budget(len(want)))
+    assert seen == want
+    if len(want) > 1:
+        seen.clear()
+        with pytest.raises(BudgetExceededError):
+            _depth_first(0, expand, Budget(len(want) - 1))
+        assert seen == want[:-1]
+
+
+def test_depth_first_is_not_bounded_by_the_recursion_limit():
+    depth = 100_000
+    seen = []
+
+    def expand(node):
+        seen.append(node)
+        return iter((node + 1,)) if node < depth else None
+
+    _depth_first(0, expand, Budget(depth + 1))
+    assert seen == list(range(depth + 1))
 
 
 @pytest.mark.parametrize("query, count, units", [
