@@ -65,20 +65,33 @@ class Budget:
             raise BudgetExceededError("search-node budget exhausted")
 
 
+class _Tally(Budget):
+    """Forwards each charge to budget and sums them, limit or not."""
+    __slots__ = ("budget", "units")
+
+    def __init__(self, budget: Budget):
+        self.budget, self.units = budget, 0
+
+    def spend(self, amount: int = 1) -> None:
+        self.units += amount
+        self.budget.spend(amount)
+
+
 def _as_budget(budget: Budget | int | None) -> Budget:
     return budget if isinstance(budget, Budget) else Budget(budget)
 
 
-def _depth_first(root: tuple, expand: Callable[[tuple], Iterator[tuple] | None], budget: Budget) -> None:
-    """Visit root and its descendants in preorder, charging one budget unit
-    per node before expand(node), which handles a leaf (appending to its
-    search's own output) and returns None, or returns the node's child
+def _depth_first(root: tuple, expand: Callable[[tuple], Iterator[tuple] | None], budget: Budget,
+                 unit: int = 1) -> None:
+    """Visit root and its descendants in preorder, charging unit budget
+    units per node before expand(node), which handles a leaf (appending to
+    its search's own output) and returns None, or returns the node's child
     iterator, visited before the next sibling.  The stack holds iterators,
     not Python frames, so depth is not bounded by the recursion limit."""
     spend, stack = budget.spend, [iter((root,))]
     while stack:
         for node in stack[-1]:
-            spend()
+            spend(unit)
             if (children := expand(node)) is not None:
                 stack.append(children)
                 break
@@ -375,6 +388,10 @@ class FgMonoid:
 
     A cyclic extension M + N_0*r (add_cyclic) is built on M's grid, from
     M's scaled generators and r's step, by the builder __init__ ends in.
+    M keeps the last one in one slot, assigned after the build returns (an
+    exhausted build leaves it be) and read once per call, so threads see a
+    whole entry and only rebuild; its fields never change (covers are
+    replaced, not written), so each S sharing them grows its own cover.
     """
 
     def __init__(self, generators: Iterable[RationalLike], budget: Budget | int | None = None):
@@ -398,6 +415,8 @@ class FgMonoid:
         sieve the atoms and seed the membership structure."""
         self.scale, self.int_gens, self.generators = scale, int_gens, generators
         self._den_bits = den_bits   # what an extension's scale charge adds to
+        # (r, units, fields) of the last cyclic extension built, as first built
+        self._extension: tuple | None = None
         limit = int_gens[-1]
         # Apéry table with respect to int_atoms[0], once one is built
         self._table: list | None = None
@@ -418,18 +437,27 @@ class FgMonoid:
     def _extended(self, r: Fraction, budget: Budget) -> "FgMonoid":
         """FgMonoid(self.generators + (r,)) for a positive r that is no
         generator here, charged the same units, but built on this grid:
-        nothing is re-validated, deduplicated or sorted as Fractions."""
+        nothing is re-validated, deduplicated or sorted as Fractions.  The
+        slot's S is reused, its units charged in one spend, when budget can
+        pay them; else the build runs and raises as a first build would."""
+        s = FgMonoid.__new__(FgMonoid)
+        last = self._extension
+        if last is not None and last[0] == r and (budget.left is None or last[1] <= budget.left):
+            budget.spend(last[1])
+            s.__dict__.update(last[2])
+            return s
+        tally = _Tally(budget)
         den_bits = self._den_bits + r.denominator.bit_length()
-        budget.spend(_scale_units(len(self.int_gens) + 1, den_bits))
+        tally.spend(_scale_units(len(self.int_gens) + 1, den_bits))
         scale = math.lcm(self.scale, r.denominator)
         f = scale // self.scale
         step = r.numerator * (scale // r.denominator)
         int_gens = [g * f for g in self.int_gens]
         i = bisect_left(int_gens, step)
         int_gens.insert(i, step)
-        s = FgMonoid.__new__(FgMonoid)
         s._build(scale, tuple(int_gens), self.generators[:i] + (r,) + self.generators[i:],
-                 den_bits, budget)
+                 den_bits, tally)
+        self._extension = (r, tally.units, dict(vars(s)))
         return s
 
     # -- membership -------------------------------------------------------
@@ -655,8 +683,10 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
     candidate is m1 = (rem - l*a0) / (a1 - a0), kept if it is an integer
     in [0, l].
 
-    Work: beyond `_depth_first`'s unit per node, one unit per solution a
-    two-atom node solves for, charged before that node emits them.
+    Work: a unit per node, plus one per 64-bit word of target past the
+    second (free below 192 bits, where a node costs about what a one-word
+    node does), and one per solution a two-atom node solves for, charged
+    before that node emits them.
     """
     k = len(atoms)
     prefix_gcd = [0] * k
@@ -721,7 +751,7 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
         elif i > 1 and need != 0 and rem % prefix_gcd[i] == 0:
             return children(i, rem, need)
 
-    _depth_first((k - 1, target, exact_length), expand, budget)
+    _depth_first((k - 1, target, exact_length), expand, budget, max(1, target.bit_length() // 64 - 1))
     return out
 
 

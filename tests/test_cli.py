@@ -412,6 +412,22 @@ def test_exaexb_window_is_charged_before_it_is_built(capsys):
     assert "budget" in err
 
 
+def test_kernel_on_a_wide_exaexb_scale_runs_out_of_budget_in_time(capsys):
+    # window 1000's scale has thousands of bits, and each kernel node is
+    # charged per 64-bit word of its target, so the default budget ends the
+    # search within seconds instead of minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "Z(family(exAexB, window=1000), 2)")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    # window 300 still answers: one two-part factorization per pair of atoms
+    code, out, _ = run(capsys, "eval", "Z(family(exAexB, window=300), 2)")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 300
+    assert lines[0] == "2 = 1·1996/1997 + 1·1998/1997 [len 2]" and lines[-1] == "2 = 1·4/5 + 1·6/5 [len 2]"
+
+
 def test_mcd_of_large_targets_reads_bitmasks(capsys):
     # ten million candidate divisors, each tested by integer masks, not one
     # by one

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,6 +22,7 @@ from conftest import (
 )
 from puiseux import (
     Budget,
+    BudgetExceededError,
     FgMonoid,
     InputError,
     NotAMemberError,
@@ -56,14 +59,15 @@ def test_add_cyclic(m23):
 
 
 @st.composite
-def _cyclic_cases(draw):
+def _cyclic_cases(draw, count=1):
     # generators over a shared denominator: past 64 bits each, their
-    # denominators charge the scale's words
+    # denominators charge the scale's words; then count distinct r outside M
     big = draw(st.sampled_from([1, 2**64 + 1, 3**41]))
     frac = st.builds(lambda n, d: F(n, d * big), st.integers(1, 30), st.integers(1, 4))
-    gens, r = draw(st.lists(frac, min_size=1, max_size=4)), draw(frac)
-    assume(not oracle_fraction_member(gens, r))
-    return gens, r
+    gens = draw(st.lists(frac, min_size=1, max_size=4))
+    rs = draw(st.lists(frac, min_size=count, max_size=count, unique=True))
+    assume(not any(oracle_fraction_member(gens, r) for r in rs))
+    return gens, *rs
 
 
 @given(case=_cyclic_cases())
@@ -78,6 +82,116 @@ def test_add_cyclic_builds_what_the_generators_build(case):
     assert (s.generators, s.int_gens, s.atoms, s.scale) == (t.generators, t.int_gens, t.atoms, t.scale)
     assert (s._table is None, s._state[0]) == (t._table is None, t._state[0])
     assert meter.left == front.left
+
+
+def _outcome(build, limit):
+    """The monoid build(Budget(limit)) returns, or BudgetExceededError, and
+    what is left of the budget either way."""
+    budget = Budget(limit)
+    try:
+        return build(budget), budget.left
+    except BudgetExceededError:
+        return BudgetExceededError, budget.left
+
+
+def _fields(s):
+    # the Apéry table or None, and the first cover
+    return s.generators, s.int_gens, s.atoms, s.scale, s._table, s._state
+
+
+def _fresh(m, r):
+    return lambda budget: FgMonoid(m.generators + (r,), budget)
+
+
+def _units(build):
+    return 10**9 - _outcome(build, 10**9)[1]
+
+
+@given(case=_cyclic_cases(count=2),
+       slack=st.lists(st.none() | st.integers(-2, 2), min_size=4, max_size=4),
+       grow=st.lists(st.booleans(), min_size=4, max_size=4))
+# built on an unlimited budget, then reused on one that just pays or just does not
+@example(case=([F(2), F(3)], F(1, 2), F(3, 4)), slack=[None, None, None, 0], grow=[True] * 4)
+@example(case=([F(2), F(3)], F(1, 2), F(3, 4)), slack=[None, 2, None, -1], grow=[False, True, True, False])
+@settings(max_examples=150, deadline=None)
+def test_reused_extension_matches_a_fresh_build(case, slack, grow):
+    # M extended by r1, r2, r1, r1, each on an unlimited budget or on one a
+    # fresh build's units plus slack, so that some builds run out
+    gens, r1, r2 = case
+    m = FgMonoid(gens)
+    for r, extra, grown in zip((r1, r2, r1, r1), slack, grow):
+        limit = None if extra is None else max(1, _units(_fresh(m, r)) + extra)
+        want, want_left = _outcome(_fresh(m, r), limit)
+        got, got_left = _outcome(lambda budget: m._extended(r, budget), limit)
+        assert got_left == want_left
+        if want is BudgetExceededError:
+            assert got is BudgetExceededError
+            continue
+        assert _fields(got) == _fields(want)
+        if grown:
+            # a cover this S grows is its own: the next one starts at the sieve's
+            got._reach(4 * got.int_gens[-1] + 300, Budget())
+
+
+_big = 2**64 + 1
+
+
+@pytest.mark.parametrize("gens, r", [
+    # bitset sieve, a 12-unit scale charge and nine closure steps
+    ([F(20, 3 * _big), F(29, 3 * _big), F(31, 3 * _big)], F(7, 2 * _big)),
+    # Apéry table: scale, allotment and one round-robin lap
+    ([F(7, _big), F(100000, _big)], F(9, 2 * _big)),
+])
+def test_budget_exhaustion_is_unchanged_by_reuse(gens, r):
+    warm = FgMonoid(gens)
+    units = _units(_fresh(warm, r))
+    warm._extended(r, Budget())
+    for limit in range(1, units + 2):
+        want = _outcome(_fresh(warm, r), limit)
+        got = _outcome(lambda budget: warm._extended(r, budget), limit)
+        assert (got[0] is BudgetExceededError, got[1]) == (want[0] is BudgetExceededError, want[1])
+        assert (want[0] is BudgetExceededError) == (limit < units)
+    for limit in range(1, units):
+        cold = FgMonoid(gens)
+        with pytest.raises(BudgetExceededError):
+            cold._extended(r, Budget(limit))
+        # a build that ran out fills no slot, so the next call builds afresh
+        assert cold._extension is None
+        meter = Budget(units)
+        assert _fields(cold._extended(r, meter)) == _fields(_fresh(cold, r)(Budget()))
+        assert meter.left == 0 and cold._extension is not None
+
+
+def test_threads_extending_one_monoid_get_what_a_fresh_build_gets():
+    m = FgMonoid([F(20, 3), F(29, 3), F(31, 3)])
+    rs = (F(7, 2), F(5, 4))
+    want = {r: (_fields(_fresh(m, r)(Budget())), _units(_fresh(m, r))) for r in rs}
+    wrong = []
+
+    def work(phase):
+        # runs of three calls with one r, so that each thread both reuses
+        # the slot and replaces what others left there
+        for k in range(300):
+            r = rs[(k // 3 + phase) % 2]
+            meter = Budget(10**6)
+            s = m._extended(r, meter)
+            if (_fields(s), 10**6 - meter.left) != want[r]:
+                wrong.append(r)
+            s._reach(500, Budget())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # more threads than cores, in both phases
+        threads = [threading.Thread(target=work, args=(phase,)) for phase in (0, 1, 2, 3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_max_cyclic_divisor(m23):

@@ -466,6 +466,27 @@ def test_kernel_units_are_nodes_above_two_atoms_plus_solutions(atoms, target):
     assert _kernel_units(target, atoms) == 1 + kept + read_off
 
 
+@pytest.mark.parametrize("atoms, target", [((2, 3), 600), ((6, 9, 20), 400), ((7, 11, 13), 300)])
+@pytest.mark.parametrize("shift", [60, 120, 200, 1000])
+def test_kernel_charges_wide_targets_per_word_past_the_second(atoms, target, shift):
+    # scaling atoms and target by 2^shift keeps the search tree and its
+    # solutions; each node then costs one more unit per 64-bit word of the
+    # target past the second, so nothing changes below 192 bits
+    w = 2**shift
+    wide_atoms = tuple(a * w for a in atoms)
+    assert _solve_int(target * w, wide_atoms, None, Budget()) == _solve_int(target, atoms, None, Budget())
+    read_off = sum(1 for xs in oracle_vectors(list(atoms), target) if xs[0] or xs[1])
+    nodes = _kernel_units(target, atoms) - read_off
+    words = (target * w).bit_length() // 64
+    assert _kernel_units(target * w, wide_atoms) == nodes * max(1, words - 1) + read_off
+
+
+def test_kernel_node_on_a_1010_bit_target_costs_14_units():
+    # 15 words, one unit for the node and 13 for the words past the second
+    w = 2**1000
+    assert _kernel_units(600 * w, (2 * w, 3 * w)) == 14 + 101
+
+
 def _preorder(tree, node, out):
     out.append(node)
     for child in tree[node]:
