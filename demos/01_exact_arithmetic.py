@@ -7,13 +7,14 @@ factorization searches are only valid with exact arithmetic.
 
 from fractions import Fraction
 
-from puiseux import lcm_den, nth_prime, padic, reduce
+from puiseux import lcm_den, nth_prime, padic, parse_rational
 
-# Rationals are stored reduced with a positive denominator.
-print(reduce(6, 4))      # 3/2
-print(reduce(-3, -6))    # 1/2
+# Rationals are Fractions, stored reduced with a positive denominator; the
+# wire format "n/d" (or "n") reads into one.
+print(parse_rational("6/4"))      # 3/2
+print(parse_rational("-3/-6"))    # 1/2
 
-# The wire format is "n/d", with "/d" dropped for integers.
+# str() writes the wire format back, with "/d" dropped for integers.
 print(str(Fraction(29, 336)), str(Fraction(4, 2)))
 
 # One prime generator serves three sequences: all primes, odd primes,

@@ -8,16 +8,16 @@ monoid, where membership and enumeration are decided exactly.
 
 from fractions import Fraction
 
-from puiseux import fg_new, internal_sum
+from puiseux import FgMonoid
 
 F = Fraction
 
 # Redundant generators disappear: 4 = 2 + 2.
-m = fg_new([2, 3, 4])
+m = FgMonoid([2, 3, 4])
 print("atoms:", m.atoms)
 
 # <2, 3> is the naturals without 1.
-m23 = fg_new([2, 3])
+m23 = FgMonoid([2, 3])
 print("1 in <2,3>?", m23.contains(1), "   7 in <2,3>?", m23.contains(7))
 
 # Every factorization of 12 over the atoms {2, 3}, in canonical order
@@ -38,15 +38,15 @@ print("is 4 an mcd of {4, 6}?", m23.is_mcd(4, 6, 4))
 print("mcd(2, 3):", m23.mcd_set(2, 3))
 
 # Rational generators work the same way through the integerization.
-halves = fg_new([F(1, 2), F(3, 4)])
+halves = FgMonoid([F(1, 2), F(3, 4)])
 print("scale:", halves.scale, " integer generators:", halves.int_gens)
 for z in halves.factorizations(F(3, 2)):
     print("3/2 =", z)
 
 # The internal sum of two monoids is generated by the union of their
 # generating sets; atoms are recomputed from scratch.
-print("sum:", internal_sum(fg_new([2]), fg_new([3])).atoms)
-print("sum via +:", (fg_new([F(1, 2)]) + fg_new([F(1, 3)])).atoms)
+print("sum:", FgMonoid([2]).internal_sum(FgMonoid([3])).atoms)
+print("sum via +:", (FgMonoid([F(1, 2)]) + FgMonoid([F(1, 3)])).atoms)
 
 # A structure report: finitely generated monoids always have finite
 # factorization sets, and the report re-evidences that on a sample.

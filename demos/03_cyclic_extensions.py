@@ -1,6 +1,6 @@
 """Adding one cyclic generator: the constructive heart of the sum theorems.
 
-Both sum theorems reduce to S = M + N_0*r with r outside M.  This demo
+Both sum theorems come down to S = M + N_0*r with r outside M.  This demo
 walks the three constructive procedures extracted from their arguments:
 rewriting old atoms over the new atom set, building maximal common
 divisors by induction on the r-multiple, and assembling factorization
@@ -10,9 +10,9 @@ sets of S from base-monoid slices.
 from fractions import Fraction
 
 from puiseux import (
+    FgMonoid,
     add_cyclic,
     factorizations_via_offsets,
-    fg_new,
     max_cyclic_divisor,
     mcd_via_extension,
     refactor_atom,
@@ -20,7 +20,7 @@ from puiseux import (
 
 F = Fraction
 
-m = fg_new([2, 3])
+m = FgMonoid([2, 3])
 r = F(3, 4)
 
 # r outside M is automatically an atom of the extension; here 3 stops

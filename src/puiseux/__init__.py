@@ -14,27 +14,20 @@ from .errors import (
     PuiseuxError,
 )
 from .qarith import (
-    Rational,
     as_rational,
-    format_rational,
-    is_prime,
     lcm_den,
     nth_prime,
     padic,
     parse_rational,
-    reduce,
 )
 from .monoid import (
     Budget,
-    CyclicExtension,
     Factorization,
     FactorizationSet,
     FgMonoid,
     LengthSet,
     add_cyclic,
     factorizations_via_offsets,
-    fg_new,
-    internal_sum,
     max_cyclic_divisor,
     mcd_via_extension,
     refactor_atom,
@@ -70,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Budget",
     "BudgetExceededError",
-    "CyclicExtension",
     "EXAMPLE_IDS",
     "Evaluator",
     "Factorization",
@@ -85,7 +77,6 @@ __all__ = [
     "PaperReport",
     "ParseError",
     "PuiseuxError",
-    "Rational",
     "Witness",
     "add_cyclic",
     "antimatter_witness",
@@ -97,13 +88,9 @@ __all__ = [
     "family_generator",
     "family_member",
     "family_properties",
-    "fg_new",
-    "format_rational",
     "grams_companion",
-    "internal_sum",
     "interval_length_factorizations",
     "interval_lengths",
-    "is_prime",
     "lat_atomic_elements_in_box",
     "lat_atoms_in_box",
     "lat_contains",
@@ -117,7 +104,6 @@ __all__ = [
     "parse",
     "parse_rational",
     "print_program",
-    "reduce",
     "refactor_atom",
     "render",
     "run_paper_example",

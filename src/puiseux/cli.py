@@ -1,8 +1,8 @@
 """Command-line entry point: batch evaluation, a line-oriented REPL, and a
 catalog of scripted verification scenarios.
 
-Exit codes: 0 success, 1 failed claim in a scenario report, 2 usage or
-parse error, 3 search budget exceeded.
+Exit codes: 0 success, 1 failed claim in a scenario report, 2 usage,
+parse or I/O error, 3 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 
 from .dsl import Evaluator, parse, render
-from .errors import BudgetExceededError, PuiseuxError
+from .errors import BudgetExceededError, InputError, PuiseuxError
 from .reports import EXAMPLE_IDS, run_paper_example
 
 DEFAULT_BUDGET = 10**7
@@ -55,6 +55,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutputError(Exception):
+    """stdout refused a write, other than by its reader closing it."""
+
+
+def _drop_stdout(err: OSError) -> None:
+    """Send stdout to the null device after a failed write, so its buffered rest
+    cannot fail again at exit; a closed reader (EPIPE) only ends the output."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+    if not isinstance(err, BrokenPipeError):
+        raise _OutputError(f"cannot write to stdout: {err.strerror}") from None
+
+
+def _emit(text: str = "") -> None:
+    try:
+        print(text, flush=True)
+    except OSError as err:
+        _drop_stdout(err)
+
+
 def _bound_defaults(args: argparse.Namespace) -> dict[str, int]:
     # only bounds the user passed explicitly (only paper has --box): nothing
     # defaults silently
@@ -65,24 +86,30 @@ def _bound_defaults(args: argparse.Namespace) -> dict[str, int]:
 def _run_eval(args: argparse.Namespace) -> int:
     text = args.program
     if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise InputError(f"cannot read program file: {err}") from None
     evaluator = Evaluator(bound_defaults=_bound_defaults(args), budget=args.budget)
     results = evaluator.run(parse(text))
     for _, value in results:
-        print(render(value, json_mode=args.json))
+        _emit(render(value, json_mode=args.json))
     return 0
 
 
 def _run_repl(args: argparse.Namespace) -> int:
     evaluator = Evaluator(bound_defaults=_bound_defaults(args), budget=args.budget)
-    print("puiseux repl; :quit to leave, :env to list bindings")
+    _emit("puiseux repl; :quit to leave, :env to list bindings")
     while True:
         try:
             line = input("> ")
         except EOFError:
-            print()
+            _emit()
             return 0
+        except OSError as err:   # writing the prompt; no line was read
+            _drop_stdout(err)
+            continue
         stripped = line.strip()
         if not stripped:
             continue
@@ -90,19 +117,19 @@ def _run_repl(args: argparse.Namespace) -> int:
             return 0
         if stripped == ":env":
             for name, value in sorted(evaluator.env.items()):
-                print(f"{name} = {value!r}")
+                _emit(f"{name} = {value!r}")
             continue
         try:
             for _, value in evaluator.run(parse(line)):
-                print(render(value, json_mode=args.json))
+                _emit(render(value, json_mode=args.json))
         except PuiseuxError as err:
-            print(f"error: {err}")
+            _emit(f"error: {err}")
 
 
 def _run_paper(args: argparse.Namespace) -> int:
     # the scenarios' own defaults fill the bounds the user left out
     report = run_paper_example(args.example, budget=args.budget, **_bound_defaults(args))
-    print(report.render_json() if args.json else report.render_text())
+    _emit(report.render_json() if args.json else report.render_text())
     return 0 if report.ok else 1
 
 
@@ -120,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except PuiseuxError as err:
+    except (PuiseuxError, _OutputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ INT is ASCII digits and IDENT (NAME too) an ASCII identifier; any character
 outside the grammar's alphabet is a ParseError at its line and column.
 
 "+" between monoid expressions is the internal sum (and only that: there is
-no element-level arithmetic in the language).  Rational literals only; the
+no element-level arithmetic in the language).  Literals are rationals; the
 language has no decimals.  Family queries that would need a truncation fail
 loudly rather than defaulting to one.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import families
 from .errors import InputError, NeedsBoundError, PuiseuxError
@@ -404,6 +404,8 @@ class Evaluator:
             return LengthSet(zs.target, zs.lengths())
         if q.head == "Zl":
             target, ell = q.args
+            if ell < 1:
+                raise InputError("length must be a positive integer")
             if fam.kind == "interval1":
                 den_bound = fam.param("den_bound")
                 if den_bound is None:

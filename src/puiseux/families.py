@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, NeedsBoundError
 from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _allot, _as_budget,
-                     _checked_paths, _depth_first, _paths_to_set, internal_sum)
+                     _checked_paths, _depth_first, _paths_to_set, _scale_units)
 from .qarith import (RationalLike, _int_valuation, as_rational, lcm_den, nth_prime, prime_factors,
                      prime_index)
 
@@ -194,11 +194,11 @@ def truncate(fam: FamilyMonoid | str, count: int, n_max: int | None = None,
         gens = [b for n in range(n_max or 1, 0, -1) for b in grams_companion(n, count, budget).b]
         return FgMonoid(gens, budget)
     if fam == "exAexB":
-        return internal_sum(truncate("exA", count, budget=budget),
-                            truncate("exB", count, budget=budget), budget)
+        return truncate("exA", count, budget=budget).internal_sum(
+            truncate("exB", count, budget=budget), budget)
     if fam == "gramscompanion":
-        return internal_sum(truncate("grams", count, budget=budget),
-                            truncate("companion", count, n_max=n_max, budget=budget), budget)
+        return truncate("grams", count, budget=budget).internal_sum(
+            truncate("companion", count, n_max=n_max, budget=budget), budget)
     raise InputError(f"{fam} has no generator sequence to truncate")
 
 
@@ -425,7 +425,7 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
         _allot(budget, size, size)
         atoms = [family_generator(k, i) for k in ("exA", "exB") for i in range(1, window + 1)]
         scale = lcm_den(atoms)
-        budget.spend(size * (max(1, scale.bit_length() // 64) - 1))
+        budget.spend(_scale_units(size, scale.bit_length()))
         int_atoms = sorted(a.numerator * (scale // a.denominator) for a in atoms)
         return _scaled_factorizations(q, scale, int_atoms, None, budget)
     if kind in ("sqden", "interval1_sqden"):
@@ -521,7 +521,7 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
     firsts = [a * (big // b) - (a - b) * d // b * step for d, step in enumerate(steps, 1)]
     g = math.gcd(*firsts, *steps)
     scale = big // g
-    budget.spend(size * (max(1, scale.bit_length() // 64) - 1))
+    budget.spend(_scale_units(size, scale.bit_length()))
     int_atoms = sorted({x for first, step in zip(firsts, steps)
                         for x in range(first // g, (first + big) // g, step // g)})
     return _scaled_factorizations(q, scale, int_atoms, ell, budget)

@@ -68,7 +68,6 @@ class LatticePoint(NamedTuple):
         return f"({self.x},{self.y})"
 
 
-ORIGIN = LatticePoint(0, 0)
 PointLike = LatticePoint | Pair
 
 

@@ -226,14 +226,6 @@ class Factorization:
 
     parts: tuple[tuple[Fraction, int], ...]
 
-    @staticmethod
-    def of(parts: dict[Fraction, int] | Iterable[tuple[Fraction, int]]) -> "Factorization":
-        items = dict(parts)
-        for atom, mult in items.items():
-            if mult <= 0:
-                raise InputError(f"multiplicity of {atom} must be positive")
-        return Factorization(tuple(sorted(items.items())))
-
     @property
     def length(self) -> int:
         return sum(m for _, m in self.parts)
@@ -269,24 +261,11 @@ class FactorizationSet:
     descending order; it is the order a depth-first search emits when it
     assigns multiplicities to the largest atom first, counting up from zero.
     The integer kernel is such a search and emits each factorization once,
-    so the sets built from its paths take both properties from it.  `of`
-    gives them to an unordered list: it drops repeats and sorts by
-    z.parts[::-1], the nonzero parts with the largest atom first, which
-    compares exactly as the dense vector does (a part missing from one side
-    meets a smaller atom or the end of the other, and both sort first).
+    so the sets built from its paths take both properties from it.
     """
 
     target: Fraction
     items: tuple[Factorization, ...]
-
-    @staticmethod
-    def of(target: RationalLike, items: Iterable[Factorization]) -> "FactorizationSet":
-        target = as_rational(target)
-        ordered = tuple(sorted(set(items), key=lambda z: z.parts[::-1]))
-        for z in ordered:
-            if z.value != target:
-                raise InputError(f"factorization {z} does not sum to {target}")
-        return FactorizationSet(target, ordered)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -652,15 +631,6 @@ class FgMonoid:
         return f"FgMonoid({', '.join(str(g) for g in self.generators)})"
 
 
-def fg_new(generators: Iterable[RationalLike], budget: Budget | int | None = None) -> FgMonoid:
-    """Canonical constructor: deduplicates, sorts, computes atoms and scale."""
-    return FgMonoid(generators, budget)
-
-
-def internal_sum(m: FgMonoid, n: FgMonoid, budget: Budget | int | None = None) -> FgMonoid:
-    return m.internal_sum(n, budget)
-
-
 def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
                budget: Budget) -> list[tuple[tuple[int, int], ...]]:
     """All ways to write target as a sum of multiples of atoms (ascending,
@@ -792,8 +762,6 @@ class CyclicExtension:
     the least nonzero element of the cyclic part.
     """
 
-    base: FgMonoid
-    r: Fraction
     monoid: FgMonoid
     r_in_base: bool
 
@@ -806,7 +774,7 @@ def add_cyclic(m: FgMonoid, r: RationalLike, budget: Budget | int | None = None)
     budget = _as_budget(budget)
     in_base = m.contains(r, budget)
     s = m if in_base else m._extended(r, budget)
-    return CyclicExtension(m, r, s, in_base)
+    return CyclicExtension(s, in_base)
 
 
 def _r_multiple(reach: str, t: int, step: int) -> int:

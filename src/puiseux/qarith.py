@@ -19,11 +19,6 @@ from .errors import InputError
 if TYPE_CHECKING:   # monoid imports this module
     from .monoid import Budget
 
-#: Exact reduced fraction: stored with gcd(|num|, den) = 1 and den >= 1,
-#: zero represented as 0/1, ordered like the reals.  The stdlib type already
-#: maintains exactly these invariants.
-Rational = Fraction
-
 RationalLike = Fraction | int | str
 
 _RAT_RE = re.compile(r"^([+-]?\d+)\s*(?:/\s*([+-]?\d+))?$")
@@ -50,18 +45,6 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise InputError(f"zero denominator in rational literal {text!r}")
     return Fraction(num, den)
-
-
-def format_rational(q: RationalLike) -> str:
-    """Render as "n/d", omitting "/d" when the denominator is 1."""
-    return str(as_rational(q))
-
-
-def reduce(numerator: int, denominator: int) -> Fraction:
-    """Reduced fraction numerator/denominator with positive denominator."""
-    if denominator == 0:
-        raise InputError("denominator must be nonzero")
-    return Fraction(numerator, denominator)
 
 
 def is_prime(n: int) -> bool:

@@ -244,7 +244,7 @@ def _lattice_ffm_scenario(box: int, budget: Budget) -> PaperReport:
         for u2 in (lattice2.LatticePoint(0, 3), lattice2.LatticePoint(-2, 2)):
             # u1 divides u2 and u1 - u1 = 0 has no nonzero divisors, so u1
             # is a maximal common divisor of the pair
-            mcd_ok &= lat_divides_upperhalf(u1, u2)
+            mcd_ok &= lattice2.lat_contains("upperhalf", u2 - u1)
 
     atomic = lattice2.lat_atomic_elements_in_box(box, budget=budget)
     claims = (
@@ -279,11 +279,6 @@ def _lattice_ffm_scenario(box: int, budget: Budget) -> PaperReport:
     return PaperReport("4.4", claims, artifacts)
 
 
-def lat_divides_upperhalf(u1: lattice2.LatticePoint, u2: lattice2.LatticePoint) -> bool:
-    diff = u2 - u1
-    return lattice2.lat_contains("upperhalf", diff) or diff == lattice2.ORIGIN
-
-
 # -- the unit-interval monoid: bounded but not finite factorizations ------------
 
 
@@ -293,7 +288,7 @@ def _interval_scenario(den_bound: int, budget: Budget) -> PaperReport:
     found = set(pairs)
     half = Fraction(3, 2)
     have_all = all(
-        Factorization.of({half - Fraction(1, n): 1, half + Fraction(1, n): 1}) in found
+        Factorization(((half - Fraction(1, n), 1), (half + Fraction(1, n), 1))) in found
         for n in range(3, den_bound + 1)
     )
     bounds = list(ladder)

@@ -25,9 +25,7 @@ from puiseux import (
     family_factorizations,
     family_generator,
     family_member,
-    fg_new,
     grams_companion,
-    internal_sum,
     interval_length_factorizations,
     lat_atomic_elements_in_box,
     lat_atoms_in_box,
@@ -37,7 +35,6 @@ from puiseux import (
     parse,
     print_program,
     refactor_atom,
-    run_paper_example,
     truncate,
 )
 from puiseux.cli import main as cli_main
@@ -59,7 +56,7 @@ def test_criterion_01_fg_core_oracle_equivalence():
     checked = 0
     for size in (1, 2, 3):
         for gens in itertools.combinations(pool, size):
-            m = fg_new(gens)
+            m = FgMonoid(gens)
             assert [int(a) for a in m.atoms] == oracle_atoms(list(gens))
             atom_buckets = oracle_value_buckets(list(m.int_atoms), limit)
             gen_buckets = oracle_value_buckets(list(gens), limit)
@@ -92,7 +89,7 @@ def test_criterion_01_fg_core_oracle_equivalence():
 
 
 def test_criterion_02_baseline_sum():
-    s = internal_sum(fg_new([2]), fg_new([3]))
+    s = FgMonoid([2]).internal_sum(FgMonoid([3]))
     assert s.atoms == (F(2), F(3))
     assert not s.contains(1)
     assert all(s.contains(n) for n in (0, 2, 3, 4, 5, 6, 7))

@@ -128,12 +128,66 @@ def test_nonpositive_budget_is_usage_error(capsys):
     assert "budget must be positive" in err
 
 
-def test_module_entry_point_writes_the_golden():
+def _puiseux(argv, stdout=subprocess.PIPE, stdin=""):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, "-m", "puiseux", "paper", "4.3", "--json"], env=env,
-                            cwd=ROOT, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "puiseux", *argv], env=env, cwd=ROOT, input=stdin,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def test_module_entry_point_writes_the_golden():
+    result = _puiseux(["paper", "4.3", "--json"])
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN_DIR / "paper_4_3.json").read_text()
+
+
+def _into_closed_pipe(argv, stdin=""):
+    """Run puiseux writing to a pipe whose read end is closed before it starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _puiseux(argv, stdout=write_end, stdin=stdin)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["paper", "4.3", "--json"], ""),
+    (["eval", "Z(pm(2,3), 12); L(pm(2,3), 12)"], ""),
+    (["repl"], "Z(pm(2,3), 12)\n:env\nZ(pm(2,3), 6)\n"),
+])
+def test_a_closed_reader_ends_the_output_quietly(argv, stdin):
+    result = _into_closed_pipe(argv, stdin)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string digit limit")
+def test_a_closed_reader_still_gets_the_commands_exit_code():
+    # the first result goes to the closed pipe; the second is too long to print
+    n = "9" * sys.get_int_max_str_digits()
+    result = _into_closed_pipe(["eval", f"Z(pm(2,3), 6); Z(pm(1/2), {n})"])
+    assert result.returncode == 2
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: the result holds an integer too long to print")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["eval", "Z(pm(2,3), 12)"], ["paper", "4.3"]])
+def test_any_other_stdout_write_error_exits_2(argv):
+    with open("/dev/full", "w") as full:
+        result = _puiseux(argv, stdout=full)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == ["error: cannot write to stdout: No space left on device"]
+
+
+@pytest.mark.parametrize("make", [Path.mkdir, lambda path: path.write_bytes(b"\xff member(pm(2,3), 7)")],
+                         ids=["directory", "not-utf-8"])
+def test_an_unreadable_program_file_is_an_input_error(tmp_path, make):
+    path = tmp_path / "program.pm"
+    make(path)
+    result = _puiseux(["eval", str(path)])
+    assert (result.returncode, result.stdout) == (2, "")
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: cannot read program file: ")
 
 
 def test_deep_interval_sample_is_not_limited_by_recursion(capsys):

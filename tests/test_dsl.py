@@ -284,6 +284,18 @@ def test_eval_loud_failures():
         ev.run_text("Z(M_undefined, 2)")
 
 
+@pytest.mark.parametrize("program", [
+    "Zl(family(sqden), 0, 0)",
+    "Zl(family(sqden), 9/8, 0)",
+    "Zl(family(interval1_sqden), 0, 0)",
+    "Zl(family(exAexB, window=3), 0, 0)",
+    "Zl(family(exAexB, window=3), 2, 0)",
+])
+def test_family_zl_refuses_length_zero_as_fg_does(program):
+    with pytest.raises(InputError, match="length must be a positive integer"):
+        Evaluator().run_text(program)
+
+
 def test_unknown_family_parameters_fail_loudly():
     ev = Evaluator()
     (_, atoms), = ev.run_text("atoms(family(companion, K=2))")

@@ -28,7 +28,6 @@ from puiseux import (
     NotAMemberError,
     add_cyclic,
     factorizations_via_offsets,
-    fg_new,
     max_cyclic_divisor,
     mcd_via_extension,
     refactor_atom,
@@ -39,7 +38,7 @@ F = Fraction
 
 @pytest.fixture
 def m23():
-    return fg_new([2, 3])
+    return FgMonoid([2, 3])
 
 
 def test_add_cyclic(m23):

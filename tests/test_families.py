@@ -343,9 +343,9 @@ def test_property_diagram_corners():
     assert flag("interval1", "bbm") and not flag("interval1", "ffm")
     assert flag("sqden", "ffm") and not flag("sqden", "bbm")
     assert flag("exAexB", "bfm") and not flag("exAexB", "ffm")
-    from puiseux import fg_new
+    from puiseux import FgMonoid
 
-    fg_flags = fg_new([2, 3]).classify()["flags"]
+    fg_flags = FgMonoid([2, 3]).classify()["flags"]
     assert all(fg_flags[name]["value"] for name in ("atomic", "bbm", "bfm", "ffm", "lffm"))
 
 
