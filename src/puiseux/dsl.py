@@ -32,12 +32,21 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import families
-from .errors import InputError, NeedsBoundError, PuiseuxError
+from .errors import InputError, PuiseuxError
 from .monoid import FactorizationSet, FgMonoid, LengthSet, _json_text
 
-# each query head and the literals that follow its monoid expression
-_QUERY_FORMS = {"atoms": (), "props": (), "Z": ("rat",), "L": ("rat",), "member": ("rat",),
-                "Zl": ("rat", "INT"), "mcd": ("rat", "rat"), "divides": ("rat", "rat")}
+# each query head: the literals that follow its monoid expression, and the
+# call that answers it on a monoid value, FgMonoid and FamilyMonoid alike
+_QUERY_FORMS = {
+    "atoms": ((), lambda m, budget: m.atoms),
+    "props": ((), lambda m, budget: m.classify(budget=budget)),
+    "Z": (("rat",), lambda m, q, budget: m.factorizations(q, budget)),
+    "L": (("rat",), lambda m, q, budget: m.lengths(q, budget)),
+    "member": (("rat",), lambda m, q, budget: m.contains(q, budget)),
+    "Zl": (("rat", "INT"), lambda m, q, ell, budget: m.factorizations_of_length(q, ell, budget)),
+    "mcd": (("rat", "rat"), lambda m, x, y, budget: m.mcd_set(x, y, budget)[-1]),
+    "divides": (("rat", "rat"), lambda m, c, b, budget: m.divides(c, b, budget)),
+}
 QUERY_HEADS = tuple(_QUERY_FORMS)
 KEYWORDS = ("let", "pm", "cyclic", "family") + QUERY_HEADS
 
@@ -185,7 +194,7 @@ class _Parser:
         self.expect("(")
         expr = self.mexpr()
         args = []
-        for literal in _QUERY_FORMS[head]:
+        for literal in _QUERY_FORMS[head][0]:
             self.expect(",")
             args.append(self.rat() if literal == "rat" else self.int_literal())
         self.expect(")")
@@ -341,93 +350,20 @@ class Evaluator:
                 return families.truncate(fam, k, budget=self.budget)
             return fam
         if isinstance(expr, Sum):
-            return self._sum(self.eval_mexpr(expr.left), self.eval_mexpr(expr.right))
+            return self.eval_mexpr(expr.left).internal_sum(self.eval_mexpr(expr.right), self.budget)
         raise InputError(f"not a monoid expression: {expr!r}")
-
-    def _sum(self, left: MonoidValue, right: MonoidValue) -> MonoidValue:
-        if isinstance(left, FgMonoid) and isinstance(right, FgMonoid):
-            return left.internal_sum(right, self.budget)
-        if isinstance(left, families.FamilyMonoid) and isinstance(right, families.FamilyMonoid):
-            combined = families.sum_kind(left.kind, right.kind)
-            if combined is not None:
-                params = tuple(sorted({**dict(left.params), **dict(right.params)}.items()))
-                return families.FamilyMonoid(combined, params)
-            raise NeedsBoundError(f"no exact procedure for {left.kind} + {right.kind};"
-                                  f" {families._bound_hint(left.kind, right.kind)}")
-        fam = left if isinstance(left, families.FamilyMonoid) else right
-        raise NeedsBoundError("cannot sum a finitely generated monoid with an untruncated"
-                              f" family; {families._bound_hint(fam.kind)}")
 
     # -- queries
 
     def eval_query(self, q: Query):
         value = self.eval_mexpr(q.expr)
-        if isinstance(value, FgMonoid):
-            return self._fg_query(q, value)
-        # folded at the query, not per family term, so a summand's explicit
-        # bound still beats a flag after a sum merges the terms' params
-        params = {**self.bound_defaults, **dict(value.params)}
-        return self._family_query(q, families.FamilyMonoid(value.kind, tuple(sorted(params.items()))))
-
-    def _fg_query(self, q: Query, m: FgMonoid):
-        budget = self.budget
-        if q.head == "atoms":
-            return m.atoms
-        if q.head == "props":
-            return m.classify(budget=budget)
-        if q.head == "Z":
-            return m.factorizations(q.args[0], budget)
-        if q.head == "L":
-            return m.lengths(q.args[0], budget)
-        if q.head == "member":
-            return m.contains(q.args[0], budget)
-        if q.head == "Zl":
-            return m.factorizations_of_length(q.args[0], q.args[1], budget)
-        if q.head == "mcd":
-            return m.mcd_set(q.args[0], q.args[1], budget)[-1]
-        if q.head == "divides":
-            return m.divides(q.args[0], q.args[1], budget)
-        raise InputError(f"unknown query {q.head!r}")
-
-    def _family_query(self, q: Query, fam: families.FamilyMonoid):
-        budget = self.budget
-        if q.head == "props":
-            return families.family_properties(fam, budget=budget)
-        if q.head == "member":
-            return families.family_member(fam, q.args[0], budget)
-        if q.head == "Z":
-            return families.family_factorizations(fam, q.args[0], budget=budget)
-        if q.head == "L":
-            if fam.kind == "interval1":
-                return LengthSet(Fraction(q.args[0]), families.interval_lengths(q.args[0], budget))
-            zs = families.family_factorizations(fam, q.args[0], budget=budget)
-            return LengthSet(zs.target, zs.lengths())
-        if q.head == "Zl":
-            target, ell = q.args
-            if ell < 1:
-                raise InputError("length must be a positive integer")
-            if fam.kind == "interval1":
-                den_bound = fam.param("den_bound")
-                if den_bound is None:
-                    raise NeedsBoundError("Zl on interval1 needs den_bound=...")
-                return families.interval_length_factorizations(target, ell, den_bound, budget)
-            zs = families.family_factorizations(fam, target, budget=budget)
-            # a subsequence of a canonical set is itself canonical
-            return FactorizationSet(zs.target, tuple(z for z in zs if z.length == ell))
-        if q.head == "divides":
-            c, b = Fraction(q.args[0]), Fraction(q.args[1])
-            if c > b:
-                return False
-            return (families.family_member(fam, c, budget)
-                    and families.family_member(fam, b, budget)
-                    and families.family_member(fam, b - c, budget))
-        if q.head == "atoms":
-            raise NeedsBoundError(f"atoms of {fam.kind} form an infinite set;"
-                                  f" {families._bound_hint(fam.kind)}")
-        if q.head == "mcd":
-            raise NeedsBoundError(f"mcd on {fam.kind} is not supported;"
-                                  f" {families._bound_hint(fam.kind)}")
-        raise InputError(f"unknown query {q.head!r}")
+        if q.head not in _QUERY_FORMS:
+            raise InputError(f"unknown query {q.head!r}")
+        if isinstance(value, families.FamilyMonoid):
+            # folded at the query, not per family term, so a summand's explicit
+            # bound still beats a flag after a sum merges the terms' params
+            value = families.family(value.kind, **{**self.bound_defaults, **dict(value.params)})
+        return _QUERY_FORMS[q.head][1](value, *q.args, self.budget)
 
 
 # -- result rendering ------------------------------------------------------------

@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, NeedsBoundError
-from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, _allot, _as_budget,
-                     _checked_paths, _depth_first, _paths_to_set, _scale_units)
+from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, LengthSet, _allot,
+                     _as_budget, _checked_paths, _depth_first, _paths_to_set, _scale_units)
 from .qarith import (RationalLike, _int_valuation, as_rational, lcm_den, nth_prime, prime_factors,
                      prime_index)
 
@@ -56,7 +56,7 @@ _PARAM_NAMES = {"K", "window", "den_bound", "n"}
 
 @dataclass(frozen=True)
 class FamilyMonoid:
-    """Descriptor for a family, possibly carrying truncation parameters."""
+    """A family, possibly carrying truncation parameters, queried as an FgMonoid is."""
 
     kind: str
     params: tuple[tuple[str, int], ...] = ()
@@ -80,14 +80,63 @@ class FamilyMonoid:
         inner = ", ".join([self.kind] + [f"{k}={v}" for k, v in self.params])
         return f"family({inner})"
 
+    # -- FgMonoid's queries, by the exact procedures below; where none exists,
+    # a NeedsBoundError names the bound that helps
+
+    @property
+    def atoms(self) -> tuple[Fraction, ...]:
+        raise NeedsBoundError(f"atoms of {self.kind} form an infinite set; {_bound_hint(self.kind)}")
+
+    def contains(self, q: RationalLike, budget: Budget | int | None = None) -> bool:
+        return family_member(self, q, budget)
+
+    # three contains calls on one allowance, behind FgMonoid's guard
+    divides = FgMonoid.divides
+
+    def mcd_set(self, x: RationalLike, y: RationalLike,
+                budget: Budget | int | None = None) -> tuple[Fraction, ...]:
+        raise NeedsBoundError(f"mcd on {self.kind} is not supported; {_bound_hint(self.kind)}")
+
+    def factorizations(self, q: RationalLike, budget: Budget | int | None = None) -> FactorizationSet:
+        return family_factorizations(self, q, budget=budget)
+
+    def factorizations_of_length(self, q: RationalLike, ell: int,
+                                 budget: Budget | int | None = None) -> FactorizationSet:
+        """Z(q) cut to length ell; on interval1, where it is infinite, den_bound's sample."""
+        if ell < 1:
+            raise InputError("length must be a positive integer")
+        if self.kind == "interval1":
+            den_bound = self.param("den_bound")
+            if den_bound is None:
+                raise NeedsBoundError("Zl on interval1 needs den_bound=...")
+            return interval_length_factorizations(q, ell, den_bound, budget)
+        zs = family_factorizations(self, q, budget=budget)
+        # a subsequence of a canonical set is itself canonical
+        return FactorizationSet(zs.target, tuple(z for z in zs if z.length == ell))
+
+    def lengths(self, q: RationalLike, budget: Budget | int | None = None) -> LengthSet:
+        if self.kind == "interval1":
+            return LengthSet(as_rational(q), interval_lengths(q, budget))
+        zs = family_factorizations(self, q, budget=budget)
+        return LengthSet(zs.target, zs.lengths())
+
+    def classify(self, budget: Budget | int | None = None) -> dict:
+        return family_properties(self, budget=budget)
+
+    def internal_sum(self, other: object, budget: Budget | int | None = None) -> FamilyMonoid:
+        """The composite family of two base families, params merged (other's win)."""
+        if not isinstance(other, FamilyMonoid):
+            raise NeedsBoundError("cannot sum a finitely generated monoid with an untruncated"
+                                  f" family; {_bound_hint(self.kind)}")
+        combined = _SUM_TABLE.get(frozenset({self.kind, other.kind}))
+        if combined is None:
+            raise NeedsBoundError(f"no exact procedure for {self.kind} + {other.kind};"
+                                  f" {_bound_hint(self.kind, other.kind)}")
+        return family(combined, **{**dict(self.params), **dict(other.params)})
+
 
 def family(kind: str, **params: int) -> FamilyMonoid:
     return FamilyMonoid(kind, tuple(sorted(params.items())))
-
-
-def sum_kind(a: str, b: str) -> str | None:
-    """The composite family denoting the internal sum of two base families."""
-    return _SUM_TABLE.get(frozenset({a, b}))
 
 
 # the families truncate() rejects, and what bounds a query on them instead
@@ -550,20 +599,18 @@ def family_properties(kind: str | FamilyMonoid, K: int = 6, window: int = 10,
         window = kind.param("window", window) or window
         den_bound = kind.param("den_bound", den_bound) or den_bound
         kind = kind.kind
-    if kind not in KINDS:
-        raise InputError(f"unknown family {kind!r}")
-    budget = _as_budget(budget)
+    # an unknown kind has no evidence, so this raises before the flags are read
+    evidence = _family_evidence(kind, K, window, den_bound, _as_budget(budget))
     flags = {
         name: {"value": value, "provenance": "paper"}
         for name, value in _PAPER_FLAGS[kind].items()
     }
-    report = {
+    return {
         "family": kind,
         "primes": _PRIME_LABEL.get(kind),
         "flags": flags,
-        "evidence": _family_evidence(kind, K, window, den_bound, budget),
+        "evidence": evidence,
     }
-    return report
 
 
 def _family_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:

@@ -612,8 +612,11 @@ class FgMonoid:
 
     # -- algebra --------------------------------------------------------------
 
-    def internal_sum(self, other: "FgMonoid", budget: Budget | int | None = None) -> "FgMonoid":
-        """Smallest submonoid containing both: generated by the union."""
+    def internal_sum(self, other, budget: Budget | int | None = None):
+        """Smallest submonoid containing both: generated by the union.  A
+        summand of another class (a family) forms the sum itself."""
+        if not isinstance(other, FgMonoid):
+            return other.internal_sum(self, budget)
         return FgMonoid(self.generators + other.generators, budget)
 
     def __add__(self, other: "FgMonoid") -> "FgMonoid":

@@ -389,6 +389,28 @@ def test_unknown_subcommand_and_example(capsys):
     assert "unknown example id" in err
 
 
+@pytest.mark.parametrize("example, flag, minimum", [("4.2", "--window", "window >= 2"),
+                                                    ("5", "--den-bound", "den_bound >= 2")])
+def test_a_bound_too_small_for_a_growth_claim_is_refused(capsys, example, flag, minimum):
+    # one rung or none cannot show growth; the smallest accepted bound passes
+    for value in ("1", "0", "-1"):
+        code, out, err = run(capsys, "paper", example, flag, value)
+        assert (code, out) == (2, "")
+        assert minimum in err
+    code, out, _ = run(capsys, "paper", example, flag, "2")
+    assert code == 0
+    assert out.strip().endswith("PASS")
+
+
+def test_family_divides_spends_one_allowance(capsys):
+    # its three membership checks cost 2,122 units together
+    code, out, err = run(capsys, "eval", "--budget", "1900", "divides(family(sqden), 20, 40)")
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    code, out, _ = run(capsys, "eval", "--budget", "2122", "divides(family(sqden), 20, 40)")
+    assert (code, out) == (0, "true\n")
+
+
 @pytest.mark.parametrize("example", ["3.2", "3.3", "4.2", "4.3", "4.4", "5"])
 def test_paper_examples_pass_with_defaults(capsys, example):
     code, out, _ = run(capsys, "paper", example)

@@ -15,11 +15,11 @@ def test_every_export_is_listed_once_and_resolves():
     assert [name for name in names if not hasattr(puiseux, name)] == []
 
 
-def _run_quick_start():
-    """Run the README's quick-start block; its namespace and the value of
-    each bare expression in it, in order."""
+def _run_quick_start(marker="## Library quick start"):
+    """Run the README's first python block after marker; its namespace and
+    the value of each bare expression in it, in order."""
     text = README.read_text(encoding="utf-8")
-    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = text.split(marker, 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     namespace, values = {}, []
     for stmt in ast.parse(block).body:
         if isinstance(stmt, ast.Expr):
@@ -37,3 +37,10 @@ def test_readme_quick_start_gives_what_its_comments_state():
     assert mcds == (4,)
     assert namespace["S"].atoms == (Fraction(3, 4), 2)
     assert offsets_match is True
+
+
+def test_readme_family_example_gives_what_its_comments_state():
+    namespace, (member, count, lengths, zs) = _run_quick_start("An infinite family answers")
+    assert repr(namespace["T"]) == "family(interval1_sqden)"
+    assert (member, count, lengths) == (True, 0, (2, 3))
+    assert [str(z) for z in zs] == ["2·3/2", "1·5/4 + 1·7/4", "1·7/6 + 1·11/6"]
