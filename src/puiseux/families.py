@@ -90,8 +90,13 @@ class FamilyMonoid:
     def contains(self, q: RationalLike, budget: Budget | int | None = None) -> bool:
         return family_member(self, q, budget)
 
-    # three contains calls on one allowance, behind FgMonoid's guard
-    divides = FgMonoid.divides
+    def divides(self, c: RationalLike, b: RationalLike, budget: Budget | int | None = None) -> bool:
+        """FgMonoid.divides's guard, then three contains calls on one allowance."""
+        c, b = as_rational(c), as_rational(b)
+        if c < 0 or b < 0 or b < c:
+            return False
+        budget = _as_budget(budget)
+        return self.contains(c, budget) and self.contains(b, budget) and self.contains(b - c, budget)
 
     def mcd_set(self, x: RationalLike, y: RationalLike,
                 budget: Budget | int | None = None) -> tuple[Fraction, ...]:

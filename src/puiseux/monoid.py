@@ -18,10 +18,10 @@ steps for k generators, whatever the target.
 
 Atoms and membership come from the table whenever its k a steps cost fewer
 budget units than the bitmask closure they replace; that is decided at
-construction for the largest generator, and again whenever a membership
-query would grow the bitmask.  The range scans (divisors, mcd sets, cyclic
-divisors, smallest members) read the bitmask, since they are O(target)
-anyway.
+construction for the largest generator, and again by each membership query
+past the construction's cover, for that query alone.  The range scans
+(divisors, mcd sets, cyclic divisors, smallest members) read the bitmask,
+since they are O(target) anyway.
 
 The cyclic-extension procedures (the last section) run on the integers of
 S = M + N_0*r too, and charge only these structures and the kernel's nodes.
@@ -192,12 +192,6 @@ def _apery(gens: Sequence[int], budget: Budget) -> tuple[list, list[int]]:
     return table, [a] + atoms
 
 
-def _grown_cover(base: int, t: int) -> int:
-    # doubling from the last cover a query grew keeps the total closure work
-    # within twice the last closure
-    return max(t, 2 * base, 256)
-
-
 def _scale_units(count: int, den_bits: int) -> int:
     """Budget units of scaling count generators whose denominators total
     den_bits bits: one per generator and 64-bit word of the scale past the
@@ -351,26 +345,20 @@ def _positive_rational(value: RationalLike) -> Fraction:
 class FgMonoid:
     """Additive submonoid of Q>=0 generated by finitely many positive rationals.
 
-    Immutable after construction.  Membership is answered by an Apéry
-    table once one is built, and by a reachability mask otherwise; the
-    table is taken, at construction or by the first membership query that
-    would grow the mask, whenever it costs fewer budget units than that
-    mask.  When the atoms were sieved on a mask, its closure (exactly the
-    members up to the largest generator) is the first cover.  The mask,
-    which the range scans always read, grows on demand to at least twice
-    the last cover a query grew (the base; none at first, so the first
-    growth past the sieve's cover costs what growth from nothing costs)
-    and is replaced by one assignment of a (cover, bits, base) triple; the
-    table is published by one assignment and never changes.  So concurrent
-    readers always observe a consistent structure; two threads that build
-    one at once only repeat work.
+    No query changes the membership structures, so a query's answer,
+    exception and budget units are those of the same query on a fresh
+    monoid.  Construction keeps an Apéry table when it costs fewer budget
+    units than a reachability mask up to the largest generator; otherwise
+    the atom sieve's mask, exactly the members up to that generator, is
+    the cover.  A query past the cover builds, for itself alone, a table
+    or a mask closed to max(t, 256), whichever costs fewer units; the
+    range scans always read a mask.
 
     A cyclic extension M + N_0*r (add_cyclic) is built on M's grid, from
     M's scaled generators and r's step, by the builder __init__ ends in.
     M keeps the last one in one slot, assigned after the build returns (an
     exhausted build leaves it be) and read once per call, so threads see a
-    whole entry and only rebuild; its fields never change (covers are
-    replaced, not written), so each S sharing them grows its own cover.
+    whole entry and only rebuild.
     """
 
     def __init__(self, generators: Iterable[RationalLike], budget: Budget | int | None = None):
@@ -397,18 +385,17 @@ class FgMonoid:
         # (r, units, fields) of the last cyclic extension built, as first built
         self._extension: tuple | None = None
         limit = int_gens[-1]
-        # Apéry table with respect to int_atoms[0], once one is built
+        # Apéry table with respect to int_atoms[0], or None; and (cover, bits):
+        # bit t decided for all 0 <= t <= cover
         self._table: list | None = None
-        # (cover, bits, base): bit t decided for all 0 <= t <= cover, and the
-        # last cover a query grew, which the next growth doubles
         if _table_is_cheaper(len(int_gens), int_gens[0], limit):
             self._table, atoms = _apery(int_gens, budget)
-            self._state = (0, 1, 0)
+            self._state = (0, 1)
         else:
             atoms, bits = _sieve(int_gens, 1, lambda bits, g: (bits >> g) & 1,
                                  lambda bits, g: _close_bits(bits, (g,), limit, budget))
             # closed under every atom, so exactly the members up to limit
-            self._state = (limit, bits, 0)
+            self._state = (limit, bits)
         self.int_atoms = tuple(atoms)
         generator_of = dict(zip(int_gens, generators))
         self.atoms = tuple(generator_of[g] for g in self.int_atoms)
@@ -441,47 +428,44 @@ class FgMonoid:
 
     # -- membership -------------------------------------------------------
 
-    def _ensure_cover(self, t: int, budget: Budget) -> int:
-        """The bits of a cover of at least t."""
-        cover, bits, base = self._state
-        if t > cover:
-            cover = _grown_cover(base, t)
-            bits = _close_bits(bits, self.int_atoms, cover, budget)
-            self._state = (cover, bits, cover)
-        return bits
-
     def _reach(self, t: int, budget: Budget) -> str:
         """Membership of 0..t as a string: reach[d] == "1" iff d is reachable.
 
-        The cover is masked to t + 1 bits before formatting, so the cost
-        follows t rather than the cover.
+        The mask is cut to t + 1 bits before formatting, so the cost
+        follows t rather than the mask.
         """
-        bits = self._ensure_cover(t, budget)
+        cover, bits = self._state
+        if t > cover:
+            bits = _close_bits(bits, self.int_atoms, max(t, 256), budget)
         return format(bits & ((1 << (t + 1)) - 1), f"0{t + 1}b")[::-1]
+
+    def _membership(self, t: int, budget: Budget | int | None) -> Callable[[int], bool]:
+        """A membership test for the integers 0..t on this monoid's grid,
+        from the construction's structures or from one built for this call."""
+        table, (cover, bits) = self._table, self._state
+        if table is None and t > cover:
+            atoms, limit, budget = self.int_atoms, max(t, 256), _as_budget(budget)
+            if _table_is_cheaper(len(atoms), atoms[0], limit):
+                table = _apery(atoms, budget)[0]
+            else:
+                bits = _close_bits(bits, atoms, limit, budget)
+        if table is None:
+            return lambda u: (bits >> u) & 1 == 1
+        return lambda u: u >= table[u % len(table)]
+
+    def _grid(self, q: Fraction) -> int | None:
+        """q * scale, or None when q is negative or off this monoid's grid."""
+        # q * scale is an integer iff q's (reduced) denominator divides the scale
+        d = q.denominator
+        return q.numerator * (self.scale // d) if q.numerator >= 0 and self.scale % d == 0 else None
 
     def contains(self, q: RationalLike, budget: Budget | int | None = None) -> bool:
         """Exact membership: is q a nonnegative-integer combination of generators?"""
         q = as_rational(q)
         if q.numerator < 0:
             raise InputError("membership is only defined for nonnegative rationals")
-        # q * scale is an integer iff q's (reduced) denominator divides the scale
-        d = q.denominator
-        return self.scale % d == 0 and self._member(q.numerator * (self.scale // d), budget)
-
-    def _member(self, t: int, budget: Budget | int | None) -> bool:
-        """contains for an integer t >= 0 on this monoid's grid."""
-        table = self._table
-        if table is None:
-            cover, bits, base = self._state
-            if t > cover:
-                budget = _as_budget(budget)
-                atoms = self.int_atoms
-                if _table_is_cheaper(len(atoms), atoms[0], _grown_cover(base, t)):
-                    table = self._table = _apery(atoms, budget)[0]
-                    return t >= table[t % len(table)]
-                bits = self._ensure_cover(t, budget)
-            return bool((bits >> t) & 1)
-        return t >= table[t % len(table)]
+        t = self._grid(q)
+        return t is not None and self._membership(t, budget)(t)
 
     def __contains__(self, q: RationalLike) -> bool:
         return self.contains(q)
@@ -491,23 +475,34 @@ class FgMonoid:
         c, b = as_rational(c), as_rational(b)
         if c < 0 or b < 0 or b < c:
             return False
-        budget = _as_budget(budget)
-        return self.contains(c, budget) and self.contains(b, budget) and self.contains(b - c, budget)
+        ts = [self._grid(v) for v in (c, b, b - c)]
+        return None not in ts and all(map(self._membership(ts[1], budget), ts))
 
     def _int_target(self, q: RationalLike, budget: Budget) -> int:
         q = as_rational(q)
-        if q.numerator < 0 or not self.contains(q, budget):
+        t = self._grid(q)
+        if t is None or not self._membership(t, budget)(t):
             raise NotAMemberError(f"{q} is not an element of {self}")
-        return q.numerator * (self.scale // q.denominator)
+        return t
+
+    def _scan(self, qs: Iterable[RationalLike], budget: Budget) -> tuple[str, list[int]]:
+        """The reach string up to the largest of qs, and their integers; a
+        NotAMemberError names the first q outside the monoid."""
+        qs = [as_rational(q) for q in qs]
+        ts = [self._grid(q) for q in qs]
+        reach = "" if None in ts else self._reach(max(ts), budget)
+        for q, t in zip(qs, ts):
+            if t is None or reach[t:t + 1] != "1":
+                raise NotAMemberError(f"{q} is not an element of {self}")
+        return reach, ts
 
     # -- divisibility structure --------------------------------------------
 
     def divisors(self, q: RationalLike, budget: Budget | int | None = None) -> tuple[Fraction, ...]:
         """The finite set {d in M : q - d in M}, ascending."""
-        budget = _as_budget(budget)
-        t = self._int_target(q, budget)
+        reach, (t,) = self._scan((q,), _as_budget(budget))
         # the divisors of t are its common divisors with itself
-        common = _common_divisors(self._reach(t, budget), t, t, t)
+        common = _common_divisors(reach, t, t, t)
         return tuple(Fraction(d, self.scale) for d in _ones(common))
 
     def mcd_set(self, x: RationalLike, y: RationalLike, budget: Budget | int | None = None) -> tuple[Fraction, ...]:
@@ -518,9 +513,8 @@ class FgMonoid:
         nonempty here because divisor sets of finitely generated Puiseux
         monoids are finite.
         """
-        budget = _as_budget(budget)
-        tx, ty = self._int_target(x, budget), self._int_target(y, budget)
-        common = _common_divisors(self._reach(max(tx, ty), budget), min(tx, ty), tx, ty)
+        reach, (tx, ty) = self._scan((x, y), _as_budget(budget))
+        common = _common_divisors(reach, min(tx, ty), tx, ty)
         # a common divisor e above d with e - d in M gives one at d + a for
         # any atom a of e - d (x - d - a = (x - e) + (e - d - a)), so one
         # shift per atom decides maximality
@@ -586,7 +580,8 @@ class FgMonoid:
         """
         budget = _as_budget(budget)
         sample = self.smallest_members(sample_size, budget)
-        counts = [len(self._paths(q, None, budget)) for q in sample]
+        # members already, so straight to the kernel
+        counts = [len(_checked_paths(int(q * self.scale), self.int_atoms, None, budget)) for q in sample]
         flag = lambda v: {"value": v, "provenance": "paper"}
         return {
             "generators": [str(g) for g in self.generators],
@@ -754,7 +749,7 @@ def _paths_to_set(q: RationalLike, atoms: Sequence[Fraction] | Mapping[int, Frac
 # -- cyclic extensions: the constructive procedures behind the sum theorems --
 # They run on S's scaled integers (r is step = r * S.scale; M's grid is S's
 # divided by f = S.scale / M.scale) and charge S's construction, S's bitmask
-# where they scan, M's table or bitmask per membership test, and kernel nodes.
+# where they scan, one membership structure of M per call, and kernel nodes.
 
 
 @dataclass(frozen=True)
@@ -792,11 +787,10 @@ def max_cyclic_divisor(s: FgMonoid, a: RationalLike, r: RationalLike,
     a, r = as_rational(a), as_rational(r)
     if r <= 0:
         raise InputError("r must be positive")
-    budget = _as_budget(budget)
-    t = s._int_target(a, budget)
+    reach, (t,) = s._scan((a,), _as_budget(budget))
     # a - m*r stays on the integer grid of S only when den divides m
     step, den = (r * s.scale).as_integer_ratio()
-    return den * _r_multiple(s._reach(t, budget), t, step)
+    return den * _r_multiple(reach, t, step)
 
 
 def _extension(m: FgMonoid, r: Fraction, budget: Budget) -> tuple[FgMonoid, int, int]:
@@ -831,14 +825,14 @@ def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
     """
     r, a = as_rational(r), as_rational(a)
     budget = _as_budget(budget)
-    # an r in M is reported first; its cached membership makes the second check free
+    # an r in M is reported first
     if a not in m.atoms and not m.contains(r, budget):
         raise InputError(f"{a} is not an atom of {m}")
     s, step, f = _extension(m, r, budget)
-    t = s._int_target(a, budget)
-    mult = _r_multiple(s._reach(t, budget), t, step)
+    reach, (t,) = s._scan((a,), budget)
+    mult = _r_multiple(reach, t, step)
     rest = t - mult * step
-    if rest % f or not m._member(rest // f, budget):
+    if rest % f or not m._membership(rest // f, budget)(rest // f):
         raise RuntimeError("maximal r-multiple left a remainder outside the base monoid")
     p = _lifter(m, s, step, f)(_checked_paths(rest // f, m.int_atoms, None, budget)[0], mult)
     if p is None:
@@ -863,23 +857,21 @@ def mcd_via_extension(m: FgMonoid, r: RationalLike, x: RationalLike, y: Rational
     budget = _as_budget(budget)
     s, step, f = _extension(m, r, budget)
     # NotAMemberError outside S, before any search
-    x, y = s._int_target(x, budget), s._int_target(y, budget)
-    sr, mr = s._reach(max(x, y), budget), ""
+    sr, (x, y) = s._scan((x, y), budget)
     mx, my = _r_multiple(sr, x, step), _r_multiple(sr, y, step)
     if mx > my:
         x, y, mx, my = y, x, my, mx
     d = mx * step
     x, y = x - d, y - d
+    # x and y only decrease from here, so one reach of M serves every step
+    mr = m._reach(max(x, y) // f, budget)
     # Invariant: r does not divide x in S, so every divisor of x lives in M.
-    # Nor ys, by the maximality of its r-multiple.  Both are tested as
-    # m.mcd_set(x, ys) tests them, so M's structures are charged as there.
+    # Nor ys, by the maximality of its r-multiple.
     for _ in range(my - mx + 2):
         ys = y - _r_multiple(sr, y, step) * step
         xm, ym = x // f, ys // f
-        if x % f or ys % f or not (m._member(xm, budget) and m._member(ym, budget)):
+        if x % f or ys % f or mr[xm] + mr[ym] != "11":
             raise RuntimeError("maximal-common-divisor construction left the base monoid")
-        if len(mr) <= max(xm, ym):
-            mr = m._reach(max(xm, ym), budget)
         # 0 is a common divisor, so the largest one is found
         d1 = (_common_divisors(mr, min(xm, ym), xm, ym).bit_length() - 1) * f
         if ys == y:
@@ -909,11 +901,11 @@ def factorizations_via_offsets(m: FgMonoid, r: RationalLike, s_value: RationalLi
     budget = _as_budget(budget)
     s, step, f = _extension(m, r, budget)
     t = s._int_target(s_value, budget)   # NotAMemberError outside S
-    lift = _lifter(m, s, step, f)
+    lift, member = _lifter(m, s, step, f), m._membership(t // f, budget)
     paths = []
     for c in range(t // step + 1):
         rest = t - c * step
-        if rest % f == 0 and m._member(rest // f, budget):
+        if rest % f == 0 and member(rest // f):
             lifted = (lift(p, c) for p in _checked_paths(rest // f, m.int_atoms, None, budget))
             paths += (p for p in lifted if p is not None)
     return _paths_to_set(s_value, s.atoms, sorted(paths, key=lambda p: p[::-1]))

@@ -87,10 +87,11 @@ def run_paper_example(example: str, window: int = 10, den_bound: int = 12,
     }
     if example not in runners:
         raise InputError(f"unknown example id {example!r}; known: {', '.join(EXAMPLE_IDS)}")
-    # a growth claim compares the counts at two or more bounds
-    low = {"4.2": ("window", window), "5": ("den_bound", den_bound)}.get(example)
+    growth = "its growth claim compares two bounds"
+    low = {"4.2": ("window", window, growth), "5": ("den_bound", den_bound, growth),
+           "4.4": ("box", box, "its length sample needs the atom (-2,1)")}.get(example)
     if low is not None and low[1] < 2:
-        raise InputError(f"example {example} needs {low[0]} >= 2: its growth claim compares two bounds")
+        raise InputError(f"example {example} needs {low[0]} >= 2: {low[2]}")
     return runners[example]()
 
 

@@ -402,6 +402,25 @@ def test_a_bound_too_small_for_a_growth_claim_is_refused(capsys, example, flag, 
     assert out.strip().endswith("PASS")
 
 
+def test_paper_4_4_refuses_a_box_too_small_for_its_sample(capsys):
+    # the length sample factors (-2,1), an atom of the box only from 2 up
+    code, out, err = run(capsys, "paper", "4.4", "--box", "1")
+    assert (code, out) == (2, "")
+    assert "box >= 2" in err and "(-2,1)" in err
+    code, out, _ = run(capsys, "paper", "4.4", "--box", "2")
+    assert code == 0
+    assert out.strip().endswith("PASS")
+
+
+def test_a_query_ends_alike_whatever_ran_before_it(capsys):
+    # the member query builds a mask past the divides targets; the divides
+    # query must not read it
+    codes = [run(capsys, "eval", "--budget", "20000",
+                 f"let M = pm(100000, 100001); {before}divides(M, 3000000, 9000000)")[0]
+             for before in ("", "member(M, 9000000); ")]
+    assert codes[0] == codes[1] in (0, 3)
+
+
 def test_family_divides_spends_one_allowance(capsys):
     # its three membership checks cost 2,122 units together
     code, out, err = run(capsys, "eval", "--budget", "1900", "divides(family(sqden), 20, 40)")

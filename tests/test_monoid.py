@@ -12,6 +12,7 @@ from puiseux import (
     FgMonoid,
     InputError,
     NotAMemberError,
+    PuiseuxError,
 )
 from puiseux.dsl import Evaluator
 from puiseux.monoid import Budget, _depth_first, _solve_int
@@ -274,9 +275,8 @@ def test_concurrent_queries_share_one_monoid():
         inside = m.contains(q)
         if inside:
             assert all(z.value == q for z in m.factorizations(q))
-        # far targets make the threads grow the shared cover concurrently,
-        # and the farthest make them switch to the Apéry table while other
-        # threads still read or grow the bitmask through divisors
+        # far targets make each thread build a bitmask or an Apéry table of
+        # its own while other threads read the sieve's cover through divisors
         near = F(97 * t, 12)
         divisors = len(m.divisors(near)) if t % 8 == 0 and m.contains(near) else 0
         return inside, m.contains(near), divisors, m.contains(F(10**7 * t, 36))
@@ -292,7 +292,7 @@ def test_concurrent_queries_share_one_monoid():
         results = run(m, 8)
     finally:
         sys.setswitchinterval(switch)
-    assert m._table is not None
+    assert m._table is None
     # same answers as a fresh, single-threaded monoid
     assert results == run(FgMonoid([F(5, 4), F(7, 6)]), 1)
     # 10^7 t / 3 lies far above the Frobenius number 181 of <14, 15>
@@ -333,16 +333,59 @@ def test_first_growth_past_the_sieve_cover_spends_what_growth_from_nothing_spend
 
     seeded, empty = FgMonoid([3000, 3001]), FgMonoid([3000, 3001])
     assert seeded._table is None and seeded._state[0] == 3001
-    empty._state = (0, 1, 0)
+    state = seeded._state
+    empty._state = (0, 1)
     # inside the sieve's cover: free
     assert spent(seeded, 2999) == 0
     # one unit to allot and one shift per atom up to 3500; doubling the
     # sieve's cover instead would close up to 6002, two shifts per atom
     assert spent(seeded, 3500) == spent(empty, 3500) == 3
-    # the next growth doubles the cover the query grew, to 7000
-    assert spent(seeded, 4000) == spent(empty, 4000) == 5
-    assert seeded._state == empty._state
+    # a query past the cover builds its own mask up to its target,
+    # whatever ran before
+    assert spent(seeded, 4000) == spent(FgMonoid([3000, 3001]), 4000) == spent(empty, 4000) == 3
+    assert seeded._state == state and empty._state == (0, 1)
     assert seeded.contains(6002) and not seeded.contains(6003)
+
+
+_QUERIES = {
+    "contains": lambda x, y, d: (F(x, d),),
+    "divides": lambda x, y, d: (F(min(x, y), d), F(max(x, y), d)),
+    "divisors": lambda x, y, d: (F(x % 3000, d),),
+    "mcd_set": lambda x, y, d: (F(x % 3000, d), F(y % 3000, d)),
+    "factorizations": lambda x, y, d: (F(x % 25, d),),
+    "lengths": lambda x, y, d: (F(x % 25, d),),
+    "classify": lambda x, y, d: (x % 8,),
+}
+
+
+def _query_outcome(m, name, args, limit):
+    """The answer of m's query, or its error's type and message, and what
+    is left of the budget either way."""
+    budget = Budget(limit)
+    try:
+        answer = getattr(m, name)(*args, budget=budget)
+    except PuiseuxError as e:
+        answer = type(e), str(e)
+    return answer, budget.left
+
+
+_target = st.integers(0, 400) | st.integers(0, 10**7)
+
+
+@given(gens=st.lists(st.builds(F, st.integers(1, 40), st.integers(1, 3)), min_size=1, max_size=3),
+       steps=st.lists(st.tuples(st.sampled_from(sorted(_QUERIES)), _target, _target,
+                                st.sampled_from([1, 2, 6]),
+                                st.none() | st.integers(1, 40) | st.integers(1, 20_000)),
+                      min_size=1, max_size=8))
+# a mask grown to 4,000 for the first query once made the second one free
+@example(gens=[F(3000), F(3001)], steps=[("contains", 4000, 0, 1, None), ("divides", 3500, 4000, 1, 3)])
+@settings(max_examples=100, deadline=None)
+def test_each_query_gets_what_it_gets_on_a_fresh_monoid(gens, steps):
+    # answer, exception and units, at any budget, whatever ran before on m
+    m = FgMonoid(gens)
+    for name, x, y, d, limit in steps:
+        args = _QUERIES[name](x, y, d)
+        assert _query_outcome(m, name, args, limit) == _query_outcome(FgMonoid(gens), name, args, limit)
 
 
 def test_factorization_value_and_length():
