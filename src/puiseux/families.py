@@ -22,15 +22,17 @@ Family names, as used by the DSL and CLI:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, NeedsBoundError
 from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, LengthSet, _allot,
                      _as_budget, _checked_paths, _depth_first, _paths_to_set, _scale_units)
-from .qarith import (RationalLike, _int_valuation, as_rational, lcm_den, nth_prime, prime_factors,
-                     prime_index)
+from .qarith import (RationalLike, _grow_primes, _int_valuation, as_rational, nth_prime,
+                     prime_factors, prime_index)
 
 BASE_KINDS = ("grams", "companion", "exA", "exB", "sqden", "interval1")
 SUM_KINDS = ("exAexB", "interval1_sqden", "gramscompanion")
@@ -122,6 +124,8 @@ class FamilyMonoid:
     def lengths(self, q: RationalLike, budget: Budget | int | None = None) -> LengthSet:
         if self.kind == "interval1":
             return LengthSet(as_rational(q), interval_lengths(q, budget))
+        if self.kind == "exAexB":
+            return LengthSet(as_rational(q), _exaexb_lengths(q, budget))
         zs = family_factorizations(self, q, budget=budget)
         return LengthSet(zs.target, zs.lengths())
 
@@ -422,6 +426,163 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     return out
 
 
+def _exaexb_classes(q: Fraction, budget: Budget) -> dict[int, int] | None:
+    """For each prime p dividing q's denominator D, the class of b_p - a_p
+    mod p in every factorization of q in exA + exB, with a_p parts (p-1)/p
+    and b_p parts (p+1)/p; None when q is no member.
+
+    q = sum (a_p + b_p) + sum (b_p - a_p)/p fixes (b_p - a_p)/p p-adically:
+    0 mod p off D, one class mod p where p exactly divides D, none for p^2
+    or p < 5.  A step within the classes moves the value by an even
+    integer, so q is a member iff the least parts in them leave an even
+    integer >= 0, the balanced pairs (p-1)/p + (p+1)/p.
+    """
+    D = q.denominator
+    dens = prime_factors(D, budget)
+    if any(p < 5 or D % (p * p) == 0 for p in dens):
+        return None
+    cls = {p: q.numerator * pow(D // p, -1, p) % p for p in dens}
+    rest = q.numerator - sum(min(c * (p + 1), (p - c) * (p - 1)) * (D // p) for p, c in cls.items())
+    return cls if rest >= 0 and rest % (2 * D) == 0 else None
+
+
+def _exaexb_core(q: Fraction, primes: Sequence[int] | None, budget: Budget,
+                 pairs: bool = True) -> tuple[list[int], list[tuple[tuple[tuple[int, int, int], ...], int]]]:
+    """The core of q in exA + exB over primes (ascending, >= 5; None for
+    all): its primes, those up to 5q/4 (no atom is below 4/5) and those
+    dividing q's denominator D, and each (parts, K) with parts the nonzero
+    (p, a_p, b_p) over them, ascending, and K the balanced pairs they
+    leave; without pairs, only the least a_p for each b_p - a_p.  Other
+    primes take only pairs: b_p - a_p is a multiple of p there, and p
+    parts would be too many.
+
+    Searched prime by prime on the grid 1/D: b_p - a_p through its class
+    (_exaexb_classes), then a_p upwards, keeping a child only if the
+    primes after it can take their least parts, so every node ends in a
+    solution.  One unit per node, one more per 64-bit word of q's
+    numerator past the second, as in the kernel; the prime table up to
+    5q/4 is charged before it grows (prime_index).
+    """
+    cls = _exaexb_classes(q, budget)
+    if cls is None or primes is not None and cls and max(cls) > primes[-1]:
+        return [], []
+    D = q.denominator
+    top = q.numerator * 5 // (4 * D)
+    if primes is None:
+        n = prime_index(top + 1, budget)
+        primes = _grow_primes(n)[2:n - 1]
+    core = sorted(set(primes[:bisect_right(primes, top)]).union(cls))
+    m = len(core)
+    # on the grid 1/D: with d = c + p t, a parts (p-1)/p and a + d parts
+    # (p+1)/p are worth 2Da + c (p+1) D/p + t (p+1) D, or, with t < 0 and
+    # a = -d at the least, -c (p-1) D/p - t (p-1) D: integers, as c = 0
+    # unless p | D
+    levels = [(p, c, c * (p + 1) * D // p, c * (p - 1) * D // p)
+              for p in core for c in (cls.get(p, 0),)]
+    least = [0] * (m + 1)   # least[j]: the least value primes j.. take
+    for j, (p, c, cb, ca) in reversed(list(enumerate(levels))):
+        least[j] = least[j + 1] + (min(cb, (p - 1) * D - ca) if c else 0)
+    out: list[tuple[tuple[tuple[int, int, int], ...], int]] = []
+    path: list[tuple[int, int, int]] = []   # (p, a_p, b_p) of the open path's nonzero parts
+
+    def children(j: int, R: int) -> Iterator[tuple[int, int]]:
+        p, c, cb, ca = levels[j]
+        room, base = R - least[j + 1], len(path)
+        for t in range(-((room + ca) // ((p - 1) * D)), (room - cb) // ((p + 1) * D) + 1):
+            d, rest = c + p * t, R - cb - t * (p + 1) * D
+            a0 = max(0, -d)
+            for a in range(a0, (rest - least[j + 1]) // (2 * D) + 1 if pairs else a0 + 1):
+                path[base:] = [(p, a, a + d)] if a or d else []
+                yield j + 1, rest - 2 * D * a
+        del path[base:]
+
+    def expand(node: tuple[int, int]) -> Iterator[tuple[int, int]] | None:
+        j, R = node
+        if j < m:
+            return children(j, R)
+        out.append((tuple(path), R // (2 * D)))
+        return None
+
+    # as the kernel's: wide residuals cost one more unit per 64-bit word past the second
+    _depth_first((0, q.numerator), expand, budget, max(1, q.numerator.bit_length() // 64 - 1))
+    return core, out
+
+
+def _exaexb_solutions(q: Fraction, window: int, budget: Budget) -> FactorizationSet:
+    """Z(q) over the first window atoms of exA and of exB, in canonical order.
+
+    The core's solutions (_exaexb_core), sorted canonically, and their K
+    pairs on the window's other primes, merged by one search over the
+    window's primes, ascending: b_p is what canonical order reads first.
+    A node holds the solutions its path agrees with; a core prime takes
+    their b_p, another up to the pairs they still need (all of them at the
+    last), and a node that needs none jumps to the next core prime, so
+    every node has a factorization below it.  Work: one unit per window
+    prime before the prime table grows to hold them, the core's, and one
+    per node and per factorization.
+    """
+    _allot(budget, window, window)
+    primes = _grow_primes(window + 2)[2:window + 2]
+    core, sols = _exaexb_core(q, primes, budget)
+    # the core's canonical order: the dense vectors (b_p ascending p, then
+    # a_p descending p) compare as their nonzero entries do, each keyed
+    # by its position reversed, then its value
+    sols.sort(key=lambda sol: tuple((0, -p, b) for p, _, b in sol[0] if b)
+              + tuple((-1, p, a) for p, a, _ in reversed(sol[0]) if a))
+    core_set, core_at = set(core), [bisect_left(primes, p) for p in core]
+    exa = {p: Fraction(p - 1, p) for p in core}
+    exb = {p: Fraction(p + 1, p) for p in core}
+    out: list[Factorization] = []
+    path: list[tuple[int, int, int]] = []   # (p, k, k) for the k pairs placed at p on the open path
+
+    def after(i: int) -> int:
+        """The number of non-core primes from index i on."""
+        return len(primes) - i - len(core_at) + bisect_left(core_at, i)
+
+    def node(i: int, s: int, hi: int, group: list) -> tuple[int, int, int, list]:
+        if hi == s:   # no more pairs: on to the next core prime
+            j = bisect_left(core_at, i)
+            i = core_at[j] if j < len(core_at) else len(primes)
+        return i, s, hi, group
+
+    def children(i: int, s: int, hi: int, group: list) -> Iterator[tuple[int, int, int, list]]:
+        p = primes[i]
+        if p in core_set:
+            for _, run in groupby(group, key=lambda sol: next((b for r, _, b in sol[0] if r == p), 0)):
+                run = list(run)
+                yield node(i + 1, s, max(K for _, K in run), run)
+            return
+        base = len(path)
+        if p not in exa:
+            exa[p], exb[p] = Fraction(p - 1, p), Fraction(p + 1, p)
+        if after(i + 1):
+            for k in range(hi - s + 1):
+                path[base:] = [(p, k, k)] if k else []
+                yield node(i + 1, s + k, hi, [sol for sol in group if sol[1] >= s + k])
+        else:   # the last pairs go here
+            for K in sorted({K for _, K in group}):
+                path[base:] = [(p, K - s, K - s)] if K > s else []
+                yield node(i + 1, K, K, [sol for sol in group if sol[1] == K])
+        del path[base:]
+
+    def expand(nd: tuple[int, int, int, list]) -> Iterator[tuple[int, int, int, list]] | None:
+        i, s, hi, group = nd
+        if i < len(primes):
+            return children(i, s, hi, group)
+        budget.spend(len(group))
+        for parts, _ in group:
+            rows = sorted(path + list(parts)) if parts else path
+            out.append(Factorization(tuple((exa[p], a) for p, a, _ in rows if a)
+                                     + tuple((exb[p], b) for p, _, b in reversed(rows) if b)))
+        return None
+
+    if not after(0):
+        sols = [sol for sol in sols if sol[1] == 0]
+    if sols:
+        _depth_first(node(0, 0, max(K for _, K in sols), sols), expand, budget)
+    return FactorizationSet(q, tuple(out))
+
+
 def _sum_part_is_atom(atom: Fraction, budget: Budget) -> bool:
     """Is this candidate part an atom of interval1 + sqden?  Exact check.
 
@@ -434,29 +595,18 @@ def _sum_part_is_atom(atom: Fraction, budget: Budget) -> bool:
     return len(_sqden_solutions(atom, 1, budget)) == 1
 
 
-def _scaled_factorizations(q: Fraction, scale: int, int_atoms: Sequence[int], ell: int | None,
-                           budget: Budget) -> FactorizationSet:
-    """Factorizations of q (of length ell, if given) over the atoms
-    int_atoms[i]/scale, ascending and distinct, solved by the integer
-    kernel.  A target that does not scale to an integer has none.  Only
-    the atoms some factorization uses are built as Fractions."""
-    t = q * scale
-    if t.denominator != 1:
-        return FactorizationSet(q, ())
-    paths = _checked_paths(t.numerator, int_atoms, ell, budget)
-    used = {i for p in paths for i, _ in p}
-    return _paths_to_set(q, {i: Fraction(int_atoms[i], scale) for i in used}, paths)
-
-
 def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
                           window: int | None = None,
                           budget: Budget | int | None = None,
                           trace: list | None = None) -> FactorizationSet:
     """Factorization set of q over a family's atoms.
 
-    exAexB requires a window (number of admitted indices) and is exact over
-    that windowed atom set, searched by the same integer kernel as finitely
-    generated monoids.  sqden and interval1_sqden are exact and
+    exAexB requires a window (number of admitted indices): Z(q) is
+    infinite once a factorization has a balanced pair, as Z(2) has.  Over
+    the window's atoms it is exact,
+    by valuation (_exaexb_solutions): a core of primes up to 5q/4 and
+    those dividing q's denominator, the rest balanced pairs, in time that
+    follows the answer's size.  sqden and interval1_sqden are exact and
     window-free thanks to the valuation pruning; parts are re-checked for
     atomhood in the sum before being reported.
     """
@@ -472,16 +622,7 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
             raise NeedsBoundError("the exAexB search needs window=... (admitted indices)")
         if window < 1:
             raise InputError("window must be positive")
-        # as the interval grid: one unit per atom before the atoms exist, the
-        # rest per 64-bit word of their scale past the first before they are
-        # scaled
-        size = 2 * window
-        _allot(budget, size, size)
-        atoms = [family_generator(k, i) for k in ("exA", "exB") for i in range(1, window + 1)]
-        scale = lcm_den(atoms)
-        budget.spend(_scale_units(size, scale.bit_length()))
-        int_atoms = sorted(a.numerator * (scale // a.denominator) for a in atoms)
-        return _scaled_factorizations(q, scale, int_atoms, None, budget)
+        return _exaexb_solutions(q, window, budget)
     if kind in ("sqden", "interval1_sqden"):
         # any q > 1 splits off a sqden generator below q - 1, so 1 is the
         # only part interval1 can contribute: index 0, the largest atom, so
@@ -520,7 +661,22 @@ def family_member(kind: str | FamilyMonoid, q: RationalLike,
     if kind == "interval1_sqden":
         # members below 1 must come entirely from the sqden component
         return q >= 1 or bool(_sqden_solutions(q, 1, budget))
+    if kind == "exAexB":
+        return _exaexb_classes(q, budget) is not None
     raise NeedsBoundError(f"no exact membership procedure for {kind}; {_bound_hint(kind)}")
+
+
+def _exaexb_lengths(q: RationalLike, budget: Budget | int | None = None) -> tuple[int, ...]:
+    """Length set of q in exA + exB, window-free, and finite: no
+    factorization has more than 5q/4 parts.  A length is q minus
+    sum (b_p - a_p)/p, which pairs do not change, so the core's solutions
+    without pairs (_exaexb_core) give every length, their K pairs placed
+    on any prime outside the core."""
+    q = as_rational(q)
+    if q < 0:
+        raise InputError("target must be nonnegative")
+    _, sols = _exaexb_core(q, None, _as_budget(budget), pairs=False)
+    return tuple(sorted({sum(a + b for _, a, b in parts) + 2 * K for parts, K in sols}))
 
 
 def interval_lengths(q: RationalLike, budget: Budget | int | None = None) -> tuple[int, ...]:
@@ -553,9 +709,10 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
     progression of two or more terms has the gcd of its first term and
     step, so g, the gcd of big and every term, is known before any term is
     built; the atoms are the terms divided by g, over scale = big/g, the
-    lcm of their denominators.  Work: one unit per grid atom and 64-bit
-    word of the scale (one per atom up to 127 bits), charged before the
-    grid is built, then the search's.
+    lcm of their denominators; a target off that grid has no
+    factorizations.  Work: one unit per grid atom and 64-bit word of the
+    scale (one per atom up to 127 bits), charged before the grid is built,
+    then the search's.
     """
     q = as_rational(q)
     if q < 1:
@@ -578,7 +735,13 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
     budget.spend(_scale_units(size, scale.bit_length()))
     int_atoms = sorted({x for first, step in zip(firsts, steps)
                         for x in range(first // g, (first + big) // g, step // g)})
-    return _scaled_factorizations(q, scale, int_atoms, ell, budget)
+    t = q * scale
+    if t.denominator != 1:
+        return FactorizationSet(q, ())
+    paths = _checked_paths(t.numerator, int_atoms, ell, budget)
+    # only the atoms some factorization uses are built as Fractions
+    used = {i for p in paths for i, _ in p}
+    return _paths_to_set(q, {i: Fraction(int_atoms[i], scale) for i in used}, paths)
 
 
 # -- property reports ---------------------------------------------------------

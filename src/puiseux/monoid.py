@@ -654,9 +654,12 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
     Work: a unit per node, plus one per 64-bit word of target past the
     second (free below 192 bits, where a node costs about what a one-word
     node does), and one per solution a two-atom node solves for, charged
-    before that node emits them.
+    before that node emits them.  The prefix gcds are charged as one such
+    node per atom past its first unit, before they are computed.
     """
     k = len(atoms)
+    unit = max(1, target.bit_length() // 64 - 1)
+    budget.spend(k * (unit - 1))
     prefix_gcd = [0] * k
     g = 0
     for i, a in enumerate(atoms):
@@ -719,7 +722,7 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
         elif i > 1 and need != 0 and rem % prefix_gcd[i] == 0:
             return children(i, rem, need)
 
-    _depth_first((k - 1, target, exact_length), expand, budget, max(1, target.bit_length() // 64 - 1))
+    _depth_first((k - 1, target, exact_length), expand, budget, unit)
     return out
 
 

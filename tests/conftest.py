@@ -111,6 +111,34 @@ def oracle_sqden_solutions(q: Fraction, min_index: int = 1) -> list[dict[int, in
     return [{n: x for n, x in zip(index, xs) if x} for xs in vectors]
 
 
+def oracle_primes_from(lo: int, count: int) -> list[int]:
+    """The first count primes >= lo, by trial division."""
+    out, n = [], lo
+    while len(out) < count:
+        if n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+def oracle_exaexb_factorizations(q: Fraction, window: int) -> list[tuple[tuple[Fraction, int], ...]]:
+    """Every factorization of q over the atoms (p - 1)/p and (p + 1)/p of
+    the first window primes p >= 5, as ascending (atom, multiplicity) parts,
+    in canonical order: multiplicity vectors compared from the largest atom
+    down.  Product enumeration of every multiset of at most 5q/4 atoms,
+    since no atom is below 4/5."""
+    atoms = sorted(Fraction(p + s, p) for p in oracle_primes_from(5, window) for s in (-1, 1))
+    scale = math.lcm(q.denominator, *(a.denominator for a in atoms))
+    ints, t = [int(a * scale) for a in atoms], int(q * scale)
+    vectors = []
+    for n in range(int(q * 5 / 4) + 1):
+        for combo in itertools.combinations_with_replacement(range(len(atoms)), n):
+            if sum(ints[i] for i in combo) == t:
+                vectors.append(tuple(combo.count(i) for i in range(len(atoms))))
+    vectors.sort(key=lambda xs: xs[::-1])
+    return [tuple((a, x) for a, x in zip(atoms, xs) if x) for xs in vectors]
+
+
 def random_extension_instances(seed: int, count: int) -> list[tuple[FgMonoid, Fraction]]:
     """Pairs (M, r) with M a small random monoid and r outside M."""
     rng = random.Random(seed)

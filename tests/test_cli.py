@@ -507,20 +507,55 @@ def test_exaexb_window_is_charged_before_it_is_built(capsys):
     assert "budget" in err
 
 
-def test_kernel_on_a_wide_exaexb_scale_runs_out_of_budget_in_time(capsys):
-    # window 1000's scale has thousands of bits, and each kernel node is
-    # charged per 64-bit word of its target, so the default budget ends the
-    # search within seconds instead of minutes
+def test_kernel_on_a_multi_word_target_runs_out_of_budget_in_time(capsys):
+    # a 6,644-bit target: each kernel node is charged per 64-bit word, so
+    # the default budget ends the search in about a second; at one unit a
+    # node the same search ran past 10 s.  The 3 atoms keep membership
+    # cheap, and the length leaves one in a million two-atom nodes a
+    # solution, so the search visits nodes without listing answers
+    big = 10**2000 - 1
     start = time.perf_counter()
-    code, out, err = run(capsys, "eval", "Z(family(exAexB, window=1000), 2)")
+    code, out, err = run(capsys, "eval", f"Zl(pm(3,1000003,1000034), {big}, {big // 1000003 + 1})")
     assert time.perf_counter() - start < 10
     assert (code, out) == (3, "")
     assert "budget" in err
-    # window 300 still answers: one two-part factorization per pair of atoms
+
+
+def test_exaexb_window_lists_one_balanced_pair_per_prime(capsys):
+    # Z(2) is one pair (p-1)/p + (p+1)/p per window prime, found by
+    # valuation in time that follows the output, largest prime first
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "Z(family(exAexB, window=3000), 2)")
+    assert time.perf_counter() - start < 1
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 3000
+    assert lines[0] == "2 = 1·27478/27479 + 1·27480/27479 [len 2]" and lines[-1] == "2 = 1·4/5 + 1·6/5 [len 2]"
     code, out, _ = run(capsys, "eval", "Z(family(exAexB, window=300), 2)")
     lines = out.splitlines()
     assert code == 0 and len(lines) == 300
     assert lines[0] == "2 = 1·1996/1997 + 1·1998/1997 [len 2]" and lines[-1] == "2 = 1·4/5 + 1·6/5 [len 2]"
+
+
+@pytest.mark.parametrize("program, answer", [
+    ("member(family(exAexB), 12/11)", "true"),
+    ("member(family(exAexB, window=1), 12/11)", "true"),
+    ("member(family(exAexB), 3)", "false"),
+    ("member(family(exAexB), 100)", "true"),
+    ("L(family(exAexB), 4)", "L(4) = {4, 5}"),
+    ("L(family(exAexB, window=1), 24/7)", "L(24/7) = {3, 4}"),
+    ("divides(family(exAexB), 2, 4)", "true"),
+])
+def test_exaexb_member_and_lengths_need_no_window(capsys, program, answer):
+    # exA + exB is a BFM: its length sets are finite, so window= bounds
+    # only Z and Zl, the infinite factorization sets
+    assert run(capsys, "eval", program) == (0, answer + "\n", "")
+
+
+@pytest.mark.parametrize("program", ["Z(family(exAexB), 2)", "Zl(family(exAexB), 2, 2)"])
+def test_exaexb_factorizations_still_need_a_window(capsys, program):
+    code, out, err = run(capsys, "eval", program)
+    assert (code, out) == (2, "")
+    assert "window=" in err
 
 
 def test_mcd_of_large_targets_reads_bitmasks(capsys):

@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 
 import pytest
 
-from conftest import (oracle_atoms, oracle_fraction_member, oracle_lattice_atoms,
-                      oracle_lattice_factorizations, oracle_lex_sum_matches, oracle_sqden_solutions,
-                      oracle_value_buckets, oracle_vectors, random_extension_instances,
-                      random_member)
+from conftest import (oracle_atoms, oracle_exaexb_factorizations, oracle_fraction_member,
+                      oracle_lattice_atoms, oracle_lattice_factorizations, oracle_lex_sum_matches,
+                      oracle_primes_from, oracle_sqden_solutions, oracle_value_buckets,
+                      oracle_vectors, random_extension_instances, random_member)
 from puiseux import (
     FgMonoid,
     add_cyclic,
@@ -209,6 +209,37 @@ def test_exaexb_windowed_sets_match_product_enumeration(window):
         zs = family_factorizations("exAexB", q, window=window)
         assert _as_vectors(zs, atoms) == _oracle_set(atoms, q)
     assert len(family_factorizations("exAexB", F(7, 3), window=window)) == 0
+
+
+@st.composite
+def _exaexb_targets(draw):
+    window = draw(st.integers(1, 7))
+    # 25 is a square of a window prime, never cleared; the first prime past
+    # the window divides no atom's denominator
+    past = oracle_primes_from(5, window + 1)[-1]
+    den = draw(st.sampled_from([1, 5, 7, 11, 35, 25, past]))
+    # a target q needs up to 5q/4 parts: fewer atoms admit larger targets,
+    # up to 12, the least with two factorizations that differ only in
+    # their parts (p-1)/p (15·4/5 and 14·6/7)
+    top = {1: 12, 2: 12, 3: 8}.get(window, 5)
+    return F(draw(st.integers(0, top * den)), den), window
+
+
+@given(case=_exaexb_targets())
+@settings(max_examples=150, deadline=None)
+@example(case=(F(0), 3))
+@example(case=(F(4), 7))
+@example(case=(F(12, 11), 7))
+@example(case=(F(24, 7), 2))
+@example(case=(F(172, 35), 7))
+@example(case=(F(12, 25), 7))
+@example(case=(F(14, 13), 3))
+@example(case=(F(8), 3))
+@example(case=(F(12), 2))
+def test_exaexb_search_lists_the_product_enumeration_in_order(case):
+    q, window = case
+    zs = family_factorizations("exAexB", q, window=window)
+    assert [z.parts for z in zs] == oracle_exaexb_factorizations(q, window)
 
 
 @pytest.mark.parametrize("q, ell, den_bound", [

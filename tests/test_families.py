@@ -173,6 +173,18 @@ def test_exaexb_window_counts():
         family_factorizations("exAexB", 2, window=-3)
 
 
+@pytest.mark.parametrize("q, window, units", [
+    (F(2), 1, 5), (F(2), 10, 41), (F(2), 3000, 12001), (F(4), 7, 98), (F(24, 7), 5, 13),
+    (F(12, 11), 7, 12), (F(0), 3, 6), (F(12, 25), 7, 7), (F(122, 35), 5, 12), (F(12), 2, 183),
+])
+def test_exaexb_search_charges_a_pinned_number_of_units(q, window, units):
+    # one unit per window prime, then one per node of the core search and
+    # of the pair search, and one per factorization emitted
+    family_factorizations("exAexB", q, window=window, budget=Budget(units))
+    with pytest.raises(BudgetExceededError):
+        family_factorizations("exAexB", q, window=window, budget=Budget(units - 1))
+
+
 def test_exaexb_window_argument_beats_the_descriptor_window():
     assert family_factorizations(family("exAexB", window=3), 2) == family_factorizations("exAexB", 2, window=3)
     assert family_factorizations(family("exAexB", window=3), 2, window=5) == family_factorizations("exAexB", 2, window=5)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from puiseux import (
     NotAMemberError,
     PuiseuxError,
 )
+from puiseux import monoid
 from puiseux.dsl import Evaluator
 from puiseux.monoid import Budget, _depth_first, _solve_int
 
@@ -509,20 +511,44 @@ def test_kernel_units_are_nodes_above_two_atoms_plus_solutions(atoms, target):
 def test_kernel_charges_wide_targets_per_word_past_the_second(atoms, target, shift):
     # scaling atoms and target by 2^shift keeps the search tree and its
     # solutions; each node then costs one more unit per 64-bit word of the
-    # target past the second, so nothing changes below 192 bits
+    # target past the second, and each atom's prefix gcd as much as a node
+    # past its first unit, so nothing changes below 192 bits
     w = 2**shift
     wide_atoms = tuple(a * w for a in atoms)
     assert _solve_int(target * w, wide_atoms, None, Budget()) == _solve_int(target, atoms, None, Budget())
     read_off = sum(1 for xs in oracle_vectors(list(atoms), target) if xs[0] or xs[1])
     nodes = _kernel_units(target, atoms) - read_off
-    words = (target * w).bit_length() // 64
-    assert _kernel_units(target * w, wide_atoms) == nodes * max(1, words - 1) + read_off
+    unit = max(1, (target * w).bit_length() // 64 - 1)
+    assert _kernel_units(target * w, wide_atoms) == nodes * unit + read_off + len(atoms) * (unit - 1)
 
 
 def test_kernel_node_on_a_1010_bit_target_costs_14_units():
-    # 15 words, one unit for the node and 13 for the words past the second
+    # 15 words, one unit for the node and 13 for the words past the second;
+    # the 101 solutions one each, and the two prefix gcds 13 each
     w = 2**1000
-    assert _kernel_units(600 * w, (2 * w, 3 * w)) == 14 + 101
+    assert _kernel_units(600 * w, (2 * w, 3 * w)) == 14 + 101 + 2 * 13
+
+
+def test_kernel_charges_its_prefix_gcds_before_computing_them(monkeypatch):
+    # one gcd per atom, charged as a node past its first unit: the 64-bit
+    # words gcd reads per charged unit stay put as the atoms widen tenfold
+    calls = []
+    counting = SimpleNamespace(**{**vars(math), "gcd": lambda *a: calls.append(a) or math.gcd(*a)})
+    monkeypatch.setattr(monoid, "math", counting)
+    words_per_unit = []
+    for bits in (2_000, 20_000):
+        atoms = tuple((1 << bits) + 2 * i + 1 for i in range(40))
+        target = atoms[0] + atoms[-1]
+        charge = len(atoms) * (target.bit_length() // 64 - 2)
+        calls.clear()
+        with pytest.raises(BudgetExceededError):
+            _solve_int(target, atoms, None, Budget(charge - 1))
+        assert calls == []
+        with pytest.raises(BudgetExceededError):   # the gcds run, the root node's charge fails
+            _solve_int(target, atoms, None, Budget(charge))
+        assert len(calls) == len(atoms)
+        words_per_unit.append(sum(max(a).bit_length() // 64 for a in calls) / charge)
+    assert all(0.9 < r < 1.1 for r in words_per_unit)
 
 
 def _preorder(tree, node, out):

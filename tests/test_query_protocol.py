@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import oracle_exaexb_factorizations, oracle_primes_from
 from puiseux import (
     BudgetExceededError,
     FgMonoid,
@@ -77,3 +78,26 @@ def test_a_finitely_generated_summand_leaves_a_family_sum_to_the_family():
         FgMonoid([2]) + family("sqden")
     summed = family("exA", window=3).internal_sum(family("exB", window=4))
     assert summed == family("exAexB", window=4)
+
+
+@pytest.mark.parametrize("q", [F(0), F(2), F(3), F(4), F(8), F(12, 11), F(24, 7), F(46, 7),
+                               F(172, 35), F(31, 35), F(6, 5), F(12, 25), F(14, 13)])
+def test_exaexb_member_and_lengths_match_a_window_past_the_core(q):
+    # no factorization has more than 5q/4 parts, so past 5q/4 and the
+    # denominator's primes only balanced pairs fit, and one such prime
+    # holds all of them: its window has every length
+    primes = oracle_primes_from(5, 12)
+    top = max([q * 5 / 4] + [p for p in primes if q.denominator % p == 0])
+    window = sum(1 for p in primes if p <= top) + 1
+    lengths = tuple(sorted({sum(m for _, m in z) for z in oracle_exaexb_factorizations(q, window)}))
+    assert family("exAexB", window=window).factorizations(q).lengths() == lengths
+    for fam in (family("exAexB"), family("exAexB", window=1)):
+        assert fam.lengths(q).lengths == lengths
+        assert fam.contains(q) == bool(lengths)
+
+
+def test_exaexb_factorizations_need_a_window():
+    # the lengths are finite (a BFM), the factorization sets are not (no FFM)
+    for query in (lambda fam: fam.factorizations(2), lambda fam: fam.factorizations_of_length(2, 2)):
+        with pytest.raises(NeedsBoundError, match="window="):
+            query(family("exAexB"))
