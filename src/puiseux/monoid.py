@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -354,11 +353,10 @@ class FgMonoid:
     or a mask closed to max(t, 256), whichever costs fewer units; the
     range scans always read a mask.
 
-    A cyclic extension M + N_0*r (add_cyclic) is built on M's grid, from
-    M's scaled generators and r's step, by the builder __init__ ends in.
-    M keeps the last one in one slot, assigned after the build returns (an
-    exhausted build leaves it be) and read once per call, so threads see a
-    whole entry and only rebuild.
+    A cyclic extension M + N_0*r (add_cyclic) is FgMonoid(M.generators +
+    (r,)).  M keeps the last one in one slot, assigned after the build
+    returns (an exhausted build leaves it be) and read once per call, so
+    threads see a whole entry and only rebuild.
     """
 
     def __init__(self, generators: Iterable[RationalLike], budget: Budget | int | None = None):
@@ -367,22 +365,13 @@ class FgMonoid:
         if not gens:
             raise InputError("at least one generator is required")
         budget = _as_budget(budget)
-        den_bits = sum(d.bit_length() for _, d in gens)
         # charged before the scale is built
-        budget.spend(_scale_units(len(gens), den_bits))
-        scale = math.lcm(*(d for _, d in gens))
-        scaled = sorted((n * (scale // d), q) for (n, d), q in gens.items())
-        self._build(scale, tuple(t for t, _ in scaled), tuple(q for _, q in scaled), den_bits, budget)
-
-    # -- construction -----------------------------------------------------
-
-    def _build(self, scale: int, int_gens: tuple[int, ...], generators: tuple[Fraction, ...],
-               den_bits: int, budget: Budget) -> None:
-        """Finish a construction from distinct generators sorted on their grid:
-        sieve the atoms and seed the membership structure."""
-        self.scale, self.int_gens, self.generators = scale, int_gens, generators
-        self._den_bits = den_bits   # what an extension's scale charge adds to
-        # (r, units, fields) of the last cyclic extension built, as first built
+        budget.spend(_scale_units(len(gens), sum(d.bit_length() for _, d in gens)))
+        self.scale = scale = math.lcm(*(d for _, d in gens))
+        generator_of = dict(sorted((n * (scale // d), q) for (n, d), q in gens.items()))
+        self.int_gens = int_gens = tuple(generator_of)
+        self.generators = tuple(generator_of.values())
+        # (r, units, S) of the last cyclic extension built, as first built
         self._extension: tuple | None = None
         limit = int_gens[-1]
         # Apéry table with respect to int_atoms[0], or None; and (cover, bits):
@@ -397,33 +386,19 @@ class FgMonoid:
             # closed under every atom, so exactly the members up to limit
             self._state = (limit, bits)
         self.int_atoms = tuple(atoms)
-        generator_of = dict(zip(int_gens, generators))
         self.atoms = tuple(generator_of[g] for g in self.int_atoms)
 
     def _extended(self, r: Fraction, budget: Budget) -> "FgMonoid":
-        """FgMonoid(self.generators + (r,)) for a positive r that is no
-        generator here, charged the same units, but built on this grid:
-        nothing is re-validated, deduplicated or sorted as Fractions.  The
+        """FgMonoid(self.generators + (r,), budget) for a positive r.  The
         slot's S is reused, its units charged in one spend, when budget can
         pay them; else the build runs and raises as a first build would."""
-        s = FgMonoid.__new__(FgMonoid)
         last = self._extension
         if last is not None and last[0] == r and (budget.left is None or last[1] <= budget.left):
             budget.spend(last[1])
-            s.__dict__.update(last[2])
-            return s
+            return last[2]
         tally = _Tally(budget)
-        den_bits = self._den_bits + r.denominator.bit_length()
-        tally.spend(_scale_units(len(self.int_gens) + 1, den_bits))
-        scale = math.lcm(self.scale, r.denominator)
-        f = scale // self.scale
-        step = r.numerator * (scale // r.denominator)
-        int_gens = [g * f for g in self.int_gens]
-        i = bisect_left(int_gens, step)
-        int_gens.insert(i, step)
-        s._build(scale, tuple(int_gens), self.generators[:i] + (r,) + self.generators[i:],
-                 den_bits, tally)
-        self._extension = (r, tally.units, dict(vars(s)))
+        s = FgMonoid(self.generators + (r,), tally)
+        self._extension = (r, tally.units, s)
         return s
 
     # -- membership -------------------------------------------------------
@@ -751,8 +726,9 @@ def _paths_to_set(q: RationalLike, atoms: Sequence[Fraction] | Mapping[int, Frac
 
 # -- cyclic extensions: the constructive procedures behind the sum theorems --
 # They run on S's scaled integers (r is step = r * S.scale; M's grid is S's
-# divided by f = S.scale / M.scale) and charge S's construction, S's bitmask
-# where they scan, one membership structure of M per call, and kernel nodes.
+# divided by f = S.scale / M.scale) and charge S's construction, which also
+# decides whether r lies in M (S = M exactly then), S's bitmask where they
+# scan, one membership structure of M per call, and kernel nodes.
 
 
 @dataclass(frozen=True)
@@ -768,14 +744,13 @@ class CyclicExtension:
 
 
 def add_cyclic(m: FgMonoid, r: RationalLike, budget: Budget | int | None = None) -> CyclicExtension:
-    """Extend by one cyclic generator; returns M itself when r is in M."""
+    """Extend by one cyclic generator; returns M itself when r is in M,
+    which is exactly when S has M's atoms (an r outside M is an atom of S)."""
     r = as_rational(r)
     if r <= 0:
         raise InputError("cyclic generator must be positive")
-    budget = _as_budget(budget)
-    in_base = m.contains(r, budget)
-    s = m if in_base else m._extended(r, budget)
-    return CyclicExtension(s, in_base)
+    s = m._extended(r, _as_budget(budget))
+    return CyclicExtension(m, True) if s == m else CyclicExtension(s, False)
 
 
 def _r_multiple(reach: str, t: int, step: int) -> int:
@@ -829,9 +804,9 @@ def refactor_atom(m: FgMonoid, r: RationalLike, a: RationalLike,
     r, a = as_rational(r), as_rational(a)
     budget = _as_budget(budget)
     # an r in M is reported first
-    if a not in m.atoms and not m.contains(r, budget):
-        raise InputError(f"{a} is not an atom of {m}")
     s, step, f = _extension(m, r, budget)
+    if a not in m.atoms:
+        raise InputError(f"{a} is not an atom of {m}")
     reach, (t,) = s._scan((a,), budget)
     mult = _r_multiple(reach, t, step)
     rest = t - mult * step
@@ -898,17 +873,23 @@ def factorizations_via_offsets(m: FgMonoid, r: RationalLike, s_value: RationalLi
     parts are all atoms of S.  The filtered union equals the direct
     enumeration over S; unfiltered it may mention base atoms that stop
     being atoms after the extension.  Sorting the lifted kernel paths puts
-    the union in canonical order (see FactorizationSet).
+    the union in canonical order (see FactorizationSet).  Only the offsets
+    that leave s - c*r on M's grid are visited, one budget unit each.
     """
     r, s_value = as_rational(r), as_rational(s_value)
     budget = _as_budget(budget)
     s, step, f = _extension(m, r, budget)
     t = s._int_target(s_value, budget)   # NotAMemberError outside S
     lift, member = _lifter(m, s, step, f), m._membership(t // f, budget)
+    # t - c*step is a multiple of f iff c*(step/g) = t/g mod f/g, g = gcd(f, step);
+    # a member t of S is f*x + c*step for some c, so g divides t
+    g = math.gcd(f, step)
+    period = f // g
     paths = []
-    for c in range(t // step + 1):
-        rest = t - c * step
-        if rest % f == 0 and member(rest // f):
-            lifted = (lift(p, c) for p in _checked_paths(rest // f, m.int_atoms, None, budget))
+    for c in range(t // g * pow(step // g, -1, period) % period, t // step + 1, period):
+        budget.spend()
+        rest = (t - c * step) // f
+        if member(rest):
+            lifted = (lift(p, c) for p in _checked_paths(rest, m.int_atoms, None, budget))
             paths += (p for p in lifted if p is not None)
     return _paths_to_set(s_value, s.atoms, sorted(paths, key=lambda p: p[::-1]))

@@ -34,6 +34,7 @@ from puiseux import (
 )
 
 F = Fraction
+_big = 2**64 + 1
 
 
 @pytest.fixture
@@ -58,29 +59,39 @@ def test_add_cyclic(m23):
 
 
 @st.composite
-def _cyclic_cases(draw, count=1):
+def _cyclic_cases(draw, count=1, outside=True):
     # generators over a shared denominator: past 64 bits each, their
-    # denominators charge the scale's words; then count distinct r outside M
+    # denominators charge the scale's words; then count distinct r, outside M
+    # unless outside is False
     big = draw(st.sampled_from([1, 2**64 + 1, 3**41]))
     frac = st.builds(lambda n, d: F(n, d * big), st.integers(1, 30), st.integers(1, 4))
     gens = draw(st.lists(frac, min_size=1, max_size=4))
     rs = draw(st.lists(frac, min_size=count, max_size=count, unique=True))
-    assume(not any(oracle_fraction_member(gens, r) for r in rs))
+    assume(not outside or not any(oracle_fraction_member(gens, r) for r in rs))
     return gens, *rs
 
 
-@given(case=_cyclic_cases())
+@given(case=_cyclic_cases(outside=False))
+# r inside M, and r one of M's generators
+@example(case=([F(2), F(3)], F(7)))
+@example(case=([F(2, _big), F(3, _big)], F(3, _big)))
 @settings(max_examples=150, deadline=None)
 def test_add_cyclic_builds_what_the_generators_build(case):
+    # add_cyclic charges what FgMonoid(M.generators + (r,)) charges, and that
+    # monoid is M itself exactly when r lies in M
     gens, r = case
     meter, front = Budget(10**6), Budget(10**6)
-    s = add_cyclic(FgMonoid(gens), r, meter).monoid
     m = FgMonoid(gens)
-    m.contains(r, front)
+    ext = add_cyclic(m, r, meter)
     t = FgMonoid(m.generators + (r,), front)
+    assert meter.left == front.left
+    if oracle_fraction_member(gens, r):
+        assert ext.r_in_base and ext.monoid is m and t == m
+        return
+    s = ext.monoid
+    assert not ext.r_in_base and r in s.atoms
     assert (s.generators, s.int_gens, s.atoms, s.scale) == (t.generators, t.int_gens, t.atoms, t.scale)
     assert (s._table is None, s._state[0]) == (t._table is None, t._state[0])
-    assert meter.left == front.left
 
 
 def _outcome(build, limit):
@@ -130,9 +141,6 @@ def test_reused_extension_matches_a_fresh_build(case, slack, grow):
         if grown:
             # a cover this S grows is its own: the next one starts at the sieve's
             got._reach(4 * got.int_gens[-1] + 300, Budget())
-
-
-_big = 2**64 + 1
 
 
 @pytest.mark.parametrize("gens, r", [
@@ -219,6 +227,9 @@ def test_refactor_atom_rejects_bad_input(m23):
         refactor_atom(m23, 7, 3)  # 7 = 2+2+3 already lies in the monoid
     with pytest.raises(InputError):
         refactor_atom(m23, F(3, 4), 4)  # 4 is not an atom
+    # an r inside M is reported before an a that is no atom
+    with pytest.raises(InputError, match="7 already lies in"):
+        refactor_atom(m23, 7, 4)
 
 
 def test_mcd_via_extension(m23):
@@ -256,6 +267,16 @@ def test_factorizations_via_offsets(m23):
         factorizations_via_offsets(m23, r, F(1, 2))
     with pytest.raises(InputError):
         factorizations_via_offsets(m23, 2, 4)
+
+
+def test_offsets_visit_only_the_offsets_on_the_grid_of_m():
+    # S's grid is 10^12 times finer than M's, and only c = 0 and c = 10^12
+    # leave 1 - c/10^12 on it: two offsets, one unit each, beside S's
+    # one-unit Apéry table and one kernel node
+    budget = Budget(100)
+    zs = factorizations_via_offsets(FgMonoid([3]), F(1, 10**12), 1, budget)
+    assert [dict(z.parts) for z in zs] == [{F(1, 10**12): 10**12}]
+    assert budget.left == 96
 
 
 def test_offsets_match_direct_enumeration_randomized():

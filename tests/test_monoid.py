@@ -314,6 +314,19 @@ def test_far_membership_stays_within_a_small_budget():
     assert values[4].lengths == (5345960,)
 
 
+@pytest.mark.parametrize("query", [
+    lambda m, q, budget: m.factorizations(q, budget),
+    lambda m, q, budget: m.lengths(q, budget),
+    lambda m, q, budget: m.factorizations_of_length(q, 111, budget),
+])
+def test_the_frobenius_number_is_refused_within_a_small_budget(query):
+    # 110999 is the Frobenius number of <1000, ..., 1009>: a membership
+    # structure refuses it for under a thousand units, while searching for
+    # its (absent) factorizations would spend more than 10^5
+    with pytest.raises(NotAMemberError):
+        query(FgMonoid(range(1000, 1010)), 110999, Budget(2000))
+
+
 @given(int_gens=st.lists(st.integers(2, 25), min_size=1, max_size=3, unique=True), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_sieve_seeded_cover_answers_membership_in_any_order(int_gens, data):
