@@ -26,32 +26,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, NeedsBoundError
 from .monoid import (Budget, Factorization, FactorizationSet, FgMonoid, LengthSet, _allot,
                      _as_budget, _checked_paths, _depth_first, _paths_to_set, _scale_units)
 from .qarith import (RationalLike, _grow_primes, _int_valuation, as_rational, nth_prime,
                      prime_factors, prime_index)
-
-BASE_KINDS = ("grams", "companion", "exA", "exB", "sqden", "interval1")
-SUM_KINDS = ("exAexB", "interval1_sqden", "gramscompanion")
-KINDS = BASE_KINDS + SUM_KINDS
-
-_PRIME_FLOOR = {"grams": 3, "companion": 3, "exA": 5, "exB": 5, "sqden": 2}
-_PRIME_LABEL = {
-    "grams": "odd primes (3, 5, 7, ...)",
-    "companion": "odd primes (3, 5, 7, ...)",
-    "exA": "primes >= 5",
-    "exB": "primes >= 5",
-    "sqden": "all primes (2, 3, 5, ...)",
-}
-
-_SUM_TABLE = {
-    frozenset({"exA", "exB"}): "exAexB",
-    frozenset({"interval1", "sqden"}): "interval1_sqden",
-    frozenset({"grams", "companion"}): "gramscompanion",
-}
 
 _PARAM_NAMES = {"K", "window", "den_bound", "n"}
 
@@ -64,8 +45,7 @@ class FamilyMonoid:
     params: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"unknown family {self.kind!r}; known: {', '.join(KINDS)}")
+        _kind(self.kind)
         for name, value in self.params:
             if name not in _PARAM_NAMES:
                 raise InputError(f"unknown family parameter {name!r}")
@@ -73,16 +53,13 @@ class FamilyMonoid:
                 raise InputError(f"family parameter {name} must be positive")
 
     def param(self, name: str, default: int | None = None) -> int | None:
-        for key, value in self.params:
-            if key == name:
-                return value
-        return default
+        return dict(self.params).get(name, default)
 
     def __repr__(self) -> str:
         inner = ", ".join([self.kind] + [f"{k}={v}" for k, v in self.params])
         return f"family({inner})"
 
-    # -- FgMonoid's queries, by the exact procedures below; where none exists,
+    # -- FgMonoid's queries, by the kind's exact procedures; where none exists,
     # a NeedsBoundError names the bound that helps
 
     @property
@@ -122,10 +99,9 @@ class FamilyMonoid:
         return FactorizationSet(zs.target, tuple(z for z in zs if z.length == ell))
 
     def lengths(self, q: RationalLike, budget: Budget | int | None = None) -> LengthSet:
-        if self.kind == "interval1":
-            return LengthSet(as_rational(q), interval_lengths(q, budget))
-        if self.kind == "exAexB":
-            return LengthSet(as_rational(q), _exaexb_lengths(q, budget))
+        lengths = _kind(self.kind).lengths
+        if lengths is not None:
+            return LengthSet(as_rational(q), lengths(q, budget))
         zs = family_factorizations(self, q, budget=budget)
         return LengthSet(zs.target, zs.lengths())
 
@@ -137,7 +113,8 @@ class FamilyMonoid:
         if not isinstance(other, FamilyMonoid):
             raise NeedsBoundError("cannot sum a finitely generated monoid with an untruncated"
                                   f" family; {_bound_hint(self.kind)}")
-        combined = _SUM_TABLE.get(frozenset({self.kind, other.kind}))
+        pair = {self.kind, other.kind}
+        combined = next((name for name, k in _KINDS.items() if set(k.summands) == pair), None)
         if combined is None:
             raise NeedsBoundError(f"no exact procedure for {self.kind} + {other.kind};"
                                   f" {_bound_hint(self.kind, other.kind)}")
@@ -148,46 +125,33 @@ def family(kind: str, **params: int) -> FamilyMonoid:
     return FamilyMonoid(kind, tuple(sorted(params.items())))
 
 
-# the families truncate() rejects, and what bounds a query on them instead
-_UNTRUNCATED = {"interval1": "query it with L(...) or Zl(..., den_bound=...)",
-                "interval1_sqden": "no bound replaces a truncation"}
-
-
-def _bound_hint(*kinds: str) -> str:
+def _bound_hint(*names: str) -> str:
     """How to bound a query over these families, for a NeedsBoundError."""
-    for kind in kinds:
-        if kind in _UNTRUNCATED:
-            return f"{kind} cannot be truncated; {_UNTRUNCATED[kind]}"
+    for name in names:
+        if _kind(name).untruncated:
+            return f"{name} cannot be truncated; {_kind(name).untruncated}"
     return "truncate with K=..."
 
 
 def family_prime(kind: str, n: int) -> int:
-    if kind not in _PRIME_FLOOR:
+    floor = _kind(kind).prime_floor
+    if floor is None:
         raise InputError(f"{kind} has no prime sequence")
-    return nth_prime(n, _PRIME_FLOOR[kind])
+    return nth_prime(n, floor)
 
 
 def family_generator(kind: str, n: int) -> Fraction:
     """The exact n-th generator of a base family."""
+    k = _kind(kind)
     if n < 1:
         raise InputError("generator index must be positive")
-    if kind == "grams":
-        p = family_prime(kind, n)
-        return Fraction(1, 2**n * p)
-    if kind == "exA":
-        p = family_prime(kind, n)
-        return Fraction(p - 1, p)
-    if kind == "exB":
-        p = family_prime(kind, n)
-        return Fraction(p + 1, p)
-    if kind == "sqden":
-        p = family_prime(kind, n)
-        return Fraction(p + 1, p * p)
-    if kind == "interval1":
-        raise InputError("the unit-interval monoid has no generator sequence")
+    if k.generator is not None:
+        return k.generator(n, family_prime(kind, n))
+    if k.summands:
+        raise InputError(f"{kind} = {' + '.join(k.summands)}: a composite has no generator sequence")
     if kind == "companion":
         raise InputError("companion generators are doubly indexed; use grams_companion(n, depth)")
-    raise InputError(f"unknown family {kind!r}")
+    raise InputError("the unit-interval monoid has no generator sequence")
 
 
 class CompanionSequence(NamedTuple):
@@ -212,14 +176,11 @@ def grams_companion(n: int, depth: int, budget: Budget | int | None = None) -> C
     threshold = 2**n * family_prime("grams", n)
     f = prime_index(threshold + 1, _as_budget(budget)) - 1   # 2 is the first prime, not an odd one
     half = a_n / 2
-    b1 = a_n - family_generator("grams", f)
-    if not half < b1 < a_n:
-        raise RuntimeError("first companion step left the target band")
-    bs = [b1]
+    bs = [a_n - family_generator("grams", f)]
     cs: list[int] = []
+    c = 1   # c_k strictly increases (the gap after a step is at most 1/2^c_k), so c resumes
     while len(bs) < depth:
         gap = bs[-1] - half
-        c = 1
         while Fraction(1, 2**c) >= gap:
             c += 1
         cs.append(c)
@@ -239,25 +200,23 @@ def truncate(fam: FamilyMonoid | str, count: int, n_max: int | None = None,
     if isinstance(fam, FamilyMonoid):
         n_max = n_max or fam.param("n")
         fam = fam.kind
+    k = _kind(fam)
     if count < 1:
         raise InputError("truncation size must be positive")
     budget = _as_budget(budget)
-    if fam in ("grams", "exA", "exB", "sqden"):
-        budget.spend(count)
-        return FgMonoid([family_generator(fam, i) for i in range(1, count + 1)], budget)
+    if k.untruncated:
+        raise InputError(f"{fam} has no generator sequence to truncate")
+    if k.summands:
+        left, right = (truncate(part, count, n_max, budget) for part in k.summands)
+        return left.internal_sum(right, budget)
     if fam == "companion":
         # the prime scans grow with n, so charging the largest first stops an
         # oversized truncation before it scans
         budget.spend(count * (n_max or 1))
         gens = [b for n in range(n_max or 1, 0, -1) for b in grams_companion(n, count, budget).b]
         return FgMonoid(gens, budget)
-    if fam == "exAexB":
-        return truncate("exA", count, budget=budget).internal_sum(
-            truncate("exB", count, budget=budget), budget)
-    if fam == "gramscompanion":
-        return truncate("grams", count, budget=budget).internal_sum(
-            truncate("companion", count, n_max=n_max, budget=budget), budget)
-    raise InputError(f"{fam} has no generator sequence to truncate")
+    budget.spend(count)
+    return FgMonoid([family_generator(fam, i) for i in range(1, count + 1)], budget)
 
 
 # -- antimatter witnesses -----------------------------------------------------
@@ -324,8 +283,6 @@ def antimatter_witness(n: int, k: int | None = None) -> Witness:
     power = Fraction(1, 2**c)
     p_c = family_prime("grams", c)
     a_c = family_generator("grams", c)
-    if p_c * a_c != power:
-        raise RuntimeError("grams certificate for the power of 1/2 failed")
     return Witness(
         target_label=f"b_{k}(n={n})",
         target=seq.b[k - 1],
@@ -348,6 +305,7 @@ def divisor_candidates(kind: str, q: RationalLike) -> tuple[int, ...]:
     with p^2 copies contributing p + 1.  So only indices with p dividing
     d(q), or with the single-copy bound p <= q (resp. p + 1 <= q), survive.
     """
+    _kind(kind)   # an unknown name fails before the other checks
     if kind not in ("exB", "sqden"):
         raise InputError("divisor candidates are defined for exB and sqden")
     q = as_rational(q)
@@ -508,8 +466,9 @@ def _exaexb_core(q: Fraction, primes: Sequence[int] | None, budget: Budget,
     return core, out
 
 
-def _exaexb_solutions(q: Fraction, window: int, budget: Budget) -> FactorizationSet:
-    """Z(q) over the first window atoms of exA and of exB, in canonical order.
+def _exaexb_solutions(q: Fraction, window: int | None, budget: Budget) -> FactorizationSet:
+    """Z(q) over the first window atoms of exA and of exB, in canonical
+    order (Z(q) itself is infinite once it holds a balanced pair, as Z(2) does).
 
     The core's solutions (_exaexb_core), sorted canonically, and their K
     pairs on the window's other primes, merged by one search over the
@@ -521,6 +480,10 @@ def _exaexb_solutions(q: Fraction, window: int, budget: Budget) -> Factorization
     prime before the prime table grows to hold them, the core's, and one
     per node and per factorization.
     """
+    if window is None:
+        raise NeedsBoundError("the exAexB search needs window=... (admitted indices)")
+    if window < 1:
+        raise InputError("window must be positive")
     _allot(budget, window, window)
     primes = _grow_primes(window + 2)[2:window + 2]
     core, sols = _exaexb_core(q, primes, budget)
@@ -583,64 +546,47 @@ def _exaexb_solutions(q: Fraction, window: int, budget: Budget) -> Factorization
     return FactorizationSet(q, tuple(out))
 
 
-def _sum_part_is_atom(atom: Fraction, budget: Budget) -> bool:
-    """Is this candidate part an atom of interval1 + sqden?  Exact check.
+def _sqden_factorizations(q: Fraction, budget: Budget, trace: list | None,
+                          ones: bool) -> FactorizationSet:
+    """Z(q) in sqden, or with ones in interval1 + sqden; exact, window-free.
 
-    Every member below 1 lies in the sqden component, so 1 is an atom iff it
-    has no sqden representation, and a generator is an atom iff its only
-    representation is itself (which is always one of them).
+    Every part the searches emit is an atom.  (p+1)/p^2 is the only
+    generator with p in its denominator, so clearing p^2 in a sum equal to
+    it forces its own multiplicity to be 1 mod p^2: it is an atom of sqden,
+    and of the sum, whose parts below 1 all lie in sqden.  1 is not in
+    sqden (each prime p would need p^2 copies, worth p + 1), so it is an
+    atom of the sum.  Any q > 1 splits off a generator below q - 1, so 1
+    is the only part interval1 contributes: index 0, the largest atom, so
+    the searches emit the factorizations in canonical order.
     """
-    if atom == 1:
-        return not _sqden_solutions(atom, 1, budget)
-    return len(_sqden_solutions(atom, 1, budget)) == 1
+    sols = []
+    for copies in range(int(q) + 1 if ones else 1):
+        rest = q - copies
+        head = {0: copies} if copies else {}
+        sols += [{**head, **sol}
+                 for sol in (_sqden_solutions(rest, 1, budget, trace) if rest else [{}])]
+    used = {n for sol in sols for n in sol}
+    parts = {n: family_generator("sqden", n) if n else Fraction(1) for n in used}
+    return FactorizationSet(q, tuple(
+        Factorization(tuple((parts[n], sol[n]) for n in sorted(sol, reverse=True))) for sol in sols))
 
 
 def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
                           window: int | None = None,
                           budget: Budget | int | None = None,
                           trace: list | None = None) -> FactorizationSet:
-    """Factorization set of q over a family's atoms.
-
-    exAexB requires a window (number of admitted indices): Z(q) is
-    infinite once a factorization has a balanced pair, as Z(2) has.  Over
-    the window's atoms it is exact,
-    by valuation (_exaexb_solutions): a core of primes up to 5q/4 and
-    those dividing q's denominator, the rest balanced pairs, in time that
-    follows the answer's size.  sqden and interval1_sqden are exact and
-    window-free thanks to the valuation pruning; parts are re-checked for
-    atomhood in the sum before being reported.
-    """
+    """Z(q) over a family's atoms by the kind's exact procedure; for exAexB,
+    over a window of admitted indices (_exaexb_solutions)."""
     if isinstance(kind, FamilyMonoid):
         window = window or kind.param("window")
         kind = kind.kind
+    factorizations = _kind(kind).factorizations
     q = as_rational(q)
     if q < 0:
         raise InputError("target must be nonnegative")
-    budget = _as_budget(budget)
-    if kind == "exAexB":
-        if window is None:
-            raise NeedsBoundError("the exAexB search needs window=... (admitted indices)")
-        if window < 1:
-            raise InputError("window must be positive")
-        return _exaexb_solutions(q, window, budget)
-    if kind in ("sqden", "interval1_sqden"):
-        # any q > 1 splits off a sqden generator below q - 1, so 1 is the
-        # only part interval1 can contribute: index 0, the largest atom, so
-        # the searches emit the factorizations in canonical order
-        sols = []
-        for copies in range(int(q) + 1 if kind == "interval1_sqden" else 1):
-            rest = q - copies
-            head = {0: copies} if copies else {}
-            sols += [{**head, **sol}
-                     for sol in (_sqden_solutions(rest, 1, budget, trace) if rest else [{}])]
-        used = {n for sol in sols for n in sol}
-        parts = {n: family_generator("sqden", n) if n else Fraction(1) for n in used}
-        # each distinct part is checked once per query
-        atoms = {n for n, a in parts.items() if _sum_part_is_atom(a, budget)}
-        return FactorizationSet(q, tuple(
-            Factorization(tuple((parts[n], sol[n]) for n in sorted(sol, reverse=True)))
-            for sol in sols if atoms.issuperset(sol)))
-    raise NeedsBoundError(f"no exact factorization procedure for {kind}; {_bound_hint(kind)}")
+    if factorizations is None:
+        raise NeedsBoundError(f"no exact factorization procedure for {kind}; {_bound_hint(kind)}")
+    return factorizations(q, window, _as_budget(budget), trace)
 
 
 def family_member(kind: str | FamilyMonoid, q: RationalLike,
@@ -648,22 +594,15 @@ def family_member(kind: str | FamilyMonoid, q: RationalLike,
     """Exact membership where a closed form or pruned search exists."""
     if isinstance(kind, FamilyMonoid):
         kind = kind.kind
+    member = _kind(kind).member
     q = as_rational(q)
     if q < 0:
         raise InputError("membership is only defined for nonnegative rationals")
     if q == 0:
         return True
-    budget = _as_budget(budget)
-    if kind == "interval1":
-        return q >= 1
-    if kind == "sqden":
-        return bool(_sqden_solutions(q, 1, budget))
-    if kind == "interval1_sqden":
-        # members below 1 must come entirely from the sqden component
-        return q >= 1 or bool(_sqden_solutions(q, 1, budget))
-    if kind == "exAexB":
-        return _exaexb_classes(q, budget) is not None
-    raise NeedsBoundError(f"no exact membership procedure for {kind}; {_bound_hint(kind)}")
+    if member is None:
+        raise NeedsBoundError(f"no exact membership procedure for {kind}; {_bound_hint(kind)}")
+    return member(q, _as_budget(budget))
 
 
 def _exaexb_lengths(q: RationalLike, budget: Budget | int | None = None) -> tuple[int, ...]:
@@ -746,18 +685,6 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
 
 # -- property reports ---------------------------------------------------------
 
-_PAPER_FLAGS: dict[str, dict[str, bool]] = {
-    "grams": {"atomic": True, "antimatter": False, "bbm": False},
-    "companion": {"atomic": True, "antimatter": False},
-    "gramscompanion": {"antimatter": True, "atomic": False, "bbm": False},
-    "exA": {"atomic": True, "ffm": True, "bfm": True, "lffm": True, "bbm": True},
-    "exB": {"atomic": True, "ffm": True, "bfm": True, "lffm": True, "bbm": True},
-    "exAexB": {"atomic": True, "bfm": True, "ffm": False, "lffm": False, "bbm": True},
-    "sqden": {"atomic": True, "ffm": True, "bfm": True, "lffm": True, "bbm": False},
-    "interval1": {"atomic": True, "bbm": True, "bfm": True, "ffm": False, "lffm": False},
-    "interval1_sqden": {"atomic": False, "bfm": False, "bbm": False, "antimatter": False},
-}
-
 
 def family_properties(kind: str | FamilyMonoid, K: int = 6, window: int = 10,
                       den_bound: int = 12, budget: Budget | int | None = None) -> dict:
@@ -767,67 +694,76 @@ def family_properties(kind: str | FamilyMonoid, K: int = 6, window: int = 10,
         window = kind.param("window", window) or window
         den_bound = kind.param("den_bound", den_bound) or den_bound
         kind = kind.kind
-    # an unknown kind has no evidence, so this raises before the flags are read
-    evidence = _family_evidence(kind, K, window, den_bound, _as_budget(budget))
+    k = _kind(kind)
+    evidence = k.evidence(kind, K, window, den_bound, _as_budget(budget))
     flags = {
         name: {"value": value, "provenance": "paper"}
-        for name, value in _PAPER_FLAGS[kind].items()
+        for name, value in k.flags.items()
     }
     return {
         "family": kind,
-        "primes": _PRIME_LABEL.get(kind),
+        "primes": k.prime_label,
         "flags": flags,
         "evidence": evidence,
     }
 
 
-def _family_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
-    if kind in ("grams", "exA", "exB", "sqden"):
-        trunc = truncate(kind, K, budget=budget)
-        return {
-            "provenance": f"evidence(K={K})",
-            "truncation_generators": [str(g) for g in trunc.generators],
-            "all_generators_are_atoms": trunc.atoms == trunc.generators,
-        }
-    if kind == "companion":
-        seq = grams_companion(1, K)
-        a_1 = family_generator("grams", 1)
-        return {
-            "provenance": f"evidence(K={K})",
-            "staircase_n1": [str(b) for b in seq.b],
-            "band_respected": all(a_1 / 2 < b < a_1 for b in seq.b),
-        }
-    if kind == "gramscompanion":
-        witnesses = _antimatter_witnesses()
-        return {
-            "provenance": "evidence(n<=3, depth<=3)",
-            "witness_identities": [w.identity() for w in witnesses],
-            "all_hold": all(w.holds() for w in witnesses),
-        }
-    if kind == "exAexB":
-        counts = [len(zs) for zs in _exaexb_length2_of_2(window, budget)]
-        return {
-            "provenance": f"evidence(window={window})",
-            "length2_counts_of_2": counts,
-            "strictly_increasing": all(a < b for a, b in zip(counts, counts[1:])),
-        }
-    if kind == "interval1":
-        ladder = _interval_ladder(den_bound, budget)
-        counts = [len(zs) for zs in ladder.values()]
-        return {
-            "provenance": f"evidence(den_bound={den_bound})",
-            "den_bounds": list(ladder),
-            "length2_counts_of_3": counts,
-            "strictly_increasing": all(a < b for a, b in zip(counts, counts[1:])),
-        }
-    if kind == "interval1_sqden":
-        member, zs = _nine_eighths(budget)
-        return {
-            "provenance": "evidence(exact)",
-            "member_9/8": member,
-            "factorizations_9/8": len(zs),
-        }
-    raise InputError(f"unknown family {kind!r}")
+def _truncation_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+    trunc = truncate(kind, K, budget=budget)
+    return {
+        "provenance": f"evidence(K={K})",
+        "truncation_generators": [str(g) for g in trunc.generators],
+        "all_generators_are_atoms": trunc.atoms == trunc.generators,
+    }
+
+
+def _staircase_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+    budget.spend(K)   # one unit per step before the staircase is built, as truncate charges
+    seq = grams_companion(1, K, budget)
+    a_1 = family_generator("grams", 1)
+    return {
+        "provenance": f"evidence(K={K})",
+        "staircase_n1": [str(b) for b in seq.b],
+        "band_respected": all(a_1 / 2 < b < a_1 for b in seq.b),
+    }
+
+
+def _witness_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+    witnesses = _antimatter_witnesses()
+    return {
+        "provenance": "evidence(n<=3, depth<=3)",
+        "witness_identities": [w.identity() for w in witnesses],
+        "all_hold": all(w.holds() for w in witnesses),
+    }
+
+
+def _length2_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+    counts = [len(zs) for zs in _exaexb_length2_of_2(window, budget)]
+    return {
+        "provenance": f"evidence(window={window})",
+        "length2_counts_of_2": counts,
+        "strictly_increasing": all(a < b for a, b in zip(counts, counts[1:])),
+    }
+
+
+def _ladder_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+    ladder = _interval_ladder(den_bound, budget)
+    counts = [len(zs) for zs in ladder.values()]
+    return {
+        "provenance": f"evidence(den_bound={den_bound})",
+        "den_bounds": list(ladder),
+        "length2_counts_of_3": counts,
+        "strictly_increasing": all(a < b for a, b in zip(counts, counts[1:])),
+    }
+
+
+def _nine_eighths_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+    member, zs = _nine_eighths(budget)
+    return {
+        "provenance": "evidence(exact)",
+        "member_9/8": member,
+        "factorizations_9/8": len(zs),
+    }
 
 
 # -- evidence shared with the paper scenarios ----------------------------------
@@ -866,3 +802,66 @@ def _nine_eighths(budget: Budget | int | None,
     q = Fraction(9, 8)
     member = family_member("interval1_sqden", q, budget)
     return member, family_factorizations("interval1_sqden", q, budget=budget, trace=trace)
+
+
+# -- the kinds ------------------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    """One family kind.  A procedure left None raises NeedsBoundError with
+    the kind's hint; a public one is called by its module-level name."""
+
+    flags: dict[str, bool]   # the paper's, in the order family_properties reports them
+    evidence: Callable[[str, int, int, int, Budget], dict]
+    prime_floor: int | None = None   # p_n is the n-th prime at or above it
+    prime_label: str | None = None
+    generator: Callable[[int, int], Fraction] | None = None   # (n, p_n) -> the n-th generator
+    summands: tuple[str, ...] = ()   # a composite's base kinds
+    member: Callable[[Fraction, Budget], bool] | None = None
+    factorizations: Callable[[Fraction, int | None, Budget, list | None], FactorizationSet] | None = None
+    lengths: Callable[[RationalLike, Budget | int | None], tuple[int, ...]] | None = None
+    untruncated: str | None = None   # where truncate() rejects the kind: what bounds a query instead
+
+
+_ODD_PRIMES = "odd primes (3, 5, 7, ...)"
+_KINDS = {
+    "grams": _Kind({"atomic": True, "antimatter": False, "bbm": False}, _truncation_evidence,
+                   3, _ODD_PRIMES, lambda n, p: Fraction(1, 2**n * p)),
+    "companion": _Kind({"atomic": True, "antimatter": False}, _staircase_evidence, 3, _ODD_PRIMES),
+    "exA": _Kind({"atomic": True, "ffm": True, "bfm": True, "lffm": True, "bbm": True},
+                 _truncation_evidence, 5, "primes >= 5", lambda n, p: Fraction(p - 1, p)),
+    "exB": _Kind({"atomic": True, "ffm": True, "bfm": True, "lffm": True, "bbm": True},
+                 _truncation_evidence, 5, "primes >= 5", lambda n, p: Fraction(p + 1, p)),
+    "sqden": _Kind(
+        {"atomic": True, "ffm": True, "bfm": True, "lffm": True, "bbm": False}, _truncation_evidence,
+        2, "all primes (2, 3, 5, ...)", lambda n, p: Fraction(p + 1, p * p),
+        member=lambda q, budget: bool(_sqden_solutions(q, 1, budget)),
+        factorizations=lambda q, window, budget, trace: _sqden_factorizations(q, budget, trace, False)),
+    "interval1": _Kind(
+        {"atomic": True, "bbm": True, "bfm": True, "ffm": False, "lffm": False}, _ladder_evidence,
+        member=lambda q, budget: q >= 1,
+        lengths=lambda q, budget: interval_lengths(q, budget),
+        untruncated="query it with L(...) or Zl(..., den_bound=...)"),
+    "exAexB": _Kind(
+        {"atomic": True, "bfm": True, "ffm": False, "lffm": False, "bbm": True}, _length2_evidence,
+        summands=("exA", "exB"),
+        member=lambda q, budget: _exaexb_classes(q, budget) is not None,
+        factorizations=lambda q, window, budget, trace: _exaexb_solutions(q, window, budget),
+        lengths=_exaexb_lengths),
+    "interval1_sqden": _Kind(
+        {"atomic": False, "bfm": False, "bbm": False, "antimatter": False}, _nine_eighths_evidence,
+        summands=("interval1", "sqden"),
+        # members below 1 must come entirely from the sqden component
+        member=lambda q, budget: q >= 1 or bool(_sqden_solutions(q, 1, budget)),
+        factorizations=lambda q, window, budget, trace: _sqden_factorizations(q, budget, trace, True),
+        untruncated="no bound replaces a truncation"),
+    "gramscompanion": _Kind({"antimatter": True, "atomic": False, "bbm": False}, _witness_evidence,
+                            summands=("grams", "companion")),
+}
+KINDS = tuple(_KINDS)
+
+
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise InputError(f"unknown family {name!r}; known: {', '.join(KINDS)}")
+    return _KINDS[name]

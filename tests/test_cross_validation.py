@@ -151,16 +151,19 @@ def test_sqden_search_from_a_later_index_matches_product_enumeration(q, k):
     assert _solution_set(sols) == _solution_set(oracle_sqden_solutions(q, k))
 
 
-@settings(max_examples=30, deadline=None)
-@given(_SQDEN_TARGETS)
-def test_interval1_sqden_factorizations_match_product_enumeration(q):
-    # copies of 1 plus a sqden solution of the rest, every part an atom of
-    # the sum: 1 iff it has no sqden solution, a generator iff it has only itself
+@settings(max_examples=40, deadline=None)
+@given(_SQDEN_TARGETS, st.sampled_from(["sqden", "interval1_sqden"]))
+@example(F(15, 2), "sqden")
+@example(F(15, 2), "interval1_sqden")
+def test_interval1_sqden_factorizations_match_product_enumeration(q, kind):
+    # copies of 1 (in the sum only) plus a sqden solution of the rest, every
+    # part an atom of the sum: 1 iff it has no sqden solution, a generator iff
+    # it has only itself
     def is_atom(a):
         return len(oracle_sqden_solutions(a)) == (0 if a == 1 else 1)
 
     expected = []
-    for copies in range(int(q) + 1):
+    for copies in range(int(q) + 1 if kind == "interval1_sqden" else 1):
         rest = q - copies
         for sol in oracle_sqden_solutions(rest) if rest else [{}]:
             parts = {family_generator("sqden", n): m for n, m in sol.items()}
@@ -168,7 +171,7 @@ def test_interval1_sqden_factorizations_match_product_enumeration(q):
                 parts[F(1)] = copies
             if all(is_atom(a) for a in parts):
                 expected.append(frozenset(parts.items()))
-    zs = family_factorizations("interval1_sqden", q)
+    zs = family_factorizations(kind, q)
     assert {frozenset(z.parts) for z in zs} == set(expected)
     assert len(zs) == len(expected)
     # canonical order: the parts compared largest atom first

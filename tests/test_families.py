@@ -101,13 +101,13 @@ def test_grams_companion_charges_its_prime_scan():
 
 
 def test_a_prime_scan_is_charged_once_per_budget():
-    # the query runs one sqden search per copy of 1 and per part it checks,
-    # and many of them look up the index of p = 1009; the scan to it is paid
-    # once, on top of the searches' nodes
+    # the query runs one sqden search per copy of 1, and many of them look
+    # up the index of p = 1009; the scan to it is paid once, on top of the
+    # searches' nodes
     q = F(20) + F(1010, 1009**2)
     meter = Budget(10**9)
     assert len(family_factorizations("interval1_sqden", q, budget=meter)) == 78
-    assert 10**9 - meter.left == 4775 + 1009 // 2
+    assert 10**9 - meter.left == 4594 + 1009 // 2
 
 
 def test_companion_band_bounds():
@@ -116,6 +116,46 @@ def test_companion_band_bounds():
         seq = grams_companion(n, 4)
         for b in seq.b:
             assert a_n / 2 < b < a_n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_companion_step_subtracts_the_largest_power_of_a_half_that_fits(n):
+    half = family_generator("grams", n) / 2
+    seq = grams_companion(n, 300)
+    assert len(seq.b) == 300 and len(seq.c) == 299
+    for b, c, after in zip(seq.b, seq.c, seq.b[1:]):
+        assert after == b - F(1, 2**c) > half
+        # the next larger power would not keep the step above a_n / 2
+        assert b - F(1, 2 ** (c - 1)) <= half
+
+
+def test_companion_evidence_charges_its_depth_before_it_builds():
+    with pytest.raises(BudgetExceededError):
+        family_properties("companion", K=1600, budget=Budget(10))
+    meter = Budget(10**6)
+    family_properties("companion", K=40, budget=meter)
+    assert 10**6 - meter.left == 40
+
+
+@pytest.mark.parametrize("call", [
+    lambda: family("bogus"),
+    lambda: family_prime("bogus", 0),
+    lambda: family_generator("bogus", 0),
+    lambda: truncate("bogus", 0),
+    lambda: divisor_candidates("bogus", -1),
+    lambda: family_factorizations("bogus", -1),
+    lambda: family_member("bogus", 0),
+    lambda: family_properties("bogus", budget=Budget(1)),
+], ids=["family", "family_prime", "family_generator", "truncate", "divisor_candidates",
+        "family_factorizations", "family_member", "family_properties"])
+def test_an_unknown_family_name_is_refused_before_any_other_check(call):
+    with pytest.raises(InputError, match=r"^unknown family 'bogus'; known: grams, companion, "):
+        call()
+
+
+def test_a_composite_has_no_generator_sequence():
+    with pytest.raises(InputError, match="exAexB = exA \\+ exB: a composite has no generator sequence"):
+        family_generator("exAexB", 1)
 
 
 def test_antimatter_witnesses():
@@ -229,12 +269,12 @@ def test_sqden_search_visits_a_pinned_number_of_nodes(q, nodes):
 
 def test_budget_outcome_does_not_depend_on_earlier_queries():
     # the same query with the same budget fails the same way before and
-    # after an unbudgeted run of it in this process
+    # after an unbudgeted run of it in this process; it costs 3 units
     with pytest.raises(BudgetExceededError):
-        family_factorizations("sqden", F(43, 36), budget=5)
+        family_factorizations("sqden", F(43, 36), budget=2)
     assert len(family_factorizations("sqden", F(43, 36))) == 1
     with pytest.raises(BudgetExceededError):
-        family_factorizations("sqden", F(43, 36), budget=5)
+        family_factorizations("sqden", F(43, 36), budget=2)
 
 
 def test_paper_scenario_spends_one_budget_over_all_its_windows():
