@@ -19,32 +19,31 @@ x > 0 whose floor y reaches.  Point (x, y), |x|, |y| <= R, is bit (y + R) *
 (4R + 1) + x + R, so sums never wrap a row; a run of n points shift-ors the
 other set's mask with itself by doubling, log2(n) + 1 times instead of n.
 
-Factorizations go from the last (largest) atom to the first: a node, a rest
-with atoms[0..i] left, takes m >= 1 parts of atom i, then jumps straight to
-the next lower atom that can take one; the last two, if not parallel, are
-solved by Cramer's rule.  With 1 <= y_min <= y <= y_max over the atoms left,
-a rest (x, y) takes ceil(y / y_max) to floor(y / y_min) parts p, so x lies
-in [least, greatest] = [min p * min x, max p * max x]; this window shrinks
-with the atoms left, so the first level it fails ends a jump.  A jump bisects
-past each atom j with x_j - min x > x - least, which cannot take a part;
-over atoms of one height (upperhalf's) it then tests at most two windows.
+Factorizations over atoms of one height h >= 1 (upperhalf's) have n = y / h
+parts: shifted by 1 - x_0 in x, the atoms are ascending positive integers and
+the target x + n (1 - x_0), for `monoid._solve_int` at the exact length n.
+Over mixed heights a node, a rest with atoms[0..i] left, takes m >= 1 parts of
+atom i, then jumps straight to the next lower atom that can take one; the last
+two, if not parallel, are solved by Cramer's rule.  With 1 <= y_min <= y <= y_max
+over the atoms left, a rest (x, y) takes ceil(y / y_max) to floor(y / y_min)
+parts p, so x lies in [min p * min x, max p * max x]; this window shrinks with
+the atoms left, so the first level it fails ends a jump.
 
 Budget units, paid before or as the work is done: one per box point before
 its runs or members are built; `monoid._shift_units` per point of a sumset's
 smaller set, from the closed-form member count; one per point sums of atoms
-reach; beyond `_depth_first`'s unit per search node, one per closed-form
-solution, and none per skipped level, so over atoms of mixed heights a jump
-may test windows no unit pays for.  Only results are built as LatticePoints.
+reach; the kernel's, or one for a y that h does not divide; over mixed heights
+one per node and closed-form solution, none per window test (a node makes one
+per part count, a jump one per skipped level).  Only results are LatticePoints.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InputError
-from .monoid import Budget, _allot, _as_budget, _depth_first, _shift_units
+from .monoid import Budget, _allot, _as_budget, _checked_paths, _depth_first, _shift_units
 
 Pair = tuple[int, int]
 Run = tuple[int, int, int]   # (x, y, n): the points (x, y) .. (x + n - 1, y)
@@ -208,10 +207,17 @@ def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
 
 def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
                             budget: Budget) -> tuple[tuple[LatticePoint, ...], ...]:
-    """All multisets of the given ascending distinct atoms summing to v, each
-    sorted, in sorted order, by the search of the module docstring.  At least one
-    atom; all have y >= 0, and one with y = 0 has x > 0 and no atom of x < 0 beside."""
+    """All multisets of the given ascending distinct atoms summing to v, each sorted,
+    in sorted order: by the integer kernel over one height h >= 1, else the 2-D search.
+    At least one atom; all have y >= 0, and one with y = 0 has x > 0 and none of x < 0."""
     xs, ys = [a[0] for a in atoms], [a[1] for a in atoms]
+    if ys[0] >= 1 and ys.count(ys[0]) == len(ys):
+        n, r = divmod(v[1], ys[0])
+        if r or n < 0:   # no count of parts of height h sums to y
+            budget.spend()
+            return ()
+        paths = _checked_paths(v[0] + n * (1 - xs[0]), [x + 1 - xs[0] for x in xs], n, budget)
+        return tuple(sorted(tuple([atoms[i] for i, m in p for _ in range(m)]) for p in paths))
     det = xs[0] * ys[1] - xs[1] * ys[0] if len(atoms) > 1 else 0
     closed = 2 if det else 0   # levels below this one are solved by Cramer's rule
     out: list[tuple[LatticePoint, ...]] = []
@@ -234,11 +240,7 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
                 path[base:] = [(i, m)]
                 yield i - 1, rx - m * xs[i], ry - m * ys[i]
         del path[base:]
-        top = i - 1   # bisect past the atoms too far right to take a part (module docstring)
-        if top >= closed and low[top] >= 1:
-            least = (ry // low[top] if xs[0] < 0 else -(-ry // high[top])) * xs[0]
-            top = max(closed - 1, bisect_right(xs, rx - least + xs[0], 0, i) - 1)
-        for j in range(top, -1, -1):
+        for j in range(i - 1, -1, -1):
             if not fits(j, rx, ry):
                 return
             if j < closed or (ry >= ys[j] and fits(j, rx - xs[j], ry - ys[j])):

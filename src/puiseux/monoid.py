@@ -615,16 +615,17 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
     distinct and already in canonical order (see FactorizationSet).
     Pruning: the residue must be divisible by the gcd of the remaining
     atoms, and under an exact-length constraint it must fit between
-    length * min and length * max of the remaining atoms (without one, it
-    must be zero or at least the smallest atom).  When exactly one part is
-    left, the residue is looked up among the atoms not above the current
-    one instead of searched for.  When two atoms a0 < a1 are left, the node
-    has no children: a0*m0 + a1*m1 = rem is solved in closed form (Bezout's
-    identity).  With g = gcd(a0, a1) dividing rem, the solutions are the m1
-    congruent to (rem/g) * (a1/g)^-1 mod a0/g with m1 * a1 <= rem, taken
-    ascending as the search would meet them; under a length l the only
-    candidate is m1 = (rem - l*a0) / (a1 - a0), kept if it is an integer
-    in [0, l].
+    length * min and length * max of the remaining atoms, so a node's
+    multiplicities are a closed-form interval, each one a charged child
+    (without one, it must be zero or at least the smallest atom).  When
+    exactly one part is left, the residue is looked up among the atoms not
+    above the current one instead of searched for.  When two atoms a0 < a1
+    are left, the node has no children: a0*m0 + a1*m1 = rem is solved in
+    closed form (Bezout's identity).  With g = gcd(a0, a1) dividing rem, the
+    solutions are the m1 congruent to (rem/g) * (a1/g)^-1 mod a0/g with
+    m1 * a1 <= rem, taken ascending as the search would meet them; under a
+    length l the only candidate is m1 = (rem - l*a0) / (a1 - a0), kept if
+    it is an integer in [0, l].
 
     Work: a unit per node, plus one per 64-bit word of target past the
     second (free below 192 bits, where a node costs about what a one-word
@@ -645,18 +646,15 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
     path: list[tuple[int, int]] = []   # nonzero multiplicities on the open path, largest index first
 
     def children(i: int, rem: int, need: int | None) -> Iterator[tuple[int, int, int | None]]:
-        a = atoms[i]
-        top = rem // a
-        if need is not None:
-            top = min(top, need)
-        base = len(path)
-        for m in range(top + 1):
+        a, base = atoms[i], len(path)
+        if need is None:
+            low, top = 0, rem // a
+        else:  # m leaves need - m parts between atoms[0] and atoms[i - 1], so m <= need, rem // a
+            a0, b = atoms[0], atoms[i - 1]
+            low, top = (rem - need * b - 1) // (a - b) + 1, (rem - need * a0) // (a - a0)
+        for m in range(low if low > 0 else 0, top + 1):
             new_rem = rem - m * a
-            if need is not None:
-                left = need - m
-                if new_rem < left * atoms[0] or new_rem > left * atoms[i - 1]:
-                    continue
-            elif 0 < new_rem < atoms[0]:
+            if need is None and 0 < new_rem < atoms[0]:
                 continue
             if m:
                 path[base:] = [(i, m)]

@@ -456,6 +456,22 @@ def test_pruned_factorizations_of_generated_atoms_match_product_enumeration(atom
     assert lat_factorizations_over(atoms, v, Budget()) == tuple(want)
 
 
+# atoms of one height h, the sets sent to the integer kernel: a target of
+# height not divisible by h, the origin, one whose shifted target
+# x + (y / h) (1 - x_0) is at most 0, and one below the x-axis
+@given(h=st.integers(1, 3), xs=st.sets(st.integers(-5, 5), min_size=1, max_size=5),
+       v=st.builds(LatticePoint, st.integers(-20, 20), st.integers(-1, 12)))
+@example(h=2, xs={0, 1, 2}, v=LatticePoint(1, 3))
+@example(h=2, xs={-1, 3}, v=LatticePoint(0, 0))
+@example(h=1, xs={2, 5}, v=LatticePoint(-4, 2))
+@example(h=1, xs={2}, v=LatticePoint(-2, -1))
+@settings(max_examples=300, deadline=None)
+def test_one_height_factorizations_match_product_enumeration(h, xs, v):
+    atoms = tuple(LatticePoint(x, h) for x in sorted(xs))
+    want = oracle_lattice_factorizations(atoms, v, max(v.y, 0))
+    assert lat_factorizations_over(atoms, v, Budget()) == tuple(want)
+
+
 # small rationals, and literals of up to ~5,000 digits (no longer than the
 # int-string digit limit lets the printer write), far past any bitmask's reach
 _DIGITS = min(5000, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 5000)

@@ -154,12 +154,13 @@ def test_lexcone_factorizations():
 
 
 # each search with the units it spends at box 10: box points, sumset shift-ors,
-# reached sums, and (the last) factorization nodes, jumps and closed-form solutions
+# reached sums, and (the last) the atom search, then the integer kernel's nodes
+# and two-atom solutions over the box's 21 atoms of height 1 (886 on the 2-D search)
 _SEARCH_UNITS = [
     (lambda budget: lat_atoms_in_box("lexcone", 10, budget=budget), 793),
     (lambda budget: lex_sum_check(10, budget=budget), 4244),
     (lambda budget: lat_atomic_elements_in_box(10, budget=budget), 804),
-    (lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget), 886),
+    (lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget), 807),
 ]
 
 
@@ -181,20 +182,20 @@ def test_lattice_searches_charge_the_budget(search):
     # two atoms, det != 0: the root solves by Cramer's rule (node + solution)
     ((P(0, 1), P(1, 0)), P(3, 2), 2),
     ((P(0, 1), P(1, 0)), P(0, 0), 1),
-    ((P(-1, 1), P(2, 1)), P(0, 2), 1),   # no integer solution: the node alone
+    # one height: the integer kernel's two-atom root finds no solution, the node alone
+    ((P(-1, 1), P(2, 1)), P(0, 2), 1),
     # a parallel pair is searched: the root, its child (0,0) after one (2,2),
     # the jump to the atom (1,1) with the rest (2,2), and its child (0,0)
     ((P(1, 1), P(2, 2)), P(2, 2), 4),
     # a single atom: the root and its one child that leaves (0,0)
     ((P(2, 0),), P(6, 0), 2),
     ((P(2, 0),), P(5, 0), 1),
-    # both children, rests (1,3) and (-1,1), are cut: a rest of odd height y
-    # would take at least ceil(y / 2) and at most floor(y / 2) parts of height 2
+    # one height 2 does not divide y = 3: the root's one unit, no search
     ((P(0, 2), P(1, 2), P(2, 2)), P(1, 3), 1),
-    # the root's one child (-6,0) is cut, and its jump skips the atoms (2,1)
-    # .. (-1,1), which cannot take a part of (-3,1), straight to the last two:
-    # root, jump and one Cramer solution
-    (tuple(P(n, 1) for n in range(-3, 4)), P(-3, 1), 3),
+    # one height: the integer kernel's root has one part left and looks the
+    # rest up among the atoms, so the root alone (3 on the 2-D search: root,
+    # jump and one Cramer solution)
+    (tuple(P(n, 1) for n in range(-3, 4)), P(-3, 1), 1),
 ])
 def test_search_charges_one_unit_per_node_and_closed_form_solution(atoms, v, units):
     meter = Budget(10**6)
@@ -209,7 +210,8 @@ def test_upperhalf_sample_and_quadrant_units():
     for v in (P(x, y) for x in (-2, 0, 1) for y in (1, 2, 3)):
         zs = lat_factorizations_over(upper, v, meter)
         assert {len(z) for z in zs} == {v.y}
-    assert 10**7 - meter.left == 835
+    # the integer kernel's nodes and two-atom solutions (835 on the 2-D search)
+    assert 10**7 - meter.left == 526
     meter = Budget(10**7)
     for v in lat_members_in_box("quadrant", 10, meter):
         assert len(lat_factorizations_over(quadrant, v, meter)) == 1
@@ -218,22 +220,39 @@ def test_upperhalf_sample_and_quadrant_units():
 
 
 def test_factorization_search_is_not_limited_by_recursion():
-    # 1,201 atoms: the jump goes straight from the root to (0,1)
+    # 1,201 atoms: the integer kernel's root has one part left and looks it up
     atoms = tuple(P(n, 1) for n in range(-600, 601))
     assert lat_factorizations_over(atoms, P(0, 1), Budget()) == ((P(0, 1),),)
-    # every atom (n,1) with n >= 0 can take a part of (0,2), so the jumps from
-    # the root chain through 5,001 open nodes, beyond the default recursion
-    # limit; from each rest (-n,1) the jump lands on the atom (-n,1) itself,
-    # which a level-by-level scan reaches after tens of millions of window
-    # tests in all, the bisection after two per jump
+    # every atom (n,1) with n >= 0 can take a part of (0,2), so the kernel's
+    # nodes that take none of their atom chain through 5,001 open levels,
+    # beyond the default recursion limit
     atoms = tuple(P(n, 1) for n in range(-5000, 5001))
     want = tuple(sorted((P(-n, 1), P(n, 1)) for n in range(5001)))
     meter = Budget(10**7)
     start = time.perf_counter()
     assert lat_factorizations_over(atoms, P(0, 2), meter) == want
     assert time.perf_counter() - start < 2
-    # nodes, jumps and Cramer solutions: a level-by-level scan charges the same
-    assert 10**7 - meter.left == 20002
+    # the integer kernel's nodes: the 5,001 levels from (5000,1) down to (0,1)
+    # that take none of their atom, a leaf per level above (0,1) that takes one
+    # part and looks the other up, and the leaf of two parts (0,1) (20002 on
+    # the 2-D search's nodes, jumps and Cramer solutions)
+    assert 10**7 - meter.left == 10002
+
+
+def test_time_per_unit_does_not_grow_with_the_target_height():
+    # over one height every part count the integer kernel visits is a charged
+    # node, so running out of 10^4 units takes as long at any height (the 2-D
+    # search tested one uncharged window per part count up to the rest's height)
+    def best_of_three(h):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError):
+                lat_factorizations_in_box("upperhalf", P(-3, h), 3, budget=Budget(10**4))
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_three(10_000) <= 3 * best_of_three(1_000)
 
 
 def test_a_last_atom_tries_only_the_part_count_that_can_leave_zero():

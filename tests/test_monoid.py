@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -506,6 +507,18 @@ def test_two_atom_kernel_spends_one_unit_per_solution():
     assert _kernel_units(600, (2, 3), 100) == 1
     # gcd 2 does not divide 601: no solution, no unit beyond the node
     assert _kernel_units(601, (4, 6)) == 1
+
+
+def test_kernel_under_a_length_visits_only_the_part_counts_that_fit():
+    # 10^12 in 2.5 * 10^11 parts of <4, 6, 1001> is all fours: the root's only
+    # part count of 1001 that leaves the other parts at least 4 each is 0, read
+    # off a closed-form interval instead of testing ~10^9 counts uncharged
+    start = time.perf_counter()
+    zs = FgMonoid([4, 6, 1001]).factorizations_of_length(10**12, 250_000_000_000, budget=Budget(1000))
+    assert parts_of(zs) == [{F(4): 250_000_000_000}]
+    assert time.perf_counter() - start < 2
+    # the root, its one child (the two-atom node) and that node's one solution
+    assert _kernel_units(10**12, (4, 6, 1001), 250_000_000_000) == 3
 
 
 @pytest.mark.parametrize("atoms, target", [((6, 9, 20), 400), ((7, 11, 13), 300), ((4, 6, 15), 211)])
