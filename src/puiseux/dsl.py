@@ -26,10 +26,10 @@ loudly rather than defaulting to one.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import families
 from .errors import InputError, PuiseuxError
@@ -60,31 +60,32 @@ class ParseError(PuiseuxError):
         super().__init__(f"line {line}, col {col}: {message}{suffix}")
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT, INT, one of "()=,+/;", or EOF
-    text: str
-    line: int
-    col: int
+# one anchored scan: a token (INT, IDENT, punctuation, or a character outside
+# the alphabet, which is an error) and the blanks and comments after it.  The
+# first match is always the empty \A one, with the blanks before the first
+# token.  After the greedy skip the next character always starts a token, so
+# findall never resumes past a failed match, and so never skips a character.
+_TOKEN = re.compile(r"(?:\A|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([()=,+/;])|(.))(?:[ \t\r\n]+|#[^\n]*)*")
 
 
-# the grammar's whole alphabet; any other character matches `bad`
-_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()=,+/;])"
-                    r"|(?P<space>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<bad>.)")
+def tokenize(text: str) -> tuple[list[str], list[str]]:
+    """Token kinds (IDENT, INT, one of "()=,+/;", then EOF) and texts, as two
+    parallel lists from one scan.  No token records its position: `_position`
+    computes one only for an error."""
+    toks = _TOKEN.findall(text)[1:]
+    kinds = [p or ("INT" if i else "IDENT" if n else "bad") for i, n, p, _ in toks]
+    if "bad" in kinds:
+        at = kinds.index("bad")
+        raise ParseError(f"unexpected character {toks[at][3]!r}", *_position(text, at))
+    return kinds + ["EOF"], [i or n or p for i, n, p, _ in toks] + [""]
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, col = m.lastgroup, m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m[0]!r}", line, col)
-        elif kind != "space":
-            tokens.append(Token(m[0] if kind == "punct" else kind, m[0], line, col))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token `index` (EOF: one past the end), from a second
+    scan up to it."""
+    m = next(itertools.islice(_TOKEN.finditer(text), index + 1, None), None)
+    offset = m.start(m.lastindex) if m else len(text)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # -- abstract syntax -----------------------------------------------------------
@@ -120,6 +121,17 @@ class Ident:
 MonoidExpr = FgLiteral | Cyclic | Family | Sum | Ident
 
 
+def _summands(expr: Sum) -> list[MonoidExpr]:
+    """The terms of a left-nested sum, left to right, walked in a loop: a long
+    "+" chain would overflow the interpreter's stack in a recursion."""
+    terms = []
+    while isinstance(expr, Sum):
+        terms.append(expr.right)
+        expr = expr.left
+    terms.append(expr)
+    return terms[::-1]
+
+
 @dataclass(frozen=True)
 class Query:
     head: str
@@ -137,60 +149,61 @@ Stmt = Let | Query
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over `tokenize`'s kinds and texts, read at `pos`
+    directly; a ParseError alone computes the position of its token."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.texts = tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(self, message: str, index: int, expected: tuple[str, ...] = ()) -> "ParseError":
+        return ParseError(message, *_position(self.text, index), expected)
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> "ParseError":
-        tok = self.peek()
-        shown = tok.text or "end of input"
-        return ParseError(f"{message} at {shown!r}", tok.line, tok.col, expected)
+        shown = self.texts[self.pos] or "end of input"
+        return self.error(f"{message} at {shown!r}", self.pos, expected)
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
             raise self.fail("unexpected token", (kind,))
-        return self.advance()
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def program(self) -> list[Stmt]:
-        stmts = []
-        while self.peek().kind == ";":
-            self.advance()
-        while self.peek().kind != "EOF":
+        kinds, stmts = self.kinds, []
+        while True:
+            while kinds[self.pos] == ";":
+                self.pos += 1
+            if kinds[self.pos] == "EOF":
+                return stmts
             stmts.append(self.stmt())
-            while self.peek().kind == ";":
-                self.advance()
-        return stmts
 
     def stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "let":
-            self.advance()
-            name_tok = self.expect("IDENT")
-            if name_tok.text in KEYWORDS:
-                raise ParseError(f"{name_tok.text!r} is a keyword", name_tok.line, name_tok.col)
+        # only an IDENT's text can be a word, so the texts alone tell the forms apart
+        pos = self.pos
+        text = self.texts[pos]
+        if text == "let":
+            self.pos += 1
+            name = self.expect("IDENT")
+            if name in KEYWORDS:
+                raise self.error(f"{name!r} is a keyword", pos + 1)
             self.expect("=")
-            return Let(name_tok.text, self.mexpr())
-        if tok.kind == "IDENT" and tok.text in QUERY_HEADS:
+            return Let(name, self.mexpr())
+        if text in QUERY_HEADS:
             return self.query()
-        if tok.kind == "IDENT" and tok.text in ("pm", "cyclic", "family"):
+        if text in ("pm", "cyclic", "family"):
             # parse it anyway so inner syntax errors surface with positions,
             # then reject the well-formed bare expression
             self.mexpr()
-            raise ParseError("a monoid expression is not a statement; bind it with"
-                             " let or wrap it in a query", tok.line, tok.col)
+            raise self.error("a monoid expression is not a statement; bind it with"
+                             " let or wrap it in a query", pos)
         raise self.fail("expected a statement", ("let", "a query"))
 
     def query(self) -> Query:
-        head = self.advance().text
+        head = self.texts[self.pos]
+        self.pos += 1
         self.expect("(")
         expr = self.mexpr()
         args = []
@@ -202,73 +215,68 @@ class _Parser:
 
     def mexpr(self) -> MonoidExpr:
         node = self.primary()
-        while self.peek().kind == "+":
-            self.advance()
+        while self.kinds[self.pos] == "+":
+            self.pos += 1
             node = Sum(node, self.primary())
         return node
 
     def primary(self) -> MonoidExpr:
-        tok = self.peek()
-        if tok.kind != "IDENT":
+        pos = self.pos
+        text = self.texts[pos]
+        if self.kinds[pos] != "IDENT" or text == "let" or text in QUERY_HEADS:
             raise self.fail("expected a monoid expression", ("pm", "cyclic", "family", "IDENT"))
-        if tok.text == "pm":
-            self.advance()
+        self.pos = pos + 1
+        if text == "pm":
             self.expect("(")
             gens = [self.rat()]
-            while self.peek().kind == ",":
-                self.advance()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 gens.append(self.rat())
             self.expect(")")
             return FgLiteral(tuple(gens))
-        if tok.text == "cyclic":
-            self.advance()
+        if text == "cyclic":
             self.expect("(")
             r = self.rat()
             self.expect(")")
             return Cyclic(r)
-        if tok.text == "family":
-            self.advance()
+        if text == "family":
             self.expect("(")
-            name = self.expect("IDENT").text
+            name = self.expect("IDENT")
             params = []
-            while self.peek().kind == ",":
-                self.advance()
-                key = self.expect("IDENT").text
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
+                key = self.expect("IDENT")
                 self.expect("=")
                 params.append((key, self.int_literal()))
             self.expect(")")
             return Family(name, tuple(sorted(params)))
-        if tok.text in KEYWORDS:
-            raise self.fail("expected a monoid expression", ("pm", "cyclic", "family", "IDENT"))
-        self.advance()
-        return Ident(tok.text)
+        return Ident(text)
 
     def int_literal(self) -> int:
-        tok = self.expect("INT")
+        pos = self.pos
+        text = self.expect("INT")
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # longer than the interpreter's int-string digit limit
-            raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
-                             tok.line, tok.col) from None
+            raise self.error(f"integer literal of {len(text)} digits is too long", pos) from None
 
     def rat(self) -> Fraction:
-        if self.peek().kind != "INT":
+        if self.kinds[self.pos] != "INT":
             raise self.fail("expected a rational", ("rational",))
         num = self.int_literal()
-        if self.peek().kind == "/":
-            self.advance()
-            den_tok = self.peek()
+        if self.kinds[self.pos] == "/":
+            self.pos += 1
+            den_pos = self.pos
             den = self.int_literal()
             if den == 0:
-                raise ParseError("zero denominator in rational literal",
-                                 den_tok.line, den_tok.col)
+                raise self.error("zero denominator in rational literal", den_pos)
             return Fraction(num, den)
         return Fraction(num)
 
 
 def parse(text: str) -> list[Stmt]:
     """Parse a program into statements; raises ParseError with line/column."""
-    return _Parser(tokenize(text)).program()
+    return _Parser(text).program()
 
 
 # -- canonical printer ---------------------------------------------------------
@@ -283,7 +291,7 @@ def print_mexpr(expr: MonoidExpr) -> str:
         inner = ", ".join([expr.name] + [f"{k}={v}" for k, v in expr.params])
         return f"family({inner})"
     if isinstance(expr, Sum):
-        return f"{print_mexpr(expr.left)} + {print_mexpr(expr.right)}"
+        return " + ".join(map(print_mexpr, _summands(expr)))
     if isinstance(expr, Ident):
         return expr.name
     raise InputError(f"not a monoid expression: {expr!r}")
@@ -350,7 +358,11 @@ class Evaluator:
                 return families.truncate(fam, k, budget=self.budget)
             return fam
         if isinstance(expr, Sum):
-            return self.eval_mexpr(expr.left).internal_sum(self.eval_mexpr(expr.right), self.budget)
+            first, *rest = _summands(expr)
+            value = self.eval_mexpr(first)
+            for term in rest:
+                value = value.internal_sum(self.eval_mexpr(term), self.budget)
+            return value
         raise InputError(f"not a monoid expression: {expr!r}")
 
     # -- queries

@@ -256,3 +256,20 @@ def oracle_lattice_factorizations(atoms: list[tuple[int, int]], v: tuple[int, in
         for combo in itertools.combinations_with_replacement(sorted(atoms), n)
         if (sum(a[0] for a in combo), sum(a[1] for a in combo)) == tuple(v)
     )
+
+
+def line_col(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of a character offset (len(text): one past
+    the end), where only "\\n" ends a line, as in the query language.
+    `splitlines` also breaks at "\\r", "\\x0c" and other separators, so a
+    piece that does not end in "\\n" is joined to the next one."""
+    lines = [""]
+    for piece in text.splitlines(keepends=True):
+        lines[-1] += piece
+        if piece.endswith("\n"):
+            lines.append("")
+    start = 0
+    for number, line in enumerate(lines, 1):
+        if offset < start + len(line) or number == len(lines):
+            return number, offset - start + 1
+        start += len(line)

@@ -27,6 +27,13 @@ def test_eval_inline_program(capsys):
     assert out.splitlines() == ["6 = 3·2 [len 3]", "6 = 2·3 [len 2]", "4"]
 
 
+def test_eval_long_sum_runs_without_recursion(capsys):
+    # the sum's terms are walked in a loop: at 1,000 terms a recursion ran out of stack
+    code, out, _ = run(capsys, "eval", "atoms(" + " + ".join(["pm(1)"] * 5000) + ")")
+    assert code == 0
+    assert out == "atoms: 1\n"
+
+
 def test_eval_program_file(capsys, tmp_path):
     path = tmp_path / "program.pm"
     path.write_text("# membership probe\nmember(pm(2,3), 7)\n")

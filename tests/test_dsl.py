@@ -1,3 +1,5 @@
+import ast
+import re
 import sys
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_atoms
+from conftest import line_col, oracle_atoms
 from puiseux import (
     FactorizationSet,
     FgMonoid,
@@ -109,7 +111,15 @@ def test_integer_literal_past_the_digit_limit_is_a_parse_error(text, col):
 
 def test_tokens_carry_line_and_column():
     text = "let M\t= pm(2, 3/4)  # gens\r\n\tZ(M, 6);\r\n# whole line\nmember(M,\t7) # end"
-    assert [tuple(t) for t in tokenize(text)] == [
+    kinds, texts = tokenize(text)
+    offsets, at = [], 0
+    for token in texts[:-1]:   # no token text occurs in a blank or comment before it
+        at = text.index(token, at)
+        offsets.append(at)
+        at += len(token)
+    rows = [(kind, token, *line_col(text, offset))
+            for kind, token, offset in zip(kinds, texts, offsets + [len(text)])]
+    assert rows == [
         ("IDENT", "let", 1, 1), ("IDENT", "M", 1, 5), ("=", "=", 1, 7),
         ("IDENT", "pm", 1, 9), ("(", "(", 1, 11), ("INT", "2", 1, 12), (",", ",", 1, 13),
         ("INT", "3", 1, 15), ("/", "/", 1, 16), ("INT", "4", 1, 17), (")", ")", 1, 18),
@@ -205,6 +215,85 @@ def test_parse_returns_statements_or_raises_parse_error(text):
         return
     assert all(isinstance(s, (Let, Query)) for s in stmts)
     assert parse(print_program(stmts)) == stmts
+
+
+# a string literal as `!r` writes it: the token a message quotes
+_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"')
+
+
+@given(text=_spliced_programs())
+@example(text="let M = pm(2)\r\nZ(M,\r\n  )")
+@example(text="atoms(pm(2) # no close")
+@settings(max_examples=1000, deadline=None)
+def test_parse_errors_point_at_the_token_they_quote(text):
+    try:
+        parse(text)
+    except ParseError as err:
+        quoted = _QUOTED.search(str(err))
+        if quoted is None:   # the messages that name no token
+            return
+        token = ast.literal_eval(quoted[0])
+        offset = [line_col(text, o) for o in range(len(text) + 1)].index((err.line, err.col))
+        if token == "end of input":
+            assert offset == len(text)
+        else:
+            assert text.startswith(token, offset)
+
+
+_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                  reason="no int-string digit limit")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("let let = pm(2)", "line 1, col 5: 'let' is a keyword"),
+    ("let Z = pm(2)", "line 1, col 5: 'Z' is a keyword"),
+    pytest.param(f"member(pm(2, 3), {_LONG})",
+                 "line 1, col 18: integer literal of 5000 digits is too long", marks=_DIGIT_LIMIT),
+    pytest.param(f"let M = pm(2)\nZ(M, 1/{_LONG})",
+                 "line 2, col 8: integer literal of 5000 digits is too long", marks=_DIGIT_LIMIT),
+    ("Z(pm(2), 1/0)", "line 1, col 12: zero denominator in rational literal"),
+    ("Z(pm(2), 3/\n  00)", "line 2, col 3: zero denominator in rational literal"),
+    ("pm(2, 3)", "line 1, col 1: a monoid expression is not a statement;"
+                 " bind it with let or wrap it in a query"),
+    ("let M = pm(2); cyclic(1/2) + M", "line 1, col 16: a monoid expression is not a statement;"
+                                       " bind it with let or wrap it in a query"),
+    ("member(pm(2, 3), ²)", "line 1, col 18: unexpected character '²'"),
+    ("atoms(pm(٣))", "line 1, col 10: unexpected character '٣'"),
+    ("atoms(M\x0c)", "line 1, col 8: unexpected character '\\x0c'"),
+    ("atoms(')", "line 1, col 7: unexpected character \"'\""),
+    ("let M = pm(2)\r\nZ(M,\r\n  )", "line 3, col 3: expected a rational at ')' (expected rational)"),
+    ("let M = pm(2)\r\nlet é = M", "line 2, col 5: unexpected character 'é'"),
+    ("atoms(pm(2) # no close", "line 1, col 23: unexpected token at 'end of input' (expected ))"),
+    ("atoms(pm(2)) # done\nZ(", "line 2, col 3: expected a monoid expression at 'end of input'"
+                                " (expected pm, cyclic, family, IDENT)"),
+    ("atoms(pm(2) +)", "line 1, col 14: expected a monoid expression at ')'"
+                       " (expected pm, cyclic, family, IDENT)"),
+    ("atoms(family(grams, 3))", "line 1, col 21: unexpected token at '3' (expected IDENT)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, bare", [
+    ("atoms(pm(1)) # x 1", "atoms(pm(1))"),
+    ("Z(pm(2), 4)\n# let M = pm(1)", "Z(pm(2), 4)"),
+    ("atoms(pm(1))   ", "atoms(pm(1))"),
+])
+def test_scan_skips_comments_and_blanks_whole(text, bare):
+    assert parse(text) == parse(bare)
+
+
+def test_scan_never_reads_tokens_inside_a_comment():
+    with pytest.raises(ParseError) as err:
+        parse("1 # c")
+    assert str(err.value) == "line 1, col 1: expected a statement at '1' (expected let, a query)"
+
+
+def test_long_sum_prints_in_canonical_form():
+    (stmt,) = parse("atoms(" + "+".join(["pm(1)"] * 5000) + ")")
+    assert print_program([stmt]) == "atoms(" + " + ".join(["pm(1)"] * 5000) + ")"
 
 
 def test_eval_fg_queries():
