@@ -109,8 +109,23 @@ class Family:
 
 @dataclass(frozen=True)
 class Sum:
+    """left + right.  Equality, hash and repr walk the left spine in a loop
+    (_summands), as the evaluator does: the generated ones recurse down it."""
+
     left: "MonoidExpr"
     right: "MonoidExpr"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sum):
+            return NotImplemented
+        return _summands(self) == _summands(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_summands(self)))
+
+    def __repr__(self) -> str:
+        first, *rest = _summands(self)
+        return "Sum(left=" * len(rest) + repr(first) + "".join(f", right={t!r})" for t in rest)
 
 
 @dataclass(frozen=True)

@@ -324,49 +324,34 @@ def divisor_candidates(kind: str, q: RationalLike) -> tuple[int, ...]:
 
 
 def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
-                     trace: list | None = None) -> list[dict[int, int]]:
-    """All multisets {index: multiplicity} of sqden generators summing to target.
+                     trace: list | None = None, copies: int = 0) -> list[dict[int, int]]:
+    """All multisets {index: multiplicity} of sqden generators summing to
+    target, then, for c = 1..copies, those of target - c with {0: c} added.
 
-    Exact and window-free.  Residuals are R/D over the target's denominator
-    D, factored once into prime powers d^v: d divides a residual's
-    denominator iff d^v does not divide R.  Each node descends into one
-    index, min_index if one copy fits, else the least denominator prime's
-    (`divisor_candidates` lists all, for the trace only), and pins its
-    multiplicity to the one class mod p^2 that clears p, so the tree is
-    finite.  Nodes only clear primes, so the root alone rejects a denominator
-    no generator can clear: an exponent above 2, or a prime behind min_index.
+    Exact and window-free.  One set-up serves every copy of 1: residuals
+    are R/D over the target's denominator D, factored once per query into
+    prime powers d^v: d divides a residual's denominator iff d^v does not
+    divide R.  Copy c is the root R = target.numerator - c·D; a root of 0
+    is its own solution, searched and charged for nothing.  Each node
+    descends into one index, min_index if one generator fits, else the
+    least denominator prime's (`divisor_candidates` lists all, for the
+    trace only), and pins its multiplicity to the one class mod p^2 that
+    clears p, so the tree is finite.  p_lo is read by index from a snapshot
+    of the shared prime table, grown only when lo runs past it, and a node
+    without children makes no child iterator.  Nodes only clear primes, so
+    the root alone rejects a denominator no generator can clear: an
+    exponent above 2, or a prime behind min_index.
     """
     D = target.denominator
-    powers = {d: d ** _int_valuation(D, d) for d in prime_factors(D, budget)}   # ascending d
-    dead = any(de > d * d for d, de in powers.items()) or (
-        bool(powers) and min(powers) < family_prime("sqden", min_index))
+    dens = tuple((d, d ** _int_valuation(D, d)) for d in prime_factors(D, budget))   # ascending d
+    # the multiplicity class: m (p+1)/p^2 absorbs the p-part of R/D iff m = R·cls[p] mod p^2
+    cls = {d: d * d // de * pow(D // de * (d + 1), -1, d * d) for d, de in dens}
+    primes = _grow_primes(min_index)
+    dead = any(de > d * d for d, de in dens) or bool(dens) and dens[0][0] < primes[min_index - 1]
     out: list[dict[int, int]] = []
-    chosen: dict[int, int] = {}   # nonzero multiplicities on the open path, outermost first
 
-    def children(R: int, lo: int) -> Iterator[tuple[int, int]]:
-        if trace is not None:
-            trace.append({"residual": str(Fraction(R, D)),
-                          "candidate_indices": list(divisor_candidates("sqden", Fraction(R, D)))})
-        if dead:
-            return
-        p = family_prime("sqden", lo)
-        fits = (p + 1) * D <= R
-        if not fits:
-            # one copy does not fit, so only a denominator prime can divide
-            # the residual; any other needs p^2 copies, worth p + 1
-            p = next((d for d, de in powers.items() if R % de), 0)
-            if not p:
-                return
-        # multiplicity class: m (p+1)/p^2 must absorb the p-part of R/D
-        pp = p * p
-        de = powers.get(p, 1)
-        m = R * (pp // de) * pow(D // de * (p + 1), -1, pp) % pp if de > 1 else 0
-        step = (p + 1) * D   # consecutive children differ by p^2 copies
-        rest = R - m * step // pp
-        if rest < 0:
-            return   # a leaf: the index of a huge denominator prime is never looked up
-        n = lo if fits else prime_index(p, budget)
-        for rest in range(rest, -1, -step):
+    def children(n: int, m: int, rest: int, step: int, pp: int) -> Iterator[tuple[int, int]]:
+        for rest in range(rest, -1, -step):   # consecutive children differ by p^2 copies
             if m:
                 chosen[n] = m
             yield rest, n + 1
@@ -374,13 +359,42 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
         chosen.pop(n, None)
 
     def expand(node: tuple[int, int]) -> Iterator[tuple[int, int]] | None:
-        rest, lo = node
-        if rest == 0:
+        nonlocal primes
+        R, lo = node
+        if R == 0:
             out.append(dict(chosen))
-        elif rest > 0:
-            return children(rest, lo)
+            return None
+        if trace is not None:
+            trace.append({"residual": str(Fraction(R, D)),
+                          "candidate_indices": list(divisor_candidates("sqden", Fraction(R, D)))})
+        if dead:
+            return None
+        if lo > len(primes):
+            primes = _grow_primes(lo)
+        p = primes[lo - 1]
+        fits = (p + 1) * D <= R
+        if not fits:
+            # one copy does not fit, so only a denominator prime can divide
+            # the residual; any other needs p^2 copies, worth p + 1
+            for p, de in dens:
+                if R % de:
+                    break
+            else:
+                return None
+        pp = p * p
+        m = R * cls.get(p, 0) % pp
+        step = (p + 1) * D
+        rest = R - m * step // pp
+        if rest < 0:
+            return None   # a leaf: the index of a huge denominator prime is never looked up
+        return children(lo if fits else prime_index(p, budget), m, rest, step, pp)
 
-    _depth_first((target.numerator, min_index), expand, budget)
+    for c in range(copies + 1):
+        chosen = {0: c} if c else {}   # nonzero multiplicities on the open path, outermost first
+        if R := target.numerator - c * D:
+            _depth_first((R, min_index), expand, budget)
+        else:
+            out.append(chosen)
     return out
 
 
@@ -549,6 +563,8 @@ def _exaexb_solutions(q: Fraction, window: int | None, budget: Budget) -> Factor
 def _sqden_factorizations(q: Fraction, budget: Budget, trace: list | None,
                           ones: bool) -> FactorizationSet:
     """Z(q) in sqden, or with ones in interval1 + sqden; exact, window-free.
+    One search covers every copy c = 0..floor(q) of 1 as a root of its own
+    (_sqden_solutions), so q's denominator is factored once per query.
 
     Every part the searches emit is an atom.  (p+1)/p^2 is the only
     generator with p in its denominator, so clearing p^2 in a sum equal to
@@ -559,12 +575,7 @@ def _sqden_factorizations(q: Fraction, budget: Budget, trace: list | None,
     is the only part interval1 contributes: index 0, the largest atom, so
     the searches emit the factorizations in canonical order.
     """
-    sols = []
-    for copies in range(int(q) + 1 if ones else 1):
-        rest = q - copies
-        head = {0: copies} if copies else {}
-        sols += [{**head, **sol}
-                 for sol in (_sqden_solutions(rest, 1, budget, trace) if rest else [{}])]
+    sols = _sqden_solutions(q, 1, budget, trace, int(q) if ones else 0)
     used = {n for sol in sols for n in sol}
     parts = {n: family_generator("sqden", n) if n else Fraction(1) for n in used}
     return FactorizationSet(q, tuple(

@@ -178,6 +178,37 @@ def test_interval1_sqden_factorizations_match_product_enumeration(q, kind):
     assert list(zs) == sorted(zs, key=lambda z: z.parts[::-1])
 
 
+# targets q <= 8 whose denominators are built from primes <= 41, exponents
+# <= 3: factoring them and looking up their primes' indices is free, so a
+# query's units are its search nodes alone
+_FREE_DENOMINATORS = st.lists(
+    st.tuples(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)), st.integers(1, 3)),
+    max_size=3).map(lambda pes: math.prod(p**e for p, e in dict(pes).items())).filter(
+    lambda den: den <= 10**4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FREE_DENOMINATORS.flatmap(lambda den: st.integers(1, 8 * den).map(lambda num: F(num, den))))
+@example(F(9, 8))
+@example(F(6))
+@example(F(15, 2))
+@example(F(1010, 41**2) + 3)
+def test_copies_of_one_spend_what_separate_sqden_searches_spend(q):
+    # interval1 + sqden searches its copies c = 0..floor(q) of 1 under one
+    # set-up; each root must cost what Z(q - c) in sqden costs on its own
+    # budget, and give its factorizations with c copies of 1 added
+    meter = Budget(10**9)
+    zs = family_factorizations("interval1_sqden", q, budget=meter)
+    units, expected = 0, []
+    for c in range(int(q) + 1):
+        own = Budget(10**9)
+        rest = family_factorizations("sqden", q - c, budget=own)
+        units += 10**9 - own.left
+        expected += [z.parts + ((F(1), c),) if c else z.parts for z in rest]
+    assert 10**9 - meter.left == units
+    assert [z.parts for z in zs] == expected
+
+
 @pytest.mark.parametrize("kind", ["sqden", "interval1_sqden"])
 def test_sqden_factorizations_come_in_canonical_order(kind):
     # targets with many factorizations, several of them using p^2 copies

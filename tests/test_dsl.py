@@ -296,6 +296,27 @@ def test_long_sum_prints_in_canonical_form():
     assert print_program([stmt]) == "atoms(" + " + ".join(["pm(1)"] * 5000) + ")"
 
 
+def test_long_sum_compares_hashes_and_prints():
+    # Sum's own __eq__, __hash__ and __repr__ walk the left spine in a loop;
+    # the dataclass-generated ones recursed and overflowed at 5,000 terms
+    text = "atoms(" + "+".join(["pm(1)"] * 5000) + ")"
+    (a,), (b,) = parse(text), parse(text)
+    assert a == b and hash(a) == hash(b) and len({a.expr, b.expr}) == 1
+    assert a.expr != parse(text.replace("pm(1))", "pm(2))"))[0].expr
+    assert a.expr != parse("atoms(" + "+".join(["pm(1)"] * 4999) + ")")[0].expr
+    one = "FgLiteral(gens=(Fraction(1, 1),))"
+    assert repr(a.expr) == "Sum(left=" * 4999 + one + f", right={one})" * 4999
+
+
+def test_short_sum_repr_is_the_dataclass_repr():
+    (stmt,) = parse("atoms(pm(2) + pm(3) + cyclic(5))")
+    assert repr(stmt.expr) == ("Sum(left=Sum(left=FgLiteral(gens=(Fraction(2, 1),)), "
+                               "right=FgLiteral(gens=(Fraction(3, 1),))), right=Cyclic(r=Fraction(5, 1)))")
+    # a sum nested to the right is a different tree with the same terms
+    right = Sum(FgLiteral((F(2),)), Sum(FgLiteral((F(3),)), Cyclic(F(5))))
+    assert stmt.expr != right and stmt.expr == Sum(Sum(FgLiteral((F(2),)), FgLiteral((F(3),))), Cyclic(F(5)))
+
+
 def test_eval_fg_queries():
     ev = Evaluator()
     results = ev.run_text("let M = pm(1/2, 3/4); Z(M, 3/2)")

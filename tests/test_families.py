@@ -101,13 +101,14 @@ def test_grams_companion_charges_its_prime_scan():
 
 
 def test_a_prime_scan_is_charged_once_per_budget():
-    # the query runs one sqden search per copy of 1, and many of them look
-    # up the index of p = 1009; the scan to it is paid once, on top of the
-    # searches' nodes
+    # the query searches one root per copy of 1, and many of them look up
+    # the index of p = 1009; the scan to it is paid once, on top of the
+    # searches' nodes, and so is the trial division of the denominator
+    # 1009^2 (162 units), done once per query, not once per copy
     q = F(20) + F(1010, 1009**2)
     meter = Budget(10**9)
     assert len(family_factorizations("interval1_sqden", q, budget=meter)) == 78
-    assert 10**9 - meter.left == 4594 + 1009 // 2
+    assert 10**9 - meter.left == 1354 + 1009 // 2
 
 
 def test_companion_band_bounds():
