@@ -297,13 +297,15 @@ def antimatter_witness(n: int, k: int | None = None) -> Witness:
 # -- valuation pruning and exact searches -------------------------------------
 
 
-def divisor_candidates(kind: str, q: RationalLike) -> tuple[int, ...]:
+def divisor_candidates(kind: str, q: RationalLike, budget: Budget | None = None) -> tuple[int, ...]:
     """Indices whose generator can possibly divide q; finite by valuation.
 
     For exB, an atom (p+1)/p with p not dividing the denominator of q must
     appear in multiples of p, contributing more than p; likewise for sqden
     with p^2 copies contributing p + 1.  So only indices with p dividing
     d(q), or with the single-copy bound p <= q (resp. p + 1 <= q), survive.
+    A budget pays for factoring d(q) and for the primes scanned
+    (prime_index) before any is listed.
     """
     _kind(kind)   # an unknown name fails before the other checks
     if kind not in ("exB", "sqden"):
@@ -311,9 +313,10 @@ def divisor_candidates(kind: str, q: RationalLike) -> tuple[int, ...]:
     q = as_rational(q)
     if q <= 0:
         raise InputError("q must be positive")
-    den_primes = set(prime_factors(q.denominator))
+    den_primes = set(prime_factors(q.denominator, budget))
     size_cap = int(q) if kind == "exB" else int(q - 1) if q >= 1 else 0
     limit = max(den_primes | {size_cap})
+    prime_index(limit, budget)
     out = []
     n = 1
     while (p := family_prime(kind, n)) <= limit:
@@ -366,7 +369,7 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
             return None
         if trace is not None:
             trace.append({"residual": str(Fraction(R, D)),
-                          "candidate_indices": list(divisor_candidates("sqden", Fraction(R, D)))})
+                          "candidate_indices": list(divisor_candidates("sqden", Fraction(R, D), budget))})
         if dead:
             return None
         if lo > len(primes):

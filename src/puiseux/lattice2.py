@@ -15,9 +15,11 @@ summands are dominated (0); an upperhalf point with y >= 2 splits off
 otherwise, moving x by at most one (1).
 
 Sumsets: row y of a box is at most three runs, the columns x < 0, x = 0 and
-x > 0 whose floor y reaches.  Point (x, y), |x|, |y| <= R, is bit (y + R) *
-(4R + 1) + x + R, so sums never wrap a row; a run of n points shift-ors the
-other set's mask with itself by doubling, log2(n) + 1 times instead of n.
+x > 0 whose floor y reaches; rows below every floor are empty, and those
+above max(1, every floor) repeat the one below.  Point (x, y), |x|, |y| <= R,
+is bit (y + R) * (4R + 1) + x + R, so sums never wrap a row; a run of n
+points shift-ors the other set's mask with itself by doubling, log2(n) + 1
+times instead of n.
 
 Factorizations over atoms of one height h >= 1 (upperhalf's) have n = y / h
 parts: shifted by 1 - x_0 in x, the atoms are ascending positive integers and
@@ -27,14 +29,18 @@ atom i, then jumps straight to the next lower atom that can take one; the last
 two, if not parallel, are solved by Cramer's rule.  With 1 <= y_min <= y <= y_max
 over the atoms left, a rest (x, y) takes ceil(y / y_max) to floor(y / y_min)
 parts p, so x lies in [min p * min x, max p * max x]; this window shrinks with
-the atoms left, so the first level it fails ends a jump.
+the atoms left, so the first level it fails ends a jump.  Counting the
+factorizations over two atoms that are not parallel (the quadrant's) needs no
+search: Cramer's rule gives 0 or 1.
 
 Budget units, paid before or as the work is done: one per box point before
 its runs or members are built; `monoid._shift_units` per point of a sumset's
 smaller set, from the closed-form member count; one per point sums of atoms
 reach; the kernel's, or one for a y that h does not divide; over mixed heights
 one per node and closed-form solution, none per window test (a node makes one
-per part count, a jump one per skipped level).  Only results are LatticePoints.
+per part count, a jump one per skipped level); one per Cramer count; and one
+per part of every factorization before its tuple is built, since one of
+(x, y) can have y parts or more.  Only results are LatticePoints.
 """
 
 from __future__ import annotations
@@ -96,13 +102,16 @@ def _member_count(kind: str, bound: int) -> int:
 def _row_runs(kind: str, bound: int, origin: bool = True) -> list[Run]:
     """The box's members (without the origin if not origin) as maximal runs, by row."""
     floors, runs = _kind(kind)[0], []
-    for y in range(-bound, bound + 1):
+    set_floors = [f for f in floors if f is not None]
+    top = min(bound, max([1, *set_floors]))   # rows above top repeat it: above every floor and the origin
+    for y in range(max(-bound, min(set_floors)), top + 1):   # rows below every floor are empty
         for x, n, floor in zip((-bound, 0, 1), (bound, 1, bound), floors):
             if floor is not None and y >= floor and n and (origin or x or y):
                 if runs and runs[-1][1] == y and runs[-1][0] + runs[-1][2] == x:
                     x, n = runs[-1][0], runs.pop()[2] + n
                 runs.append((x, y, n))
-    return runs
+    band = [(x, n) for x, y, n in runs if y == top]
+    return runs + [(x, y, n) for y in range(top + 1, bound + 1) for x, n in band]
 
 
 def _mask(runs: list[Run], offset: int, width: int) -> int:
@@ -205,6 +214,23 @@ def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
     return lat_factorizations_over(lat_atoms_in_box(kind, bound, budget), v, budget)
 
 
+def _cramer(atoms: tuple[LatticePoint, ...], det: int, x: int, y: int) -> tuple[int, int] | None:
+    """The (m0, m1) >= 0 with m0 atoms[0] + m1 atoms[1] = (x, y), if any, for det != 0."""
+    (x0, y0), (x1, y1) = atoms[0], atoms[1]
+    (m0, r0), (m1, r1) = divmod(x * y1 - x1 * y, det), divmod(x0 * y - x * y0, det)
+    return (m0, m1) if r0 == r1 == 0 and m0 >= 0 and m1 >= 0 else None
+
+
+def lat_factorization_count(atoms: tuple[LatticePoint, ...], v: Pair, budget: Budget) -> int:
+    """len(lat_factorizations_over(atoms, v, budget)); over two atoms that are
+    not parallel (the quadrant's) Cramer's rule gives it, 0 or 1, for one unit
+    and with no factorization built."""
+    if len(atoms) == 2 and (det := atoms[0][0] * atoms[1][1] - atoms[1][0] * atoms[0][1]):
+        budget.spend()
+        return int(_cramer(atoms, det, *v) is not None)
+    return len(lat_factorizations_over(atoms, v, budget))
+
+
 def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
                             budget: Budget) -> tuple[tuple[LatticePoint, ...], ...]:
     """All multisets of the given ascending distinct atoms summing to v, each sorted,
@@ -217,6 +243,7 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
             budget.spend()
             return ()
         paths = _checked_paths(v[0] + n * (1 - xs[0]), [x + 1 - xs[0] for x in xs], n, budget)
+        budget.spend(n * len(paths))   # each factorization's n parts, before they are built
         return tuple(sorted(tuple([atoms[i] for i, m in p for _ in range(m)]) for p in paths))
     det = xs[0] * ys[1] - xs[1] * ys[0] if len(atoms) > 1 else 0
     closed = 2 if det else 0   # levels below this one are solved by Cramer's rule
@@ -224,7 +251,9 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
     path: list[tuple[int, int]] = []   # nonzero (i, m) on the open path, largest i first
 
     def emit(*ms: int) -> None:
-        out.append(tuple([atoms[j] for j, m in (*enumerate(ms), *reversed(path)) for _ in range(m)]))
+        parts = (*enumerate(ms), *reversed(path))
+        budget.spend(sum([m for _, m in parts]))   # one unit per part, before they are built
+        out.append(tuple([atoms[j] for j, m in parts for _ in range(m)]))
 
     def fits(i: int, x: int, y: int) -> bool:
         if i < 0 or low[i] < 1:  # no atom left, or one of height 0 (then no window)
@@ -252,10 +281,9 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
         if x == y == 0:
             emit()
         elif i < closed:
-            (m0, r0), (m1, r1) = divmod(x * ys[1] - xs[1] * y, det), divmod(xs[0] * y - x * ys[0], det)
-            if r0 == r1 == 0 and m0 >= 0 and m1 >= 0:
+            if (ms := _cramer(atoms, det, x, y)) is not None:
                 budget.spend()
-                emit(m0, m1)
+                emit(*ms)
         else:
             return children(i, x, y)
 

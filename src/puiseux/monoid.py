@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -619,7 +620,9 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
     multiplicities are a closed-form interval, each one a charged child
     (without one, it must be zero or at least the smallest atom).  When
     exactly one part is left, the residue is looked up among the atoms not
-    above the current one instead of searched for.  When two atoms a0 < a1
+    above the current one instead of searched for; when two are left, each
+    candidate larger part a_j in [rem/2, rem - a0], ascending, has its
+    partner rem - a_j looked up the same way.  When two atoms a0 < a1
     are left, the node has no children: a0*m0 + a1*m1 = rem is solved in
     closed form (Bezout's identity).  With g = gcd(a0, a1) dividing rem, the
     solutions are the m1 congruent to (rem/g) * (a1/g)^-1 mod a0/g with
@@ -629,9 +632,10 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
 
     Work: a unit per node, plus one per 64-bit word of target past the
     second (free below 192 bits, where a node costs about what a one-word
-    node does), and one per solution a two-atom node solves for, charged
-    before that node emits them.  The prefix gcds are charged as one such
-    node per atom past its first unit, before they are computed.
+    node does); as much again per candidate of a node with two parts left,
+    and one per solution a two-atom node solves for, each charged before
+    that node emits.  The prefix gcds are charged as one such node per atom
+    past its first unit, before they are computed.
     """
     k = len(atoms)
     unit = max(1, target.bit_length() // 64 - 1)
@@ -670,6 +674,18 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
             j = index_of.get(rem, k)
             if j <= i:
                 out.append(((j, 1), *reversed(path)))
+        elif need == 2 and i > 1:
+            # the larger part a_j >= rem - a_j >= atoms[0], j ascending as the search meets them
+            lo = bisect_left(atoms, (rem + 1) // 2, 0, i + 1)
+            hi = bisect_right(atoms, rem - atoms[0], 0, i + 1)
+            budget.spend(unit * (hi - lo))
+            tail = tuple(reversed(path))
+            for j in range(lo, hi):
+                other = index_of.get(rem - atoms[j], k)
+                if other < j:
+                    out.append(((other, 1), (j, 1), *tail))
+                elif other == j:
+                    out.append(((j, 2), *tail))
         elif i == 1:
             # a0*m0 + a1*m1 = rem in closed form, m1 ascending
             a0, a1, g = atoms[0], atoms[1], prefix_gcd[1]

@@ -229,7 +229,7 @@ def _lattice_ffm_scenario(box: int, budget: Budget) -> PaperReport:
 
     quadrant_unique = True
     for v in lattice2.lat_members_in_box("quadrant", box, budget):
-        if len(lattice2.lat_factorizations_over(quadrant_atoms, v, budget)) != 1:
+        if lattice2.lat_factorization_count(quadrant_atoms, v, budget) != 1:
             quadrant_unique = False
             break
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,20 @@ def test_interval_sqden_sum_is_not_atomic_at_9_8():
     assert trace and trace[0]["residual"] == "9/8"
 
 
+def test_traced_sqden_search_pays_for_its_prime_scans():
+    # each traced node lists the candidate indices up to its residual, about
+    # 10^7 here; the prime scan is charged before it runs, so 100 units run
+    # out at once instead of after a minute of scanning
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        family_factorizations("sqden", F(4 * 10**7 + 1, 4), budget=Budget(100), trace=[])
+    assert time.perf_counter() - start < 1
+    # one unit per odd number up to the scan's bound, 999 = floor(q - 1) here
+    meter = Budget(10**6)
+    assert divisor_candidates("sqden", F(4001, 4), meter) == divisor_candidates("sqden", F(4001, 4))
+    assert 10**6 - meter.left == 999 // 2
+
+
 def test_interval_sqden_factorizations():
     zs = family_factorizations("interval1_sqden", F(7, 4))
     assert [dict(z.parts) for z in zs] == [{F(1): 1, F(3, 4): 1}]
@@ -340,10 +355,11 @@ def test_interval_length_factorizations():
 
 
 @pytest.mark.parametrize("q, ell, den_bound, units", [
-    (F(3), 2, 12, 124), (F(7, 2), 3, 8, 93), (F(3), 2, 18, 273), (F(3), 2, 60, 2932),
+    # the kernel's need-2 nodes are leaves that pay one unit per candidate part
+    (F(3), 2, 12, 102), (F(7, 2), 3, 8, 70), (F(3), 2, 18, 223), (F(3), 2, 60, 2382),
     # the scale, lcm(1..den_bound) here, has 123 bits at 88 and 130 at 89:
     # at 89 each of its 4,005 grid atoms costs two units
-    (F(3), 2, 88, 6284), (F(3), 2, 89, 6461 + 4005),
+    (F(3), 2, 88, 5101), (F(3), 2, 89, 5234 + 4005),
 ])
 def test_interval_sample_spends_a_pinned_number_of_units(q, ell, den_bound, units):
     meter = Budget(10**9)

@@ -14,8 +14,8 @@ from puiseux import (
     lat_factorizations_in_box,
     lex_sum_check,
 )
-from puiseux.lattice2 import (LATTICE_KINDS, _member_count, _row_runs, lat_factorizations_over,
-                              lat_members_in_box)
+from puiseux.lattice2 import (LATTICE_KINDS, _member_count, _row_runs, lat_factorization_count,
+                              lat_factorizations_over, lat_members_in_box)
 from puiseux.monoid import Budget
 
 P = LatticePoint
@@ -75,6 +75,16 @@ def test_row_runs_are_the_maximal_runs_of_the_box_members(kind, bound, origin):
     members = [v for v in box if lat_contains(kind, v) and (origin or v != (0, 0))]
     assert _row_runs(kind, bound, origin) == _maximal_runs(members)
     assert sorted(members) == [v for v in lat_members_in_box(kind, bound, Budget()) if origin or v != (0, 0)]
+
+
+@pytest.mark.parametrize("kind", LATTICE_KINDS)
+@pytest.mark.parametrize("origin", [True, False])
+def test_banded_row_runs_match_a_membership_scan_at_every_bound(kind, origin):
+    # rows 2..bound are copies of row 1: checked against a scan of every box point
+    for bound in range(1, 26):
+        box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
+        members = [v for v in box if lat_contains(kind, v) and (origin or v != (0, 0))]
+        assert _row_runs(kind, bound, origin) == _maximal_runs(members)
 
 
 def test_atoms_in_box():
@@ -154,13 +164,14 @@ def test_lexcone_factorizations():
 
 
 # each search with the units it spends at box 10: box points, sumset shift-ors,
-# reached sums, and (the last) the atom search, then the integer kernel's nodes
-# and two-atom solutions over the box's 21 atoms of height 1 (886 on the 2-D search)
+# reached sums, and (the last) the atom search, then the integer kernel's nodes,
+# two-part candidates and two-atom solutions over the box's 21 atoms of height 1,
+# and one unit per part of the 60 factorizations of three parts each (180)
 _SEARCH_UNITS = [
     (lambda budget: lat_atoms_in_box("lexcone", 10, budget=budget), 793),
     (lambda budget: lex_sum_check(10, budget=budget), 4244),
     (lambda budget: lat_atomic_elements_in_box(10, budget=budget), 804),
-    (lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget), 807),
+    (lambda budget: lat_factorizations_in_box("upperhalf", P(-1, 3), 10, budget=budget), 912),
 ]
 
 
@@ -179,25 +190,27 @@ def test_lattice_searches_charge_the_budget(search):
 
 
 @pytest.mark.parametrize("atoms, v, units", [
-    # two atoms, det != 0: the root solves by Cramer's rule (node + solution)
-    ((P(0, 1), P(1, 0)), P(3, 2), 2),
+    # two atoms, det != 0: the root solves by Cramer's rule before any search
+    # is set up (root + solution + its five parts)
+    ((P(0, 1), P(1, 0)), P(3, 2), 7),
     ((P(0, 1), P(1, 0)), P(0, 0), 1),
     # one height: the integer kernel's two-atom root finds no solution, the node alone
     ((P(-1, 1), P(2, 1)), P(0, 2), 1),
     # a parallel pair is searched: the root, its child (0,0) after one (2,2),
-    # the jump to the atom (1,1) with the rest (2,2), and its child (0,0)
-    ((P(1, 1), P(2, 2)), P(2, 2), 4),
-    # a single atom: the root and its one child that leaves (0,0)
-    ((P(2, 0),), P(6, 0), 2),
+    # the jump to the atom (1,1) with the rest (2,2), and its child (0,0);
+    # then the parts, one and two
+    ((P(1, 1), P(2, 2)), P(2, 2), 4 + 3),
+    # a single atom: the root, its one child that leaves (0,0), and three parts
+    ((P(2, 0),), P(6, 0), 2 + 3),
     ((P(2, 0),), P(5, 0), 1),
     # one height 2 does not divide y = 3: the root's one unit, no search
     ((P(0, 2), P(1, 2), P(2, 2)), P(1, 3), 1),
     # one height: the integer kernel's root has one part left and looks the
-    # rest up among the atoms, so the root alone (3 on the 2-D search: root,
-    # jump and one Cramer solution)
-    (tuple(P(n, 1) for n in range(-3, 4)), P(-3, 1), 1),
+    # rest up among the atoms, so the root alone, and the one part
+    (tuple(P(n, 1) for n in range(-3, 4)), P(-3, 1), 1 + 1),
 ])
 def test_search_charges_one_unit_per_node_and_closed_form_solution(atoms, v, units):
+    # and one per part of each factorization, before it is built
     meter = Budget(10**6)
     lat_factorizations_over(atoms, v, meter)
     assert 10**6 - meter.left == units
@@ -210,49 +223,97 @@ def test_upperhalf_sample_and_quadrant_units():
     for v in (P(x, y) for x in (-2, 0, 1) for y in (1, 2, 3)):
         zs = lat_factorizations_over(upper, v, meter)
         assert {len(z) for z in zs} == {v.y}
-    # the integer kernel's nodes and two-atom solutions (835 on the 2-D search)
-    assert 10**7 - meter.left == 526
+    # the integer kernel's nodes, two-part candidates and two-atom solutions,
+    # then one unit per part of the 215 factorizations (608 parts)
+    assert 10**7 - meter.left == 281 + 608
     meter = Budget(10**7)
     for v in lat_members_in_box("quadrant", 10, meter):
         assert len(lat_factorizations_over(quadrant, v, meter)) == 1
-    # the box's 441 points, then one node and one Cramer solution per nonzero member
-    assert 10**7 - meter.left == 441 + 2 * 120 + 1
+    # the box's 441 points, then one node and one Cramer solution per nonzero
+    # member, and its x + y parts: 2 * 11 * (0 + 1 + ... + 10) in all
+    assert 10**7 - meter.left == 441 + 2 * 120 + 1 + 1210
+
+
+@pytest.mark.parametrize("atoms", [
+    (P(0, 1), P(1, 0)), (P(-1, 1), P(2, 1)), (P(1, 0), P(1, 3)), (P(-2, 1), P(1, 1), P(3, 2)),
+    (P(1, 1), P(2, 2)),
+])
+def test_factorization_count_is_the_number_of_factorizations(atoms):
+    for v in (P(x, y) for x in range(-6, 7) for y in range(7)):
+        assert lat_factorization_count(atoms, v, Budget()) == len(lat_factorizations_over(atoms, v, Budget()))
+
+
+def test_quadrant_count_charges_one_unit_per_member():
+    # paper scenario 4.4's check at box 10: the box's 441 points, then one
+    # Cramer count per member, 0 or 1, with no factorization or part built
+    quadrant, meter = lat_atoms_in_box("quadrant", 10), Budget(10**7)
+    for v in lat_members_in_box("quadrant", 10, meter):
+        assert lat_factorization_count(quadrant, v, meter) == 1
+    assert 10**7 - meter.left == 441 + 121
+    assert lat_factorization_count(quadrant, P(-1, 3), meter) == 0
+    assert 10**7 - meter.left == 441 + 122
 
 
 def test_factorization_search_is_not_limited_by_recursion():
     # 1,201 atoms: the integer kernel's root has one part left and looks it up
     atoms = tuple(P(n, 1) for n in range(-600, 601))
     assert lat_factorizations_over(atoms, P(0, 1), Budget()) == ((P(0, 1),),)
-    # every atom (n,1) with n >= 0 can take a part of (0,2), so the kernel's
-    # nodes that take none of their atom chain through 5,001 open levels,
-    # beyond the default recursion limit
+    # two parts of (0,2) are a leaf at the root: one unit for it, one per
+    # candidate larger part (n,1) with 0 <= n <= 5000, and two per factorization
     atoms = tuple(P(n, 1) for n in range(-5000, 5001))
     want = tuple(sorted((P(-n, 1), P(n, 1)) for n in range(5001)))
     meter = Budget(10**7)
-    start = time.perf_counter()
     assert lat_factorizations_over(atoms, P(0, 2), meter) == want
+    assert 10**7 - meter.left == 1 + 5001 + 2 * 5001
+    # three parts of (2200,3): each atom (n,1) with 1000 <= n <= 2199 may be
+    # the largest, so the kernel's nodes that take none of their atom chain
+    # through 1,200 open levels, beyond the default recursion limit
+    atoms = tuple(P(n, 1) for n in (0, 1, *range(1000, 2200)))
+    xs = {a.x for a in atoms}
+    want = tuple(sorted((P(a, 1), P(b, 1), P(c, 1)) for a in xs for b in xs
+                        if a <= b <= (c := 2200 - a - b) and c in xs))
+    start = time.perf_counter()
+    assert lat_factorizations_over(atoms, P(2200, 3), Budget(10**7)) == want
     assert time.perf_counter() - start < 2
-    # the integer kernel's nodes: the 5,001 levels from (5000,1) down to (0,1)
-    # that take none of their atom, a leaf per level above (0,1) that takes one
-    # part and looks the other up, and the leaf of two parts (0,1) (20002 on
-    # the 2-D search's nodes, jumps and Cramer solutions)
-    assert 10**7 - meter.left == 10002
+    assert len(want) == 203
+
+
+def _best_of_three_until_out_of_budget(search, h):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            search(h, Budget(10**4))
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 def test_time_per_unit_does_not_grow_with_the_target_height():
     # over one height every part count the integer kernel visits is a charged
     # node, so running out of 10^4 units takes as long at any height (the 2-D
     # search tested one uncharged window per part count up to the rest's height)
-    def best_of_three(h):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            with pytest.raises(BudgetExceededError):
-                lat_factorizations_in_box("upperhalf", P(-3, h), 3, budget=Budget(10**4))
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def search(h, budget):
+        lat_factorizations_in_box("upperhalf", P(-3, h), 3, budget=budget)
 
-    assert best_of_three(10_000) <= 3 * best_of_three(1_000)
+    best_of_three = _best_of_three_until_out_of_budget
+    assert best_of_three(search, 10_000) <= 3 * best_of_three(search, 1_000)
+
+
+def test_mixed_height_output_is_charged_per_part():
+    # (0,h) over (-1,1), (0,1), (1,2) has ~h/3 factorizations of h/2 to h
+    # parts each; each part is charged before its tuple is built, so the
+    # output cannot outgrow the budget (uncharged, h = 10^4 built 2.8 * 10^7
+    # parts in about a second on 6,669 units)
+    atoms = (P(-1, 1), P(0, 1), P(1, 2))
+
+    def search(h, budget):
+        lat_factorizations_over(atoms, P(0, h), budget)
+
+    meter = Budget(10**6)
+    zs = lat_factorizations_over(atoms, P(0, 100), meter)
+    assert 10**6 - meter.left > sum(len(z) for z in zs) > 0
+    best_of_three = _best_of_three_until_out_of_budget
+    assert best_of_three(search, 10_000) <= 3 * best_of_three(search, 1_000)
 
 
 def test_a_last_atom_tries_only_the_part_count_that_can_leave_zero():

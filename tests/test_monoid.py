@@ -488,10 +488,46 @@ def test_kernel_emits_the_oracle_vectors_in_canonical_order(case, data):
         assert _solve_int(target, atoms, ell, Budget()) == want
 
 
+@st.composite
+def _few_part_cases(draw):
+    """3-6 distinct atoms below 41 and a target as far as product enumeration stays small."""
+    atoms = tuple(sorted(draw(st.lists(st.integers(1, 40), min_size=3, max_size=6, unique=True))))
+    hi = 4 * atoms[-1]
+    while math.prod(hi // a + 1 for a in atoms) > 20_000:
+        hi = hi * 4 // 5
+    return atoms, draw(st.integers(0, hi))
+
+
+@given(case=_few_part_cases(), ell=st.integers(2, 4))
+@example(case=((1, 2, 3, 4, 5, 6), 9), ell=2)
+@example(case=((2, 3, 5, 7, 11), 21), ell=3)
+@example(case=((3, 4, 6, 9, 10, 12), 30), ell=4)
+@settings(max_examples=300, deadline=None)
+def test_two_part_leaf_emits_the_oracle_vectors_in_canonical_order(case, ell):
+    # at ell = 2 the root is a two-part leaf; at 3 and 4 a node below the
+    # root that has two parts left is one (e.g. (5 + 5, 7 + 3) after one 11)
+    atoms, target = case
+    vectors = sorted(oracle_vectors(list(atoms), target), key=lambda xs: xs[::-1])
+    want = [tuple((i, x) for i, x in enumerate(xs) if x) for xs in vectors if sum(xs) == ell]
+    assert _solve_int(target, atoms, ell, Budget()) == want
+
+
 def _kernel_units(target, atoms, ell=None):
     meter = Budget(10**9)
     _solve_int(target, atoms, ell, meter)
     return 10**9 - meter.left
+
+
+def test_two_part_leaf_charges_one_unit_per_candidate():
+    # the root's candidates for the larger part of 14 lie in [7, 14 - 2]: 7,
+    # 9 and 10, of which 7 + 7 and 10 + 4 are solutions and 9 + 5 is not
+    atoms = (2, 4, 7, 9, 10)
+    assert _solve_int(14, atoms, 2, Budget()) == [((2, 2),), ((1, 1), (4, 1))]
+    assert _kernel_units(14, atoms, 2) == 1 + 3
+    # on a 204-bit target a node and each candidate cost two units, and each
+    # atom's prefix gcd one more
+    w = 2**200
+    assert _kernel_units(14 * w, tuple(a * w for a in atoms), 2) == 2 * (1 + 3) + len(atoms)
 
 
 def test_two_atom_kernel_spends_one_unit_per_solution():
