@@ -21,35 +21,35 @@ is bit (y + R) * (4R + 1) + x + R, so sums never wrap a row; a run of n
 points shift-ors the other set's mask with itself by doubling, log2(n) + 1
 times instead of n.
 
-Factorizations over atoms of one height h >= 1 (upperhalf's) have n = y / h
-parts: shifted by 1 - x_0 in x, the atoms are ascending positive integers and
-the target x + n (1 - x_0), for `monoid._solve_int` at the exact length n.
-Over mixed heights a node, a rest with atoms[0..i] left, takes m >= 1 parts of
-atom i, then jumps straight to the next lower atom that can take one; the last
-two, if not parallel, are solved by Cramer's rule.  With 1 <= y_min <= y <= y_max
-over the atoms left, a rest (x, y) takes ceil(y / y_max) to floor(y / y_min)
-parts p, so x lies in [min p * min x, max p * max x]; this window shrinks with
-the atoms left, so the first level it fails ends a jump.  Counting the
-factorizations over two atoms that are not parallel (the quadrant's) needs no
-search: Cramer's rule gives 0 or 1.
+Factorizations run on `monoid._solve_int`, the integer kernel.  Over one
+height h >= 1 (upperhalf's) one of (x, y) has n = y / h parts: shifted by
+1 - x_0 in x, the atoms are ascending positive integers and the target
+x + n (1 - x_0), searched at the exact length n.  Any other atom set, each
+atom with y >= 0 and x > 0 where y = 0, is read as two digits: with
+c = 1 + max(0, ceil(-x / y) over atoms with y >= 1), psi(x, y) = x + c y is at
+least max(y, 1) on every atom; with P = psi(v) and B = P + 1, the atoms with
+psi <= P (only they fit, and y <= psi < B keeps them distinct) are the
+integers y + B psi and the target is y_v + B P, 0 <= y_v <= P.
+A multiset of them with y-sum Y <= psi-sum S hits it only at S = P (S < P
+leaves Y >= B > S, S > P overshoots), so Y = y_v and the x-sum is P - c y_v = x_v.
+Counting the factorizations over two atoms that are not parallel (the
+quadrant's) needs no search: Cramer's rule gives 0 or 1.
 
 Budget units, paid before or as the work is done: one per box point before
 its runs or members are built; `monoid._shift_units` per point of a sumset's
 smaller set, from the closed-form member count; one per point sums of atoms
-reach; the kernel's, or one for a y that h does not divide; over mixed heights
-one per node and closed-form solution, none per window test (a node makes one
-per part count, a jump one per skipped level); one per Cramer count; and one
-per part of every factorization before its tuple is built, since one of
-(x, y) can have y parts or more.  Only results are LatticePoints.
+reach; the kernel's, or one for a y that h does not divide or a v outside
+0 <= y <= psi(v); one per Cramer count; and one per part of every
+factorization before its tuple is built, since one of (x, y) can have y parts
+or more.  Only results are LatticePoints.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InputError
-from .monoid import Budget, _allot, _as_budget, _checked_paths, _depth_first, _shift_units
+from .monoid import Budget, _allot, _as_budget, _checked_paths, _shift_units
 
 Pair = tuple[int, int]
 Run = tuple[int, int, int]   # (x, y, n): the points (x, y) .. (x + n - 1, y)
@@ -214,28 +214,27 @@ def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
     return lat_factorizations_over(lat_atoms_in_box(kind, bound, budget), v, budget)
 
 
-def _cramer(atoms: tuple[LatticePoint, ...], det: int, x: int, y: int) -> tuple[int, int] | None:
-    """The (m0, m1) >= 0 with m0 atoms[0] + m1 atoms[1] = (x, y), if any, for det != 0."""
-    (x0, y0), (x1, y1) = atoms[0], atoms[1]
-    (m0, r0), (m1, r1) = divmod(x * y1 - x1 * y, det), divmod(x0 * y - x * y0, det)
-    return (m0, m1) if r0 == r1 == 0 and m0 >= 0 and m1 >= 0 else None
-
-
 def lat_factorization_count(atoms: tuple[LatticePoint, ...], v: Pair, budget: Budget) -> int:
     """len(lat_factorizations_over(atoms, v, budget)); over two atoms that are
     not parallel (the quadrant's) Cramer's rule gives it, 0 or 1, for one unit
     and with no factorization built."""
     if len(atoms) == 2 and (det := atoms[0][0] * atoms[1][1] - atoms[1][0] * atoms[0][1]):
         budget.spend()
-        return int(_cramer(atoms, det, *v) is not None)
+        (x0, y0), (x1, y1), (x, y) = *atoms, v
+        (m0, r0), (m1, r1) = divmod(x * y1 - x1 * y, det), divmod(x0 * y - x * y0, det)
+        return int(r0 == r1 == 0 and m0 >= 0 and m1 >= 0)
     return len(lat_factorizations_over(atoms, v, budget))
 
 
 def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
                             budget: Budget) -> tuple[tuple[LatticePoint, ...], ...]:
     """All multisets of the given ascending distinct atoms summing to v, each sorted,
-    in sorted order: by the integer kernel over one height h >= 1, else the 2-D search.
-    At least one atom; all have y >= 0, and one with y = 0 has x > 0 and none of x < 0."""
+    in sorted order, by the integer kernel (see module docstring).  Domain: at least
+    one atom, every atom with y >= 0, and x > 0 where y = 0; any other set, where a
+    factorization set can be infinite, raises InputError."""
+    if not atoms or any(y < 0 or y == 0 and x <= 0 for x, y in atoms):
+        raise InputError("lattice factorizations need at least one atom, every atom "
+                         "with y >= 0, and x > 0 where y = 0")
     xs, ys = [a[0] for a in atoms], [a[1] for a in atoms]
     if ys[0] >= 1 and ys.count(ys[0]) == len(ys):
         n, r = divmod(v[1], ys[0])
@@ -245,49 +244,14 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
         paths = _checked_paths(v[0] + n * (1 - xs[0]), [x + 1 - xs[0] for x in xs], n, budget)
         budget.spend(n * len(paths))   # each factorization's n parts, before they are built
         return tuple(sorted(tuple([atoms[i] for i, m in p for _ in range(m)]) for p in paths))
-    det = xs[0] * ys[1] - xs[1] * ys[0] if len(atoms) > 1 else 0
-    closed = 2 if det else 0   # levels below this one are solved by Cramer's rule
-    out: list[tuple[LatticePoint, ...]] = []
-    path: list[tuple[int, int]] = []   # nonzero (i, m) on the open path, largest i first
-
-    def emit(*ms: int) -> None:
-        parts = (*enumerate(ms), *reversed(path))
-        budget.spend(sum([m for _, m in parts]))   # one unit per part, before they are built
-        out.append(tuple([atoms[j] for j, m in parts for _ in range(m)]))
-
-    def fits(i: int, x: int, y: int) -> bool:
-        if i < 0 or low[i] < 1:  # no atom left, or one of height 0 (then no window)
-            return i >= 0 or x == y == 0
-        few, most = -(-y // high[i]), y // low[i]
-        return few <= most and (most if xs[0] < 0 else few) * xs[0] <= x <= (few if xs[i] < 0 else most) * xs[i]
-
-    def children(i: int, rx: int, ry: int):
-        """Rests after m >= 1 parts of atom i, then the rest at the level a jump lands on."""
-        base, cap = len(path), ry // ys[i] if ys[i] else max(rx, 0) // xs[i]
-        for m in range(max(1, cap) if i == 0 else 1, cap + 1):  # the last atom leaves 0 only at cap
-            if fits(i - 1, rx - m * xs[i], ry - m * ys[i]):
-                path[base:] = [(i, m)]
-                yield i - 1, rx - m * xs[i], ry - m * ys[i]
-        del path[base:]
-        for j in range(i - 1, -1, -1):
-            if not fits(j, rx, ry):
-                return
-            if j < closed or (ry >= ys[j] and fits(j, rx - xs[j], ry - ys[j])):
-                yield j, rx, ry
-                return
-
-    def expand(node):
-        i, x, y = node
-        if x == y == 0:
-            emit()
-        elif i < closed:
-            if (ms := _cramer(atoms, det, x, y)) is not None:
-                budget.spend()
-                emit(*ms)
-        else:
-            return children(i, x, y)
-
-    if len(atoms) > closed:  # y ranges of atoms[0..i] (x ranges: xs[0]..xs[i]); none for a Cramer root
-        low, high = list(accumulate(ys, min)), list(accumulate(ys, max))
-    _depth_first((len(atoms) - 1, *v), expand, budget)
-    return tuple(sorted(out))
+    c = 1 + max([0, *[-(x // y) for x, y in atoms if y]])   # 1 + max ceil(-x / y)
+    top = v[0] + c * v[1]   # psi(v)
+    if not 0 <= v[1] <= top:   # every part has 0 <= y <= psi
+        budget.spend()
+        return ()
+    # the atoms with psi <= top, as the digits (y, psi) in base top + 1, ascending
+    psi = [x + c * y for x, y in atoms]
+    digits = sorted([(y + (top + 1) * s, a) for a, y, s in zip(atoms, ys, psi) if s <= top])
+    paths = _checked_paths(v[1] + (top + 1) * top, [d for d, _ in digits], None, budget)
+    budget.spend(sum([m for p in paths for _, m in p]))   # the parts, before they are built
+    return tuple(sorted(tuple(sorted([digits[i][1] for i, m in p for _ in range(m)])) for p in paths))

@@ -363,8 +363,8 @@ def test_large_lattice_boxes_end_within_the_budget(capsys, example, box, want):
 
 def test_largest_upperhalf_box_the_default_budget_admits_ends_in_time(capsys):
     # box 175 is the largest 4.4 runs within the default budget; its upper
-    # half-plane sample searches over 351 atoms of height 1, where a jump
-    # tests at most two windows, so the units it spends bound its time
+    # half-plane sample searches over 351 atoms of height 1, where the integer
+    # kernel charges every node it visits, so the units it spends bound its time
     start = time.perf_counter()
     code, out, _ = run(capsys, "paper", "4.4", "--box", "175")
     assert time.perf_counter() - start < 5

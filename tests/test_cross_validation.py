@@ -460,8 +460,8 @@ def test_pruned_lattice_factorizations_match_product_enumeration(kind):
     ((LatticePoint(1, 0), LatticePoint(2, 0)), LatticePoint(2, 1)),
 ])
 def test_parallel_last_pairs_match_product_enumeration(pair, extra):
-    # det = 0 for the two lowest atoms, so the search loops over the second
-    # instead of solving by Cramer's rule; the extra atom sorts after them
+    # det = 0 for the two lowest atoms, so Cramer's rule cannot solve them;
+    # the extra atom sorts after them
     for atoms in (pair, (*pair, extra)):
         for x in range(-2, 8):
             for y in range(5):
@@ -470,8 +470,7 @@ def test_parallel_last_pairs_match_product_enumeration(pair, extra):
 
 
 # atom sets shaped like the upper half-plane's (every y >= 1, any x) or the
-# quadrant's (nonnegative coordinates), the two shapes the height prune and
-# the x-axis step of the factorization search assume
+# quadrant's (nonnegative coordinates), the two shapes of the box searches
 _lifted_atoms = st.sets(st.builds(LatticePoint, st.integers(-3, 3), st.integers(1, 3)),
                         min_size=1, max_size=5)
 _quadrant_atoms = st.sets(st.builds(LatticePoint, st.integers(0, 3), st.integers(0, 3)),
@@ -484,6 +483,28 @@ _quadrant_atoms = st.sets(st.builds(LatticePoint, st.integers(0, 3), st.integers
 def test_pruned_factorizations_of_generated_atoms_match_product_enumeration(atoms, v):
     atoms = tuple(sorted(atoms))
     want = oracle_lattice_factorizations(atoms, v, v.y + max(v.x, 0))
+    assert lat_factorizations_over(atoms, v, Budget()) == tuple(want)
+
+
+# atoms with x < 0 above the x-axis beside x-axis atoms with x > 0, which the
+# factorization search serves although no box search meets them
+_left_atoms = st.sets(st.builds(LatticePoint, st.integers(-9, -1), st.integers(1, 3)), min_size=1, max_size=2)
+_axis_atoms = st.sets(st.builds(LatticePoint, st.integers(1, 4), st.just(0)), min_size=1, max_size=2)
+
+
+@given(atoms=st.builds(set.union, _left_atoms, _axis_atoms),
+       v=st.builds(LatticePoint, st.integers(-10, 10), st.integers(-1, 4)))
+@example(atoms={LatticePoint(-9, 3), LatticePoint(1, 0), LatticePoint(2, 0)}, v=LatticePoint(2, 3))
+@settings(max_examples=200, deadline=None)
+def test_factorizations_of_atoms_left_of_and_on_the_x_axis_match_product_enumeration(atoms, v):
+    # the part bound: with k = max(0, ceil(-x / y) over the atoms with y >= 1),
+    # phi(x, y) = x + (k + 1) y is additive, and on every atom phi >= 1: for
+    # y >= 1, k y >= -x gives phi >= y >= 1, and for y = 0, phi = x >= 1; so a
+    # factorization of v has at most phi(v) parts, and none if phi(v) < 0.
+    # (2,3) over (-9,3), (1,0), (2,0) has one of 12 parts; y + max(x, 0) is 5
+    k = max([0, *[-(x // y) for x, y in atoms if y]])
+    atoms = tuple(sorted(atoms))
+    want = oracle_lattice_factorizations(atoms, v, max(0, v.x + (k + 1) * v.y))
     assert lat_factorizations_over(atoms, v, Budget()) == tuple(want)
 
 

@@ -190,18 +190,18 @@ def test_lattice_searches_charge_the_budget(search):
 
 
 @pytest.mark.parametrize("atoms, v, units", [
-    # two atoms, det != 0: the root solves by Cramer's rule before any search
-    # is set up (root + solution + its five parts)
-    ((P(0, 1), P(1, 0)), P(3, 2), 7),
+    # two atoms, encoded: the kernel's two-atom root solves in closed form,
+    # the node and its one solution, then the solution's five parts
+    ((P(0, 1), P(1, 0)), P(3, 2), 1 + 1 + 5),
+    # the origin: psi(v) = 0 drops both atoms, and the root alone emits ()
     ((P(0, 1), P(1, 0)), P(0, 0), 1),
     # one height: the integer kernel's two-atom root finds no solution, the node alone
     ((P(-1, 1), P(2, 1)), P(0, 2), 1),
-    # a parallel pair is searched: the root, its child (0,0) after one (2,2),
-    # the jump to the atom (1,1) with the rest (2,2), and its child (0,0);
-    # then the parts, one and two
-    ((P(1, 1), P(2, 2)), P(2, 2), 4 + 3),
-    # a single atom: the root, its one child that leaves (0,0), and three parts
-    ((P(2, 0),), P(6, 0), 2 + 3),
+    # a parallel pair, encoded: the same two-atom root has two solutions,
+    # (2,2) and (1,1) + (1,1); then the parts, one and two
+    ((P(1, 1), P(2, 2)), P(2, 2), 1 + 2 + 3),
+    # a single atom, encoded: the kernel's one-atom root divides, then three parts
+    ((P(2, 0),), P(6, 0), 1 + 3),
     ((P(2, 0),), P(5, 0), 1),
     # one height 2 does not divide y = 3: the root's one unit, no search
     ((P(0, 2), P(1, 2), P(2, 2)), P(1, 3), 1),
@@ -229,8 +229,9 @@ def test_upperhalf_sample_and_quadrant_units():
     meter = Budget(10**7)
     for v in lat_members_in_box("quadrant", 10, meter):
         assert len(lat_factorizations_over(quadrant, v, meter)) == 1
-    # the box's 441 points, then one node and one Cramer solution per nonzero
-    # member, and its x + y parts: 2 * 11 * (0 + 1 + ... + 10) in all
+    # the box's 441 points, then per nonzero member the kernel's two-atom root
+    # and its one solution, the origin's root alone, and each member's x + y
+    # parts: 2 * 11 * (0 + 1 + ... + 10) in all
     assert 10**7 - meter.left == 441 + 2 * 120 + 1 + 1210
 
 
@@ -252,6 +253,28 @@ def test_quadrant_count_charges_one_unit_per_member():
     assert 10**7 - meter.left == 441 + 121
     assert lat_factorization_count(quadrant, P(-1, 3), meter) == 0
     assert 10**7 - meter.left == 441 + 122
+
+
+def test_atoms_left_of_and_on_the_x_axis_give_every_factorization():
+    # y = 3 takes one (-9,3), so the x-axis atoms cover x = 11: a parts (1,0)
+    # and b parts (2,0) with a + 2b = 11, one factorization for each b in 0..5
+    atoms = (P(-9, 3), P(1, 0), P(2, 0))
+    want = tuple(sorted((P(-9, 3), *[P(1, 0)] * a, *[P(2, 0)] * ((11 - a) // 2)) for a in range(1, 12, 2)))
+    assert len(want) == 6
+    assert lat_factorizations_over(atoms, P(2, 3), Budget()) == want
+
+
+@pytest.mark.parametrize("atoms", [
+    (),                       # no atom
+    (P(0, 0), P(1, 1)),       # the origin
+    (P(-1, 1), P(1, -1)),     # an atom below the x-axis
+    (P(-1, 0), P(1, 0)),      # an x-axis atom with x <= 0
+])
+def test_atom_sets_outside_the_domain_are_input_errors(atoms):
+    # outside the domain a factorization set can be infinite: the origin
+    # repeats, and the other two sets hold parts that cancel
+    with pytest.raises(InputError):
+        lat_factorizations_over(atoms, P(1, 1), Budget())
 
 
 def test_factorization_search_is_not_limited_by_recursion():
@@ -290,8 +313,7 @@ def _best_of_three_until_out_of_budget(search, h):
 
 def test_time_per_unit_does_not_grow_with_the_target_height():
     # over one height every part count the integer kernel visits is a charged
-    # node, so running out of 10^4 units takes as long at any height (the 2-D
-    # search tested one uncharged window per part count up to the rest's height)
+    # node, so running out of 10^4 units takes as long at any height
     def search(h, budget):
         lat_factorizations_in_box("upperhalf", P(-3, h), 3, budget=budget)
 
@@ -302,8 +324,8 @@ def test_time_per_unit_does_not_grow_with_the_target_height():
 def test_mixed_height_output_is_charged_per_part():
     # (0,h) over (-1,1), (0,1), (1,2) has ~h/3 factorizations of h/2 to h
     # parts each; each part is charged before its tuple is built, so the
-    # output cannot outgrow the budget (uncharged, h = 10^4 built 2.8 * 10^7
-    # parts in about a second on 6,669 units)
+    # output cannot outgrow the budget: the kernel lists the 3,334 paths of
+    # (0,10^4) in 7,335 units, but their 2.8 * 10^7 parts do not fit 10^4
     atoms = (P(-1, 1), P(0, 1), P(1, 2))
 
     def search(h, budget):
@@ -312,13 +334,17 @@ def test_mixed_height_output_is_charged_per_part():
     meter = Budget(10**6)
     zs = lat_factorizations_over(atoms, P(0, 100), meter)
     assert 10**6 - meter.left > sum(len(z) for z in zs) > 0
+    with pytest.raises(BudgetExceededError):
+        search(10**4, Budget(10**4))
+    # at heights 10^5 and 10^6 the kernel itself runs out of the 10^4 units,
+    # one per node, as fast at either height
     best_of_three = _best_of_three_until_out_of_budget
-    assert best_of_three(search, 10_000) <= 3 * best_of_three(search, 1_000)
+    assert best_of_three(search, 10**6) <= 3 * best_of_three(search, 10**5)
 
 
 def test_a_last_atom_tries_only_the_part_count_that_can_leave_zero():
-    # (1,0) is lexcone's one box atom: the rest (10^7, 1) is no multiple of it,
-    # found by one window test instead of one per part count up to 10^7
+    # (1,0) is lexcone's one box atom: encoded, the target is no multiple of
+    # it, found by the kernel's one-atom root instead of one node per part count
     meter = Budget(10**6)
     start = time.perf_counter()
     assert lat_factorizations_in_box("lexcone", P(10**7, 1), 3, budget=meter) == ()
