@@ -10,6 +10,7 @@ lengths but unboundedly many factorizations of 3.
 from fractions import Fraction
 
 from puiseux import (
+    Budget,
     divisor_candidates,
     family_factorizations,
     family_member,
@@ -35,12 +36,15 @@ print("candidates for 9/8:", divisor_candidates("sqden", F(9, 8)))
 print("candidates for 12/5 in exB:", divisor_candidates("exB", F(12, 5)))
 
 # 9/8 is a member of the sum (it is at least 1) but has no factorization:
-# the trace shows each residual and its surviving candidate indices.
-trace = []
-zs = family_factorizations("interval1_sqden", F(9, 8), trace=trace)
+# a budget with a trace list records each residual of the search and its
+# surviving candidate indices, and what the search spent.
+budget = Budget()
+budget.trace = trace = []
+zs = family_factorizations("interval1_sqden", F(9, 8), budget=budget)
 print("member:", family_member("interval1_sqden", F(9, 8)), " |Z(9/8)|:", len(zs))
 for entry in trace:
     print("  residual", entry["residual"], "-> candidates", entry["candidate_indices"])
+print("units spent:", budget.spent)
 
 # Nearby elements do factor, and exactly.
 print("Z(7/4):", [str(z) for z in family_factorizations("interval1_sqden", F(7, 4))])

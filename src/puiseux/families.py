@@ -327,7 +327,7 @@ def divisor_candidates(kind: str, q: RationalLike, budget: Budget | None = None)
 
 
 def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
-                     trace: list | None = None, copies: int = 0) -> list[dict[int, int]]:
+                     copies: int = 0) -> list[dict[int, int]]:
     """All multisets {index: multiplicity} of sqden generators summing to
     target, then, for c = 1..copies, those of target - c with {0: c} added.
 
@@ -337,8 +337,8 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     divide R.  Copy c is the root R = target.numerator - c·D; a root of 0
     is its own solution, searched and charged for nothing.  Each node
     descends into one index, min_index if one generator fits, else the
-    least denominator prime's (`divisor_candidates` lists all, for the
-    trace only), and pins its multiplicity to the one class mod p^2 that
+    least denominator prime's (`divisor_candidates` lists all, for
+    budget.trace only), and pins its multiplicity to the one class mod p^2 that
     clears p, so the tree is finite.  p_lo is read by index from a snapshot
     of the shared prime table, grown only when lo runs past it, and a node
     without children makes no child iterator.  Nodes only clear primes, so
@@ -352,6 +352,7 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     primes = _grow_primes(min_index)
     dead = any(de > d * d for d, de in dens) or bool(dens) and dens[0][0] < primes[min_index - 1]
     out: list[dict[int, int]] = []
+    trace = budget.trace
 
     def children(n: int, m: int, rest: int, step: int, pp: int) -> Iterator[tuple[int, int]]:
         for rest in range(rest, -1, -step):   # consecutive children differ by p^2 copies
@@ -563,8 +564,7 @@ def _exaexb_solutions(q: Fraction, window: int | None, budget: Budget) -> Factor
     return FactorizationSet(q, tuple(out))
 
 
-def _sqden_factorizations(q: Fraction, budget: Budget, trace: list | None,
-                          ones: bool) -> FactorizationSet:
+def _sqden_factorizations(q: Fraction, budget: Budget, ones: bool) -> FactorizationSet:
     """Z(q) in sqden, or with ones in interval1 + sqden; exact, window-free.
     One search covers every copy c = 0..floor(q) of 1 as a root of its own
     (_sqden_solutions), so q's denominator is factored once per query.
@@ -578,7 +578,7 @@ def _sqden_factorizations(q: Fraction, budget: Budget, trace: list | None,
     is the only part interval1 contributes: index 0, the largest atom, so
     the searches emit the factorizations in canonical order.
     """
-    sols = _sqden_solutions(q, 1, budget, trace, int(q) if ones else 0)
+    sols = _sqden_solutions(q, 1, budget, int(q) if ones else 0)
     used = {n for sol in sols for n in sol}
     parts = {n: family_generator("sqden", n) if n else Fraction(1) for n in used}
     return FactorizationSet(q, tuple(
@@ -587,8 +587,7 @@ def _sqden_factorizations(q: Fraction, budget: Budget, trace: list | None,
 
 def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
                           window: int | None = None,
-                          budget: Budget | int | None = None,
-                          trace: list | None = None) -> FactorizationSet:
+                          budget: Budget | int | None = None) -> FactorizationSet:
     """Z(q) over a family's atoms by the kind's exact procedure; for exAexB,
     over a window of admitted indices (_exaexb_solutions)."""
     if isinstance(kind, FamilyMonoid):
@@ -600,7 +599,7 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
         raise InputError("target must be nonnegative")
     if factorizations is None:
         raise NeedsBoundError(f"no exact factorization procedure for {kind}; {_bound_hint(kind)}")
-    return factorizations(q, window, _as_budget(budget), trace)
+    return factorizations(q, window, _as_budget(budget))
 
 
 def family_member(kind: str | FamilyMonoid, q: RationalLike,
@@ -810,12 +809,11 @@ def _interval_ladder(den_bound: int, budget: Budget | int | None) -> dict[int, F
     return dict(reversed(ladder.items()))
 
 
-def _nine_eighths(budget: Budget | int | None,
-                  trace: list | None = None) -> tuple[bool, FactorizationSet]:
+def _nine_eighths(budget: Budget | int | None) -> tuple[bool, FactorizationSet]:
     """Whether 9/8 lies in interval1 + sqden, and its factorization set."""
     q = Fraction(9, 8)
     member = family_member("interval1_sqden", q, budget)
-    return member, family_factorizations("interval1_sqden", q, budget=budget, trace=trace)
+    return member, family_factorizations("interval1_sqden", q, budget=budget)
 
 
 # -- the kinds ------------------------------------------------------------------
@@ -832,7 +830,7 @@ class _Kind(NamedTuple):
     generator: Callable[[int, int], Fraction] | None = None   # (n, p_n) -> the n-th generator
     summands: tuple[str, ...] = ()   # a composite's base kinds
     member: Callable[[Fraction, Budget], bool] | None = None
-    factorizations: Callable[[Fraction, int | None, Budget, list | None], FactorizationSet] | None = None
+    factorizations: Callable[[Fraction, int | None, Budget], FactorizationSet] | None = None
     lengths: Callable[[RationalLike, Budget | int | None], tuple[int, ...]] | None = None
     untruncated: str | None = None   # where truncate() rejects the kind: what bounds a query instead
 
@@ -850,7 +848,7 @@ _KINDS = {
         {"atomic": True, "ffm": True, "bfm": True, "lffm": True, "bbm": False}, _truncation_evidence,
         2, "all primes (2, 3, 5, ...)", lambda n, p: Fraction(p + 1, p * p),
         member=lambda q, budget: bool(_sqden_solutions(q, 1, budget)),
-        factorizations=lambda q, window, budget, trace: _sqden_factorizations(q, budget, trace, False)),
+        factorizations=lambda q, window, budget: _sqden_factorizations(q, budget, False)),
     "interval1": _Kind(
         {"atomic": True, "bbm": True, "bfm": True, "ffm": False, "lffm": False}, _ladder_evidence,
         member=lambda q, budget: q >= 1,
@@ -860,14 +858,14 @@ _KINDS = {
         {"atomic": True, "bfm": True, "ffm": False, "lffm": False, "bbm": True}, _length2_evidence,
         summands=("exA", "exB"),
         member=lambda q, budget: _exaexb_classes(q, budget) is not None,
-        factorizations=lambda q, window, budget, trace: _exaexb_solutions(q, window, budget),
+        factorizations=_exaexb_solutions,
         lengths=_exaexb_lengths),
     "interval1_sqden": _Kind(
         {"atomic": False, "bfm": False, "bbm": False, "antimatter": False}, _nine_eighths_evidence,
         summands=("interval1", "sqden"),
         # members below 1 must come entirely from the sqden component
         member=lambda q, budget: q >= 1 or bool(_sqden_solutions(q, 1, budget)),
-        factorizations=lambda q, window, budget, trace: _sqden_factorizations(q, budget, trace, True),
+        factorizations=lambda q, window, budget: _sqden_factorizations(q, budget, True),
         untruncated="no bound replaces a truncation"),
     "gramscompanion": _Kind({"antimatter": True, "atomic": False, "bbm": False}, _witness_evidence,
                             summands=("grams", "companion")),

@@ -214,10 +214,19 @@ def lat_factorizations_in_box(kind: str, v: PointLike, bound: int,
     return lat_factorizations_over(lat_atoms_in_box(kind, bound, budget), v, budget)
 
 
+def _check_domain(atoms: tuple[LatticePoint, ...]) -> None:
+    """Refuse an atom set, an empty one too, where a factorization set can be infinite."""
+    for x, y in atoms or ((0, 0),):
+        if y < 0 or y == 0 and x <= 0:
+            raise InputError("lattice factorizations need at least one atom, every atom "
+                             "with y >= 0, and x > 0 where y = 0")
+
+
 def lat_factorization_count(atoms: tuple[LatticePoint, ...], v: Pair, budget: Budget) -> int:
-    """len(lat_factorizations_over(atoms, v, budget)); over two atoms that are
-    not parallel (the quadrant's) Cramer's rule gives it, 0 or 1, for one unit
-    and with no factorization built."""
+    """len(lat_factorizations_over(atoms, v, budget)), on the same domain; over
+    two atoms that are not parallel (the quadrant's) Cramer's rule gives it, 0
+    or 1, for one unit and with no factorization built."""
+    _check_domain(atoms)
     if len(atoms) == 2 and (det := atoms[0][0] * atoms[1][1] - atoms[1][0] * atoms[0][1]):
         budget.spend()
         (x0, y0), (x1, y1), (x, y) = *atoms, v
@@ -232,9 +241,7 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
     in sorted order, by the integer kernel (see module docstring).  Domain: at least
     one atom, every atom with y >= 0, and x > 0 where y = 0; any other set, where a
     factorization set can be infinite, raises InputError."""
-    if not atoms or any(y < 0 or y == 0 and x <= 0 for x, y in atoms):
-        raise InputError("lattice factorizations need at least one atom, every atom "
-                         "with y >= 0, and x > 0 where y = 0")
+    _check_domain(atoms)
     xs, ys = [a[0] for a in atoms], [a[1] for a in atoms]
     if ys[0] >= 1 and ys.count(ys[0]) == len(ys):
         n, r = divmod(v[1], ys[0])

@@ -42,39 +42,31 @@ from .qarith import RationalLike, as_rational
 
 
 class Budget:
-    """Mutable search-node allowance shared across one operation.
+    """One operation's search-node allowance (a limit of None, and then left,
+    is unlimited) and the record of what it paid: spent, limited or not.
+    Exhaustion raises instead of truncating, so callers can never mistake a
+    partial answer for an exact one.  A list in trace records the nodes of
+    every sqden search the budget pays for (the 4.3 pruning trace)."""
 
-    A limit of None means unlimited.  Exhaustion raises instead of
-    truncating, so callers can never mistake a partial answer for an
-    exact one.
-    """
-
-    __slots__ = ("left", "primes_paid")
+    __slots__ = ("limit", "spent", "primes_paid", "trace")
 
     def __init__(self, limit: int | None = None):
         if limit is not None and limit <= 0:
             raise InputError("budget must be positive")
-        self.left = limit
+        self.limit, self.spent, self.trace = limit, 0, None
         self.primes_paid = 0   # the bound up to which prime scans are charged
 
+    @property
+    def left(self) -> int | None:
+        return None if self.limit is None else self.limit - self.spent
+
+    def affords(self, amount: int) -> bool:
+        return self.limit is None or self.spent + amount <= self.limit
+
     def spend(self, amount: int = 1) -> None:
-        if self.left is None:
-            return
-        self.left -= amount
-        if self.left < 0:
+        self.spent += amount
+        if self.limit is not None and self.spent > self.limit:
             raise BudgetExceededError("search-node budget exhausted")
-
-
-class _Tally(Budget):
-    """Forwards each charge to budget and sums them, limit or not."""
-    __slots__ = ("budget", "units")
-
-    def __init__(self, budget: Budget):
-        self.budget, self.units = budget, 0
-
-    def spend(self, amount: int = 1) -> None:
-        self.units += amount
-        self.budget.spend(amount)
 
 
 def _as_budget(budget: Budget | int | None) -> Budget:
@@ -394,12 +386,12 @@ class FgMonoid:
         slot's S is reused, its units charged in one spend, when budget can
         pay them; else the build runs and raises as a first build would."""
         last = self._extension
-        if last is not None and last[0] == r and (budget.left is None or last[1] <= budget.left):
+        if last is not None and last[0] == r and budget.affords(last[1]):
             budget.spend(last[1])
             return last[2]
-        tally = _Tally(budget)
-        s = FgMonoid(self.generators + (r,), tally)
-        self._extension = (r, tally.units, s)
+        spent = budget.spent
+        s = FgMonoid(self.generators + (r,), budget)
+        self._extension = (r, budget.spent - spent, s)
         return s
 
     # -- membership -------------------------------------------------------

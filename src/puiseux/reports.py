@@ -199,8 +199,8 @@ def _two_ffm_sum_scenario(window: int, budget: Budget) -> PaperReport:
 
 
 def _nonatomic_sum_scenario(budget: Budget) -> PaperReport:
-    trace: list = []
-    member, zs = families._nine_eighths(budget, trace)
+    budget.trace = trace = []
+    member, zs = families._nine_eighths(budget)
     claims = (
         _claim(
             "9/8 belongs to the sum of the unit-interval and square-denominator monoids",

@@ -169,6 +169,22 @@ def test_budget_exhaustion_is_unchanged_by_reuse(gens, r):
         assert meter.left == 0 and cold._extension is not None
 
 
+@pytest.mark.parametrize("gens, r", [
+    ([F(20, 3), F(29, 3), F(31, 3)], F(7, 2)),
+    ([F(20, 3 * _big), F(29, 3 * _big), F(31, 3 * _big)], F(7, 2 * _big)),
+    ([F(7, _big), F(100000, _big)], F(9, 2 * _big)),
+])
+def test_extension_built_unlimited_is_reused_for_a_fresh_builds_units(gens, r):
+    # the slot keeps what the first build spent, though its budget had no limit
+    m = FgMonoid(gens)
+    units = _units(_fresh(m, r))
+    first = Budget()
+    s = m._extended(r, first)
+    meter = Budget(10**9)
+    assert m._extended(r, meter) is s
+    assert first.spent == meter.spent == 10**9 - meter.left == units
+
+
 def test_threads_extending_one_monoid_get_what_a_fresh_build_gets():
     m = FgMonoid([F(20, 3), F(29, 3), F(31, 3)])
     rs = (F(7, 2), F(5, 4))

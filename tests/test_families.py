@@ -234,8 +234,9 @@ def test_exaexb_window_argument_beats_the_descriptor_window():
 
 
 def test_interval_sqden_sum_is_not_atomic_at_9_8():
-    trace: list = []
-    zs = family_factorizations("interval1_sqden", F(9, 8), trace=trace)
+    budget = Budget()
+    budget.trace = trace = []
+    zs = family_factorizations("interval1_sqden", F(9, 8), budget=budget)
     assert len(zs) == 0
     assert family_member("interval1_sqden", F(9, 8))
     assert trace and trace[0]["residual"] == "9/8"
@@ -245,9 +246,11 @@ def test_traced_sqden_search_pays_for_its_prime_scans():
     # each traced node lists the candidate indices up to its residual, about
     # 10^7 here; the prime scan is charged before it runs, so 100 units run
     # out at once instead of after a minute of scanning
+    budget = Budget(100)
+    budget.trace = []
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
-        family_factorizations("sqden", F(4 * 10**7 + 1, 4), budget=Budget(100), trace=[])
+        family_factorizations("sqden", F(4 * 10**7 + 1, 4), budget=budget)
     assert time.perf_counter() - start < 1
     # one unit per odd number up to the scan's bound, 999 = floor(q - 1) here
     meter = Budget(10**6)

@@ -269,12 +269,15 @@ def test_atoms_left_of_and_on_the_x_axis_give_every_factorization():
     (P(0, 0), P(1, 1)),       # the origin
     (P(-1, 1), P(1, -1)),     # an atom below the x-axis
     (P(-1, 0), P(1, 0)),      # an x-axis atom with x <= 0
+    (P(0, 1), P(1, -1)),      # not parallel, so Cramer's rule alone would count 1
 ])
 def test_atom_sets_outside_the_domain_are_input_errors(atoms):
     # outside the domain a factorization set can be infinite: the origin
-    # repeats, and the other two sets hold parts that cancel
-    with pytest.raises(InputError):
-        lat_factorizations_over(atoms, P(1, 1), Budget())
+    # repeats, and the other sets hold parts that cancel; the count refuses
+    # the same sets as the search
+    for search in (lat_factorizations_over, lat_factorization_count):
+        with pytest.raises(InputError):
+            search(atoms, P(1, 1), Budget())
 
 
 def test_factorization_search_is_not_limited_by_recursion():

@@ -15,6 +15,7 @@ from puiseux import (
     InputError,
     NotAMemberError,
     PuiseuxError,
+    add_cyclic,
 )
 from puiseux import monoid
 from puiseux.dsl import Evaluator
@@ -171,6 +172,38 @@ def test_budget_guard(m23):
         FgMonoid([2, 3], budget=1).factorizations(60, budget=1)
     # a sane budget is not consumed across independent calls
     assert len(m23.factorizations(24, budget=10**6)) == 5
+
+
+class _Counted(Budget):
+    """A Budget that sums the amounts it is asked to spend, apart from spent."""
+    __slots__ = ("charged",)
+
+    def __init__(self, limit=None):
+        super().__init__(limit)
+        self.charged = 0
+
+    def spend(self, amount=1):
+        self.charged += amount
+        super().spend(amount)
+
+
+@pytest.mark.parametrize("limit", [10**6, None])
+def test_spent_is_the_units_charged_limited_or_not(limit):
+    # a bitset construction, a membership past its cover, kernel factorizations
+    # and a cyclic extension
+    budget = _Counted(limit)
+    m = FgMonoid([F(20, 3), F(29, 3), F(31, 3)], budget)
+    assert m.contains(10**4, budget)
+    assert len(m.factorizations(60, budget)) > 1
+    add_cyclic(m, F(7, 2), budget)
+    assert budget.spent == budget.charged > 0
+    assert budget.left == (None if limit is None else limit - budget.spent)
+    # a charge that runs out is counted too, and left goes below zero
+    budget = Budget(5)
+    budget.spend(3)
+    with pytest.raises(BudgetExceededError):
+        budget.spend(4)
+    assert (budget.spent, budget.left) == (7, -2)
 
 
 def test_construction_charges_each_word_of_the_denominators_before_scaling():
