@@ -21,11 +21,11 @@ Family names, as used by the DSL and CLI:
 
 from __future__ import annotations
 
+import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, NeedsBoundError
@@ -86,14 +86,13 @@ class FamilyMonoid:
 
     def factorizations_of_length(self, q: RationalLike, ell: int,
                                  budget: Budget | int | None = None) -> FactorizationSet:
-        """Z(q) cut to length ell; on interval1, where it is infinite, den_bound's sample."""
+        """Z(q) cut to length ell, by the kind's own procedure where it has one
+        (on interval1, where Z(q) is infinite, den_bound's sample)."""
         if ell < 1:
             raise InputError("length must be a positive integer")
-        if self.kind == "interval1":
-            den_bound = self.param("den_bound")
-            if den_bound is None:
-                raise NeedsBoundError("Zl on interval1 needs den_bound=...")
-            return interval_length_factorizations(q, ell, den_bound, budget)
+        of_length = _kind(self.kind).factorizations_of_length
+        if of_length is not None:
+            return of_length(self, q, ell, _as_budget(budget))
         zs = family_factorizations(self, q, budget=budget)
         # a subsequence of a canonical set is itself canonical
         return FactorizationSet(zs.target, tuple(z for z in zs if z.length == ell))
@@ -484,19 +483,37 @@ def _exaexb_core(q: Fraction, primes: Sequence[int] | None, budget: Budget,
     return core, out
 
 
-def _exaexb_solutions(q: Fraction, window: int | None, budget: Budget) -> FactorizationSet:
-    """Z(q) over the first window atoms of exA and of exB, in canonical
-    order (Z(q) itself is infinite once it holds a balanced pair, as Z(2) does).
+def _spreads(n: int, K: int) -> Iterator[list[tuple[int, int]]]:
+    """Every way to place K balanced pairs on n free primes, each as its
+    occupied (index, pairs), ascending, in canonical order: the counts by
+    index ascend lexicographically.  One list, changed in place.  From all K at the last
+    index, a step moves one pair from the last occupied index t to t - 1
+    and the rest of t's to the last index.  A loop: no depth to overflow."""
+    place = [(n - 1, K)] if K else []
+    while n or not K:
+        yield place
+        if not place or not place[-1][0]:
+            return
+        t, c = place.pop()
+        k = place.pop()[1] if place and place[-1][0] == t - 1 else 0
+        place.append((t - 1, k + 1))
+        if c > 1:
+            place.append((n - 1, c - 1))
 
-    The core's solutions (_exaexb_core), sorted canonically, and their K
-    pairs on the window's other primes, merged by one search over the
-    window's primes, ascending: b_p is what canonical order reads first.
-    A node holds the solutions its path agrees with; a core prime takes
-    their b_p, another up to the pairs they still need (all of them at the
-    last), and a node that needs none jumps to the next core prime, so
-    every node has a factorization below it.  Work: one unit per window
+
+def _exaexb_solutions(q: Fraction, window: int | None, budget: Budget,
+                      ell: int | None = None) -> FactorizationSet:
+    """Z(q) over the first window atoms of exA and of exB, in canonical
+    order (Z(q) itself is infinite once it holds a balanced pair, as Z(2)
+    does); with ell, only its factorizations of length ell.
+
+    Each core solution (_exaexb_core) spreads its K pairs over the window's
+    other primes (_spreads), and heapq.merge interleaves the spreads by the
+    canonical key over the nonzero parts: (0, -p, b_p) by ascending p, then
+    (-1, p, a_p) by descending p.  A length is the core parts' plus 2K, so
+    ell picks core solutions before they spread.  Work: one unit per window
     prime before the prime table grows to hold them, the core's, and one
-    per node and per factorization.
+    per part of each factorization before it is built.
     """
     if window is None:
         raise NeedsBoundError("the exAexB search needs window=... (admitted indices)")
@@ -505,62 +522,24 @@ def _exaexb_solutions(q: Fraction, window: int | None, budget: Budget) -> Factor
     _allot(budget, window, window)
     primes = _grow_primes(window + 2)[2:window + 2]
     core, sols = _exaexb_core(q, primes, budget)
-    # the core's canonical order: the dense vectors (b_p ascending p, then
-    # a_p descending p) compare as their nonzero entries do, each keyed
-    # by its position reversed, then its value
-    sols.sort(key=lambda sol: tuple((0, -p, b) for p, _, b in sol[0] if b)
-              + tuple((-1, p, a) for p, a, _ in reversed(sol[0]) if a))
-    core_set, core_at = set(core), [bisect_left(primes, p) for p in core]
-    exa = {p: Fraction(p - 1, p) for p in core}
-    exb = {p: Fraction(p + 1, p) for p in core}
-    out: list[Factorization] = []
-    path: list[tuple[int, int, int]] = []   # (p, k, k) for the k pairs placed at p on the open path
+    if ell is not None:
+        sols = [(parts, K) for parts, K in sols if sum(a + b for _, a, b in parts) + 2 * K == ell]
+    free = sorted(set(primes).difference(core))
 
-    def after(i: int) -> int:
-        """The number of non-core primes from index i on."""
-        return len(primes) - i - len(core_at) + bisect_left(core_at, i)
+    def spread(parts: tuple[tuple[int, int, int], ...], K: int) -> Iterator[tuple]:
+        for place in _spreads(len(free), K):
+            rows = sorted(parts + tuple((free[i], k, k) for i, k in place))
+            yield (tuple((0, -p, b) for p, _, b in rows if b)
+                   + tuple((-1, p, a) for p, a, _ in reversed(rows) if a))
 
-    def node(i: int, s: int, hi: int, group: list) -> tuple[int, int, int, list]:
-        if hi == s:   # no more pairs: on to the next core prime
-            j = bisect_left(core_at, i)
-            i = core_at[j] if j < len(core_at) else len(primes)
-        return i, s, hi, group
-
-    def children(i: int, s: int, hi: int, group: list) -> Iterator[tuple[int, int, int, list]]:
-        p = primes[i]
-        if p in core_set:
-            for _, run in groupby(group, key=lambda sol: next((b for r, _, b in sol[0] if r == p), 0)):
-                run = list(run)
-                yield node(i + 1, s, max(K for _, K in run), run)
-            return
-        base = len(path)
-        if p not in exa:
-            exa[p], exb[p] = Fraction(p - 1, p), Fraction(p + 1, p)
-        if after(i + 1):
-            for k in range(hi - s + 1):
-                path[base:] = [(p, k, k)] if k else []
-                yield node(i + 1, s + k, hi, [sol for sol in group if sol[1] >= s + k])
-        else:   # the last pairs go here
-            for K in sorted({K for _, K in group}):
-                path[base:] = [(p, K - s, K - s)] if K > s else []
-                yield node(i + 1, K, K, [sol for sol in group if sol[1] == K])
-        del path[base:]
-
-    def expand(nd: tuple[int, int, int, list]) -> Iterator[tuple[int, int, int, list]] | None:
-        i, s, hi, group = nd
-        if i < len(primes):
-            return children(i, s, hi, group)
-        budget.spend(len(group))
-        for parts, _ in group:
-            rows = sorted(path + list(parts)) if parts else path
-            out.append(Factorization(tuple((exa[p], a) for p, a, _ in rows if a)
-                                     + tuple((exb[p], b) for p, _, b in reversed(rows) if b)))
-        return None
-
-    if not after(0):
-        sols = [sol for sol in sols if sol[1] == 0]
-    if sols:
-        _depth_first(node(0, 0, max(K for _, K in sols), sols), expand, budget)
+    # the key read backwards lists the parts by ascending atom, (x - 1)/x
+    # at x = p for exA's and at x = -p for exB's
+    atoms: dict[int, Fraction] = {}
+    out = []
+    for key in heapq.merge(*(spread(parts, K) for parts, K in sols)):
+        budget.spend(len(key))
+        out.append(Factorization(tuple((atoms.get(x) or atoms.setdefault(x, Fraction(x - 1, x)), m)
+                                       for _, x, m in reversed(key))))
     return FactorizationSet(q, tuple(out))
 
 
@@ -594,12 +573,17 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
         window = window or kind.param("window")
         kind = kind.kind
     factorizations = _kind(kind).factorizations
-    q = as_rational(q)
-    if q < 0:
-        raise InputError("target must be nonnegative")
+    q = _target(q)
     if factorizations is None:
         raise NeedsBoundError(f"no exact factorization procedure for {kind}; {_bound_hint(kind)}")
     return factorizations(q, window, _as_budget(budget))
+
+
+def _target(q: RationalLike) -> Fraction:
+    q = as_rational(q)
+    if q < 0:
+        raise InputError("target must be nonnegative")
+    return q
 
 
 def family_member(kind: str | FamilyMonoid, q: RationalLike,
@@ -624,10 +608,7 @@ def _exaexb_lengths(q: RationalLike, budget: Budget | int | None = None) -> tupl
     sum (b_p - a_p)/p, which pairs do not change, so the core's solutions
     without pairs (_exaexb_core) give every length, their K pairs placed
     on any prime outside the core."""
-    q = as_rational(q)
-    if q < 0:
-        raise InputError("target must be nonnegative")
-    _, sols = _exaexb_core(q, None, _as_budget(budget), pairs=False)
+    _, sols = _exaexb_core(_target(q), None, _as_budget(budget), pairs=False)
     return tuple(sorted({sum(a + b for _, a, b in parts) + 2 * K for parts, K in sols}))
 
 
@@ -645,7 +626,7 @@ def interval_lengths(q: RationalLike, budget: Budget | int | None = None) -> tup
     return tuple(range(lo, lo + count))
 
 
-def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
+def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int | None,
                                    budget: Budget | int | None = None) -> FactorizationSet:
     """A bounded, exhaustive-within-bound sample of the length-ell
     factorizations of q over the atoms of {0} u Q>=1 (the rationals in [1, 2)).
@@ -666,6 +647,8 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int,
     scale (one per atom up to 127 bits), charged before the grid is built,
     then the search's.
     """
+    if den_bound is None:
+        raise NeedsBoundError("Zl on interval1 needs den_bound=...")
     q = as_rational(q)
     if q < 1:
         raise InputError("the target must be at least 1")
@@ -832,6 +815,8 @@ class _Kind(NamedTuple):
     member: Callable[[Fraction, Budget], bool] | None = None
     factorizations: Callable[[Fraction, int | None, Budget], FactorizationSet] | None = None
     lengths: Callable[[RationalLike, Budget | int | None], tuple[int, ...]] | None = None
+    # (family, q, ell, budget) -> Z(q) cut to length ell; where None, Z(q) is built and cut
+    factorizations_of_length: Callable[[FamilyMonoid, RationalLike, int, Budget], FactorizationSet] | None = None
     untruncated: str | None = None   # where truncate() rejects the kind: what bounds a query instead
 
 
@@ -853,13 +838,17 @@ _KINDS = {
         {"atomic": True, "bbm": True, "bfm": True, "ffm": False, "lffm": False}, _ladder_evidence,
         member=lambda q, budget: q >= 1,
         lengths=lambda q, budget: interval_lengths(q, budget),
+        factorizations_of_length=lambda fam, q, ell, budget: interval_length_factorizations(
+            q, ell, fam.param("den_bound"), budget),
         untruncated="query it with L(...) or Zl(..., den_bound=...)"),
     "exAexB": _Kind(
         {"atomic": True, "bfm": True, "ffm": False, "lffm": False, "bbm": True}, _length2_evidence,
         summands=("exA", "exB"),
         member=lambda q, budget: _exaexb_classes(q, budget) is not None,
         factorizations=_exaexb_solutions,
-        lengths=_exaexb_lengths),
+        lengths=_exaexb_lengths,
+        factorizations_of_length=lambda fam, q, ell, budget: _exaexb_solutions(
+            _target(q), fam.param("window"), budget, ell)),
     "interval1_sqden": _Kind(
         {"atomic": False, "bfm": False, "bbm": False, "antimatter": False}, _nine_eighths_evidence,
         summands=("interval1", "sqden"),

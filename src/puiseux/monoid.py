@@ -538,8 +538,8 @@ class FgMonoid:
             t = reach.find("1", t + 1)
         return members
 
-    def classify(self, sample_size: int = 10, budget: Budget | int | None = None) -> dict:
-        """Structure report: cited flags plus enumeration evidence on a sample.
+    def classify(self, budget: Budget | int | None = None) -> dict:
+        """Structure report: cited flags plus enumeration evidence on the 10 smallest members.
 
         Finitely generated monoids are atomic and have the finite, bounded,
         and length-finite factorization properties; being finitely generated
@@ -547,7 +547,7 @@ class FgMonoid:
         finiteness by completely enumerating the sample's factorization sets.
         """
         budget = _as_budget(budget)
-        sample = self.smallest_members(sample_size, budget)
+        sample = self.smallest_members(10, budget)
         # members already, so straight to the kernel
         counts = [len(_checked_paths(int(q * self.scale), self.int_atoms, None, budget)) for q in sample]
         flag = lambda v: {"value": v, "provenance": "paper"}

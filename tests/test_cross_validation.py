@@ -34,6 +34,7 @@ from conftest import (oracle_atoms, oracle_exaexb_factorizations, oracle_fractio
 from puiseux import (
     FgMonoid,
     add_cyclic,
+    family,
     family_factorizations,
     family_generator,
     family_member,
@@ -276,6 +277,16 @@ def test_exaexb_search_lists_the_product_enumeration_in_order(case):
     assert [z.parts for z in zs] == oracle_exaexb_factorizations(q, window)
 
 
+@given(case=_exaexb_targets(), ell=st.integers(1, 16))
+@settings(max_examples=100, deadline=None)
+@example(case=(F(4), 7), ell=4)
+@example(case=(F(12), 2), ell=14)
+def test_exaexb_length_slice_is_the_factorization_set_cut_to_it(case, ell):
+    q, window = case
+    m = family("exAexB", window=window)
+    assert m.factorizations_of_length(q, ell).items == tuple(z for z in m.factorizations(q) if z.length == ell)
+
+
 @pytest.mark.parametrize("q, ell, den_bound", [
     (F(3), 2, 1), (F(3), 2, 2), (F(3), 2, 3), (F(3), 2, 4), (F(2), 2, 4),
     (F(5, 2), 2, 3), (F(7, 2), 3, 3), (F(4), 3, 3), (F(1), 1, 3),
@@ -319,7 +330,7 @@ def test_lengths_length_slices_and_classify_counts_match_product_enumeration():
         m = FgMonoid(gens)
         scale = math.lcm(*(g.denominator for g in gens))
         atoms = oracle_atoms(sorted(int(g * scale) for g in gens))
-        limit = max(30, 8 * atoms[0])
+        limit = max(30, 10 * atoms[0])
         buckets = oracle_value_buckets(atoms, limit)
         for t in sorted(buckets):
             q = F(t, scale)
@@ -331,8 +342,8 @@ def test_lengths_length_slices_and_classify_counts_match_product_enumeration():
                 assert [z.parts for z in m.factorizations_of_length(q, ell)] == [
                     tuple((F(a, scale), x) for a, x in zip(atoms, xs) if x) for xs in want
                 ]
-        evidence = m.classify(sample_size=8)["evidence"]
-        members = sorted(t for t in buckets if t)[:8]
+        evidence = m.classify()["evidence"]
+        members = sorted(t for t in buckets if t)[:10]
         assert evidence["sampled_members"] == [str(F(t, scale)) for t in members]
         assert evidence["factorization_counts"] == [len(buckets[t]) for t in members]
 

@@ -216,15 +216,45 @@ def test_exaexb_window_counts():
 
 
 @pytest.mark.parametrize("q, window, units", [
-    (F(2), 1, 5), (F(2), 10, 41), (F(2), 3000, 12001), (F(4), 7, 98), (F(24, 7), 5, 13),
-    (F(12, 11), 7, 12), (F(0), 3, 6), (F(12, 25), 7, 7), (F(122, 35), 5, 12), (F(12), 2, 183),
+    (F(2), 1, 4), (F(2), 10, 31), (F(2), 3000, 9001), (F(4), 7, 111), (F(24, 7), 5, 10),
+    (F(12, 11), 7, 10), (F(0), 3, 4), (F(12, 25), 7, 7), (F(122, 35), 5, 10), (F(12), 2, 205),
 ])
 def test_exaexb_search_charges_a_pinned_number_of_units(q, window, units):
-    # one unit per window prime, then one per node of the core search and
-    # of the pair search, and one per factorization emitted
+    # one unit per window prime, then one per node of the core search, and
+    # one per part of each factorization emitted (none for 0's empty one)
     family_factorizations("exAexB", q, window=window, budget=Budget(units))
     with pytest.raises(BudgetExceededError):
         family_factorizations("exAexB", q, window=window, budget=Budget(units - 1))
+
+
+class _PartsPerUnit(Budget):
+    """A Budget that sums the amounts it is asked to spend."""
+    __slots__ = ("charged",)
+
+    def __init__(self, limit=None):
+        super().__init__(limit)
+        self.charged = 0
+
+    def spend(self, amount=1):
+        self.charged += amount
+        super().spend(amount)
+
+
+@pytest.mark.parametrize("window", [60, 600])
+def test_exaexb_search_builds_at_most_one_part_per_unit(window):
+    # each factorization pays for its parts before it is built, so the
+    # units bound the memory of Z, not only its count: window 600 gives
+    # 180,301 factorizations of 4
+    budget = _PartsPerUnit()
+    zs = family_factorizations("exAexB", 4, window=window, budget=budget)
+    assert sum(len(z.parts) for z in zs) <= budget.charged == budget.spent
+
+
+def test_exaexb_length_slice_spreads_only_the_core_solutions_of_its_length():
+    # none of 4's four core solutions has length 2: the window and the core
+    # cost 605 units at window 600, and no factorization is built
+    zs = family("exAexB", window=600).factorizations_of_length(4, 2, Budget(10**4))
+    assert len(zs) == 0
 
 
 def test_exaexb_window_argument_beats_the_descriptor_window():
