@@ -20,8 +20,8 @@ Atoms and membership come from the table whenever its k a steps cost fewer
 budget units than the bitmask closure they replace; that is decided at
 construction for the largest generator, and again by each membership query
 past the construction's cover, for that query alone.  The range scans
-(divisors, mcd sets, cyclic divisors, smallest members) read the bitmask,
-since they are O(target) anyway.
+(divisors, mcd sets, cyclic divisors) read the bitmask, since they are
+O(target) anyway.
 
 The cyclic-extension procedures (the last section) run on the integers of
 S = M + N_0*r too, and charge only these structures and the kernel's nodes.
@@ -29,6 +29,7 @@ S = M + N_0*r too, and charge only these structures and the kernel's nodes.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -530,13 +531,8 @@ class FgMonoid:
 
     def smallest_members(self, count: int, budget: Budget | int | None = None) -> list[Fraction]:
         """The count smallest positive elements, ascending."""
-        # the multiples of the smallest atom alone give count of them by count * atom
-        reach = self._reach(max(count, 0) * self.int_atoms[0], _as_budget(budget))
-        members, t = [], reach.find("1", 1)
-        while t > 0 and len(members) < count:
-            members.append(Fraction(t, self.scale))
-            t = reach.find("1", t + 1)
-        return members
+        return [Fraction(t, self.scale)
+                for t, _ in _smallest_with_counts(self.int_atoms, count, _as_budget(budget))]
 
     def classify(self, budget: Budget | int | None = None) -> dict:
         """Structure report: cited flags plus enumeration evidence on the 10 smallest members.
@@ -546,10 +542,8 @@ class FgMonoid:
         also keeps 0 away from the nonzero elements.  The report re-evidences
         finiteness by completely enumerating the sample's factorization sets.
         """
-        budget = _as_budget(budget)
-        sample = self.smallest_members(10, budget)
-        # members already, so straight to the kernel
-        counts = [len(_checked_paths(int(q * self.scale), self.int_atoms, None, budget)) for q in sample]
+        sample = _smallest_with_counts(self.int_atoms, 10, _as_budget(budget))
+        counts = [c for _, c in sample]
         flag = lambda v: {"value": v, "provenance": "paper"}
         return {
             "generators": [str(g) for g in self.generators],
@@ -566,7 +560,7 @@ class FgMonoid:
                 "antimatter": flag(False),
             },
             "evidence": {
-                "sampled_members": [str(q) for q in sample],
+                "sampled_members": [str(Fraction(t, self.scale)) for t, _ in sample],
                 "factorization_counts": counts,
                 "all_finite": True,
                 "unique_factorization_observed": all(c == 1 for c in counts),
@@ -705,6 +699,26 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
 
     _depth_first((k - 1, target, exact_length), expand, budget, unit)
     return out
+
+
+def _smallest_with_counts(atoms: Sequence[int], count: int, budget: Budget) -> list[tuple[int, int]]:
+    """The count smallest positive sums of atoms, ascending, each with its
+    number of factorizations, from one best-first walk over multisets of
+    atoms as (sum, index of the largest part).  A popped multiset is
+    extended only by atoms at or above that index, so each is pushed once,
+    at one unit; they pop in order of their sum, so at the first pop of one
+    more sum every factorization of the count smallest has been counted,
+    whatever the scale or the smallest atom's size."""
+    k, heap, counts = len(atoms), [(0, 0)], {}
+    while count > 0:
+        s, i = heapq.heappop(heap)
+        if s not in counts and len(counts) > count:
+            return list(counts.items())[1:]
+        counts[s] = counts.get(s, 0) + 1
+        budget.spend(k - i)
+        for j in range(i, k):
+            heapq.heappush(heap, (s + atoms[j], j))
+    return []
 
 
 def _checked_paths(target: int, atoms: Sequence[int], exact_length: int | None,

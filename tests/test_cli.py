@@ -323,6 +323,18 @@ def test_large_truncation_is_charged_before_it_is_built(capsys):
     assert "budget" in err
 
 
+def test_props_with_a_huge_smallest_atom_ends_at_once(capsys):
+    # the sample is the smallest sums of atoms: a reach string up to 10 times
+    # the smallest scaled atom would be 7 * 10^8 bits
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "--budget", "100000", "props(pm(70000001/7, 70000003/7))")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    evidence = json.loads(out)["evidence"]
+    assert evidence["sampled_members"][-3:] == ["30000001", "210000009/7", "280000004/7"]
+    assert evidence["factorization_counts"] == [1] * 10
+
+
 def test_companion_prime_scan_is_charged_before_it_runs(capsys):
     # the staircase under a_30 needs the odd primes up to 2^30 * p_30
     start = time.perf_counter()

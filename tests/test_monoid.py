@@ -19,7 +19,7 @@ from puiseux import (
 )
 from puiseux import monoid
 from puiseux.dsl import Evaluator
-from puiseux.monoid import Budget, _depth_first, _solve_int
+from puiseux.monoid import Budget, _depth_first, _smallest_with_counts, _solve_int
 
 F = Fraction
 
@@ -690,6 +690,32 @@ def test_depth_first_is_not_bounded_by_the_recursion_limit():
     assert seen == list(range(depth + 1))
 
 
+@given(atoms=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+       count=st.integers(1, 10))
+@example(atoms=[7], count=10)           # one atom
+@example(atoms=[1, 2, 5], count=10)     # 1 as an atom, and sums of several multisets
+@example(atoms=[2, 3], count=10)        # 6 = 2+2+2 = 3+3
+@settings(max_examples=200, deadline=None)
+def test_smallest_sums_count_every_multiset(atoms, count):
+    # the count-th member is at most count * atoms[0], a multiple of the smallest atom
+    buckets = oracle_value_buckets(atoms, count * atoms[0])
+    want = sorted(buckets)[1:count + 1]
+    budget = Budget()
+    assert _smallest_with_counts(atoms, count, budget) == [(t, len(buckets[t])) for t in want]
+    # a unit per multiset pushed: each one popped, summing to at most the
+    # last sum, pushes one child per atom from its largest part's index on
+    last = lambda xs: max((i for i, x in enumerate(xs) if x), default=0)
+    assert budget.spent == sum(len(atoms) - last(xs) for t in [0] + want for xs in buckets[t])
+
+
+@pytest.mark.parametrize("gens, units", [([2, 3], 22), ([6, 9, 20], 31)])
+def test_classify_pins_its_units(gens, units):
+    # a unit per multiset the smallest-sums walk pushes; no kernel run, no reach string
+    assert FgMonoid(gens).classify(Budget(units))["evidence"]["all_finite"] is True
+    with pytest.raises(BudgetExceededError):
+        FgMonoid(gens).classify(Budget(units - 1))
+
+
 @pytest.mark.parametrize("query, count, units", [
     (lambda m, budget: m.factorizations(600, budget=budget), 101, 4 + 1 + 101),
     (lambda m, budget: m.factorizations_of_length(600, 250, budget=budget), 1, 4 + 1 + 1),
@@ -709,10 +735,12 @@ def test_factorizations_come_in_the_kernel_order(gens):
     assert list(zs.items) == sorted(zs.items, key=dense_key(tuple(reversed(m.atoms))))
 
 
-@given(gens=small_gens, count=st.integers(0, 12))
+@given(gens=small_gens, count=st.integers(-1, 12))
+@example(gens=[F(2), F(3)], count=0)
+@example(gens=[F(2), F(3)], count=-1)
 @settings(max_examples=100, deadline=None)
 def test_smallest_members_are_the_first_members(gens, count):
     m = FgMonoid(gens)
-    limit = count * min(m.int_gens)
+    limit = max(count, 0) * min(m.int_gens)
     members = sorted(v for v in oracle_value_buckets(list(m.int_gens), limit) if v > 0)
     assert m.smallest_members(count) == [F(v, m.scale) for v in members[:count]]
