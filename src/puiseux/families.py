@@ -325,8 +325,7 @@ def divisor_candidates(kind: str, q: RationalLike, budget: Budget | None = None)
     return tuple(out)
 
 
-def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
-                     copies: int = 0) -> list[dict[int, int]]:
+def _sqden_solutions(target: Fraction, budget: Budget, copies: int = 0) -> list[dict[int, int]]:
     """All multisets {index: multiplicity} of sqden generators summing to
     target, then, for c = 1..copies, those of target - c with {0: c} added.
 
@@ -335,21 +334,21 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     prime powers d^v: d divides a residual's denominator iff d^v does not
     divide R.  Copy c is the root R = target.numerator - c·D; a root of 0
     is its own solution, searched and charged for nothing.  Each node
-    descends into one index, min_index if one generator fits, else the
+    (R, lo) descends into one index, lo if one generator p_lo fits, else the
     least denominator prime's (`divisor_candidates` lists all, for
     budget.trace only), and pins its multiplicity to the one class mod p^2 that
     clears p, so the tree is finite.  p_lo is read by index from a snapshot
     of the shared prime table, grown only when lo runs past it, and a node
     without children makes no child iterator.  Nodes only clear primes, so
     the root alone rejects a denominator no generator can clear: an
-    exponent above 2, or a prime behind min_index.
+    exponent above 2.
     """
     D = target.denominator
     dens = tuple((d, d ** _int_valuation(D, d)) for d in prime_factors(D, budget))   # ascending d
     # the multiplicity class: m (p+1)/p^2 absorbs the p-part of R/D iff m = R·cls[p] mod p^2
     cls = {d: d * d // de * pow(D // de * (d + 1), -1, d * d) for d, de in dens}
-    primes = _grow_primes(min_index)
-    dead = any(de > d * d for d, de in dens) or bool(dens) and dens[0][0] < primes[min_index - 1]
+    primes = _grow_primes(1)
+    dead = any(de > d * d for d, de in dens)
     out: list[dict[int, int]] = []
     trace = budget.trace
 
@@ -395,7 +394,7 @@ def _sqden_solutions(target: Fraction, min_index: int, budget: Budget,
     for c in range(copies + 1):
         chosen = {0: c} if c else {}   # nonzero multiplicities on the open path, outermost first
         if R := target.numerator - c * D:
-            _depth_first((R, min_index), expand, budget)
+            _depth_first((R, 1), expand, budget)
         else:
             out.append(chosen)
     return out
@@ -421,26 +420,26 @@ def _exaexb_classes(q: Fraction, budget: Budget) -> dict[int, int] | None:
     return cls if rest >= 0 and rest % (2 * D) == 0 else None
 
 
-def _exaexb_core(q: Fraction, primes: Sequence[int] | None, budget: Budget,
-                 pairs: bool = True) -> tuple[list[int], list[tuple[tuple[tuple[int, int, int], ...], int]]]:
-    """The core of q in exA + exB over primes (ascending, >= 5; None for
-    all): its primes, those up to 5q/4 (no atom is below 4/5) and those
-    dividing q's denominator D, and each (parts, K) with parts the nonzero
-    (p, a_p, b_p) over them, ascending, and K the balanced pairs they
-    leave; without pairs, only the least a_p for each b_p - a_p.  Other
-    primes take only pairs: b_p - a_p is a multiple of p there, and p
+def _exaexb_core(q: Fraction, primes: Sequence[int] | None,
+                 budget: Budget) -> list[tuple[tuple[tuple[int, int, int], ...], int]]:
+    """Each d-vector of q in exA + exB over primes (ascending, >= 5; None
+    for all), once: d_p = b_p - a_p over the core, the primes up to 5q/4
+    (no atom is below 4/5) and those dividing q's denominator D, as
+    (parts, K) with parts the nonzero (p, a_p, b_p) at the least a_p =
+    max(0, -d_p) and b_p = max(0, d_p), ascending, and K the balanced pairs
+    they leave.  Off the core d_p is 0: it is a multiple of p there, and p
     parts would be too many.
 
-    Searched prime by prime on the grid 1/D: b_p - a_p through its class
-    (_exaexb_classes), then a_p upwards, keeping a child only if the
-    primes after it can take their least parts, so every node ends in a
-    solution.  One unit per node, one more per 64-bit word of q's
-    numerator past the second, as in the kernel; the prime table up to
-    5q/4 is charged before it grows (prime_index).
+    Searched prime by prime on the grid 1/D: d_p through its class
+    (_exaexb_classes), keeping a child only if the primes after it can take
+    their least parts, so every node ends in a solution.  One unit per
+    node, one more per 64-bit word of q's numerator past the second, as in
+    the kernel; the prime table up to 5q/4 is charged before it grows
+    (prime_index).
     """
     cls = _exaexb_classes(q, budget)
     if cls is None or primes is not None and cls and max(cls) > primes[-1]:
-        return [], []
+        return []
     D = q.denominator
     top = q.numerator * 5 // (4 * D)
     if primes is None:
@@ -464,11 +463,10 @@ def _exaexb_core(q: Fraction, primes: Sequence[int] | None, budget: Budget,
         p, c, cb, ca = levels[j]
         room, base = R - least[j + 1], len(path)
         for t in range(-((room + ca) // ((p - 1) * D)), (room - cb) // ((p + 1) * D) + 1):
-            d, rest = c + p * t, R - cb - t * (p + 1) * D
-            a0 = max(0, -d)
-            for a in range(a0, (rest - least[j + 1]) // (2 * D) + 1 if pairs else a0 + 1):
-                path[base:] = [(p, a, a + d)] if a or d else []
-                yield j + 1, rest - 2 * D * a
+            d = c + p * t
+            a = max(0, -d)
+            path[base:] = [(p, a, a + d)] if d else []
+            yield j + 1, R - cb - t * (p + 1) * D - 2 * D * a
         del path[base:]
 
     def expand(node: tuple[int, int]) -> Iterator[tuple[int, int]] | None:
@@ -480,11 +478,11 @@ def _exaexb_core(q: Fraction, primes: Sequence[int] | None, budget: Budget,
 
     # as the kernel's: wide residuals cost one more unit per 64-bit word past the second
     _depth_first((0, q.numerator), expand, budget, max(1, q.numerator.bit_length() // 64 - 1))
-    return core, out
+    return out
 
 
 def _spreads(n: int, K: int) -> Iterator[list[tuple[int, int]]]:
-    """Every way to place K balanced pairs on n free primes, each as its
+    """Every way to place K balanced pairs on n primes, each as its
     occupied (index, pairs), ascending, in canonical order: the counts by
     index ascend lexicographically.  One list, changed in place.  From all K at the last
     index, a step moves one pair from the last occupied index t to t - 1
@@ -507,13 +505,15 @@ def _exaexb_solutions(q: Fraction, window: int | None, budget: Budget,
     order (Z(q) itself is infinite once it holds a balanced pair, as Z(2)
     does); with ell, only its factorizations of length ell.
 
-    Each core solution (_exaexb_core) spreads its K pairs over the window's
-    other primes (_spreads), and heapq.merge interleaves the spreads by the
-    canonical key over the nonzero parts: (0, -p, b_p) by ascending p, then
-    (-1, p, a_p) by descending p.  A length is the core parts' plus 2K, so
-    ell picks core solutions before they spread.  Work: one unit per window
-    prime before the prime table grows to hold them, the core's, and one
-    per part of each factorization before it is built.
+    Each d-vector (_exaexb_core) spreads its K pairs over every window
+    prime (_spreads): k pairs on p add k to both a_p and b_p.  One spread
+    keeps its d-vector, so the canonical key over the nonzero parts,
+    (0, -p, b_p) by ascending p, then (-1, p, a_p) by descending p, orders
+    it as _spreads orders its counts, and heapq.merge interleaves the
+    spreads.  A length is the least parts' plus 2K, so ell picks d-vectors
+    before they spread.  Work: one unit per window prime before the prime
+    table grows to hold them, the core's, and one per part of each
+    factorization before it is built.
     """
     if window is None:
         raise NeedsBoundError("the exAexB search needs window=... (admitted indices)")
@@ -521,16 +521,20 @@ def _exaexb_solutions(q: Fraction, window: int | None, budget: Budget,
         raise InputError("window must be positive")
     _allot(budget, window, window)
     primes = _grow_primes(window + 2)[2:window + 2]
-    core, sols = _exaexb_core(q, primes, budget)
+    sols = _exaexb_core(q, primes, budget)
     if ell is not None:
         sols = [(parts, K) for parts, K in sols if sum(a + b for _, a, b in parts) + 2 * K == ell]
-    free = sorted(set(primes).difference(core))
 
     def spread(parts: tuple[tuple[int, int, int], ...], K: int) -> Iterator[tuple]:
-        for place in _spreads(len(free), K):
-            rows = sorted(parts + tuple((free[i], k, k) for i, k in place))
-            yield (tuple((0, -p, b) for p, _, b in rows if b)
-                   + tuple((-1, p, a) for p, a, _ in reversed(rows) if a))
+        least = {p: (a, b) for p, a, b in parts}
+        for place in _spreads(len(primes), K):
+            ab = dict(least)
+            for i, k in place:
+                a, b = ab.get(primes[i], (0, 0))
+                ab[primes[i]] = (a + k, b + k)
+            rows = sorted(ab.items())
+            yield (tuple((0, -p, b) for p, (_, b) in rows if b)
+                   + tuple((-1, p, a) for p, (a, _) in reversed(rows) if a))
 
     # the key read backwards lists the parts by ascending atom, (x - 1)/x
     # at x = p for exA's and at x = -p for exB's
@@ -557,7 +561,7 @@ def _sqden_factorizations(q: Fraction, budget: Budget, ones: bool) -> Factorizat
     is the only part interval1 contributes: index 0, the largest atom, so
     the searches emit the factorizations in canonical order.
     """
-    sols = _sqden_solutions(q, 1, budget, int(q) if ones else 0)
+    sols = _sqden_solutions(q, budget, int(q) if ones else 0)
     used = {n for sol in sols for n in sol}
     parts = {n: family_generator("sqden", n) if n else Fraction(1) for n in used}
     return FactorizationSet(q, tuple(
@@ -605,10 +609,9 @@ def family_member(kind: str | FamilyMonoid, q: RationalLike,
 def _exaexb_lengths(q: RationalLike, budget: Budget | int | None = None) -> tuple[int, ...]:
     """Length set of q in exA + exB, window-free, and finite: no
     factorization has more than 5q/4 parts.  A length is q minus
-    sum (b_p - a_p)/p, which pairs do not change, so the core's solutions
-    without pairs (_exaexb_core) give every length, their K pairs placed
-    on any prime outside the core."""
-    _, sols = _exaexb_core(_target(q), None, _as_budget(budget), pairs=False)
+    sum (b_p - a_p)/p, so each d-vector (_exaexb_core) gives one, its K
+    pairs placed on any prime."""
+    sols = _exaexb_core(_target(q), None, _as_budget(budget))
     return tuple(sorted({sum(a + b for _, a, b in parts) + 2 * K for parts, K in sols}))
 
 
@@ -832,7 +835,7 @@ _KINDS = {
     "sqden": _Kind(
         {"atomic": True, "ffm": True, "bfm": True, "lffm": True, "bbm": False}, _truncation_evidence,
         2, "all primes (2, 3, 5, ...)", lambda n, p: Fraction(p + 1, p * p),
-        member=lambda q, budget: bool(_sqden_solutions(q, 1, budget)),
+        member=lambda q, budget: bool(_sqden_solutions(q, budget)),
         factorizations=lambda q, window, budget: _sqden_factorizations(q, budget, False)),
     "interval1": _Kind(
         {"atomic": True, "bbm": True, "bfm": True, "ffm": False, "lffm": False}, _ladder_evidence,
@@ -853,7 +856,7 @@ _KINDS = {
         {"atomic": False, "bfm": False, "bbm": False, "antimatter": False}, _nine_eighths_evidence,
         summands=("interval1", "sqden"),
         # members below 1 must come entirely from the sqden component
-        member=lambda q, budget: q >= 1 or bool(_sqden_solutions(q, 1, budget)),
+        member=lambda q, budget: q >= 1 or bool(_sqden_solutions(q, budget)),
         factorizations=lambda q, window, budget: _sqden_factorizations(q, budget, True),
         untruncated="no bound replaces a truncation"),
     "gramscompanion": _Kind({"antimatter": True, "atomic": False, "bbm": False}, _witness_evidence,

@@ -529,11 +529,6 @@ class FgMonoid:
 
     # -- structure report ---------------------------------------------------
 
-    def smallest_members(self, count: int, budget: Budget | int | None = None) -> list[Fraction]:
-        """The count smallest positive elements, ascending."""
-        return [Fraction(t, self.scale)
-                for t, _ in _smallest_with_counts(self.int_atoms, count, _as_budget(budget))]
-
     def classify(self, budget: Budget | int | None = None) -> dict:
         """Structure report: cited flags plus enumeration evidence on the 10 smallest members.
 

@@ -74,7 +74,7 @@ def test_sqden_membership_matches_exhaustive_search():
         # the pruned search sees the whole family; the oracle only the first
         # five generators, so it may miss members needing a later index
         if fast:
-            sols = _sqden_solutions(q, 1, Budget())
+            sols = _sqden_solutions(q, Budget())
             assert all(sum(family_generator("sqden", n) * m for n, m in sol.items()) == q
                        for sol in sols)
         if slow:
@@ -101,7 +101,7 @@ def test_sqden_solutions_within_truncation_match_oracle_set():
         return sorted(out, key=lambda s: sorted(s.items()))
 
     for q in (F(3, 4), F(3, 2), F(9, 4), F(4, 9), F(31, 36), F(43, 36), F(2), F(25, 12)):
-        pruned = _sqden_solutions(q, 1, Budget())
+        pruned = _sqden_solutions(q, Budget())
         # all candidate indices for these targets lie within the truncation
         assert all(max(sol, default=0) <= 4 for sol in pruned)
         assert sorted(pruned, key=lambda s: sorted(s.items())) == oracle_solutions(q)
@@ -111,7 +111,7 @@ def test_sqden_solutions_with_many_copies_sum_to_their_target():
     # these solutions take p^2 or more copies at several indices, so a
     # multiplicity left over from a finished branch would change the sum
     for q in (F(6), F(15, 2), F(8)):
-        sols = _sqden_solutions(q, 1, Budget())
+        sols = _sqden_solutions(q, Budget())
         assert len(sols) > 1
         assert all(sum(family_generator("sqden", n) * m for n, m in sol.items()) == q for sol in sols)
 
@@ -134,22 +134,19 @@ def _solution_set(sols):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_SQDEN_TARGETS, st.integers(1, 3))
-def test_sqden_search_matches_product_enumeration(q, k):
-    sols = _sqden_solutions(q, k, Budget())
+@given(_SQDEN_TARGETS)
+def test_sqden_search_matches_product_enumeration(q):
+    sols = _sqden_solutions(q, Budget())
     assert len(_solution_set(sols)) == len(sols)
-    assert _solution_set(sols) == _solution_set(oracle_sqden_solutions(q, k))
+    assert _solution_set(sols) == _solution_set(oracle_sqden_solutions(q))
 
 
-@pytest.mark.parametrize("q, k", [
-    (F(3, 2), 2), (F(7, 4), 2), (F(31, 36), 2), (F(154, 225), 2), (F(154, 225), 3),
-    (F(83, 49), 3), (F(27, 8), 1), (F(9, 8), 2),
-])
-def test_sqden_search_from_a_later_index_matches_product_enumeration(q, k):
-    # a denominator prime whose index is behind k cannot be cleared, and a
-    # denominator exponent above 2 cannot be absorbed: both end the search at its root
-    sols = _sqden_solutions(q, k, Budget())
-    assert _solution_set(sols) == _solution_set(oracle_sqden_solutions(q, k))
+@pytest.mark.parametrize("q", [F(3, 2), F(7, 4), F(31, 36), F(154, 225), F(83, 49), F(27, 8), F(9, 8)])
+def test_sqden_search_ends_at_a_denominator_exponent_above_2(q):
+    # a denominator exponent above 2 (27/8, 9/8) cannot be absorbed and ends
+    # the search at its root; squares and single primes are cleared
+    sols = _sqden_solutions(q, Budget())
+    assert _solution_set(sols) == _solution_set(oracle_sqden_solutions(q))
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,6 +268,7 @@ def _exaexb_targets(draw):
 @example(case=(F(14, 13), 3))
 @example(case=(F(8), 3))
 @example(case=(F(12), 2))
+@example(case=(F(24, 5), 2))
 def test_exaexb_search_lists_the_product_enumeration_in_order(case):
     q, window = case
     zs = family_factorizations("exAexB", q, window=window)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_atoms, oracle_fraction_member
+from conftest import oracle_atoms, oracle_fraction_member, oracle_primes_from
 from puiseux import (
     BudgetExceededError,
     InputError,
@@ -22,7 +22,7 @@ from puiseux import (
     run_paper_example,
     truncate,
 )
-from puiseux.families import _sqden_solutions, family_prime
+from puiseux.families import _exaexb_core, _sqden_solutions, family_prime
 from puiseux.monoid import Budget
 
 F = Fraction
@@ -216,8 +216,9 @@ def test_exaexb_window_counts():
 
 
 @pytest.mark.parametrize("q, window, units", [
-    (F(2), 1, 4), (F(2), 10, 31), (F(2), 3000, 9001), (F(4), 7, 111), (F(24, 7), 5, 10),
-    (F(12, 11), 7, 10), (F(0), 3, 4), (F(12, 25), 7, 7), (F(122, 35), 5, 10), (F(12), 2, 205),
+    (F(2), 1, 4), (F(2), 10, 31), (F(2), 3000, 9001), (F(4), 7, 109), (F(24, 7), 5, 10),
+    (F(12, 11), 7, 10), (F(0), 3, 4), (F(12, 25), 7, 7), (F(122, 35), 5, 10), (F(12), 2, 119),
+    (F(24, 5), 2, 17),
 ])
 def test_exaexb_search_charges_a_pinned_number_of_units(q, window, units):
     # one unit per window prime, then one per node of the core search, and
@@ -251,10 +252,18 @@ def test_exaexb_search_builds_at_most_one_part_per_unit(window):
 
 
 def test_exaexb_length_slice_spreads_only_the_core_solutions_of_its_length():
-    # none of 4's four core solutions has length 2: the window and the core
-    # cost 605 units at window 600, and no factorization is built
-    zs = family("exAexB", window=600).factorizations_of_length(4, 2, Budget(10**4))
-    assert len(zs) == 0
+    # neither of 4's two core solutions has length 2: the window and the core
+    # cost 603 units at window 600, and no factorization is built
+    budget = Budget(10**4)
+    zs = family("exAexB", window=600).factorizations_of_length(4, 2, budget)
+    assert len(zs) == 0 and budget.spent == 603
+
+
+def test_exaexb_core_lists_each_d_vector_once_at_its_least_parts():
+    # 4 = 5·4/5 (d_5 = -5) or two balanced pairs (d = 0); 4/5 + 6/5 on 5 is
+    # one of those pairs, placed by the spread, not a core solution of its own
+    primes = oracle_primes_from(5, 600)
+    assert _exaexb_core(Fraction(4), primes, Budget()) == [(((5, 5, 0),), 0), ((), 2)]
 
 
 def test_exaexb_window_argument_beats_the_descriptor_window():
@@ -311,9 +320,9 @@ def test_family_factorizations_of_zero_and_below(kind):
 ])
 def test_sqden_search_visits_a_pinned_number_of_nodes(q, nodes):
     # one unit per node: the tree is pinned node for node
-    _sqden_solutions(q, 1, Budget(nodes))
+    _sqden_solutions(q, Budget(nodes))
     with pytest.raises(BudgetExceededError):
-        _sqden_solutions(q, 1, Budget(nodes - 1))
+        _sqden_solutions(q, Budget(nodes - 1))
 
 
 def test_budget_outcome_does_not_depend_on_earlier_queries():

@@ -739,8 +739,9 @@ def test_factorizations_come_in_the_kernel_order(gens):
 @example(gens=[F(2), F(3)], count=0)
 @example(gens=[F(2), F(3)], count=-1)
 @settings(max_examples=100, deadline=None)
-def test_smallest_members_are_the_first_members(gens, count):
+def test_smallest_sums_are_the_first_members(gens, count):
+    # counts 0 and -1 ask for no member
     m = FgMonoid(gens)
     limit = max(count, 0) * min(m.int_gens)
     members = sorted(v for v in oracle_value_buckets(list(m.int_gens), limit) if v > 0)
-    assert m.smallest_members(count) == [F(v, m.scale) for v in members[:count]]
+    assert [t for t, _ in _smallest_with_counts(m.int_atoms, count, Budget())] == members[:max(count, 0)]
