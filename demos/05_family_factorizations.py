@@ -12,6 +12,7 @@ from fractions import Fraction
 from puiseux import (
     Budget,
     divisor_candidates,
+    family,
     family_factorizations,
     family_member,
     family_properties,
@@ -59,6 +60,6 @@ for bound in (4, 8, 12):
     print(f"den_bound {bound}: {len(sample)} length-2 factorizations of 3")
 
 # Property reports carry provenance: paper-sourced flags vs computed evidence.
-report = family_properties("exAexB", window=6)
+report = family_properties(family("exAexB", window=6))
 print({name: flag["value"] for name, flag in report["flags"].items()})
 print(report["evidence"]["length2_counts_of_2"])

@@ -4,10 +4,10 @@ Grammar (whitespace insignificant, "#" starts a comment to end of line):
 
     program := stmt (";" stmt)*
     stmt    := "let" IDENT "=" mexpr  |  query
-    mexpr   := "pm" "(" rat {"," rat} ")"
+    mexpr   := primary {"+" primary}
+    primary := "pm" "(" rat {"," rat} ")"
              | "cyclic" "(" rat ")"
              | "family" "(" NAME {"," IDENT "=" INT} ")"
-             | mexpr "+" mexpr
              | IDENT
     query   := ("atoms" | "props") "(" mexpr ")"
              | ("Z" | "L" | "member") "(" mexpr "," rat ")"
@@ -109,23 +109,10 @@ class Family:
 
 @dataclass(frozen=True)
 class Sum:
-    """left + right.  Equality, hash and repr walk the left spine in a loop
-    (_summands), as the evaluator does: the generated ones recurse down it."""
+    """The internal sum of two or more terms, left to right.  A flat tuple,
+    so a long "+" chain compares, hashes and prints without recursion."""
 
-    left: "MonoidExpr"
-    right: "MonoidExpr"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sum):
-            return NotImplemented
-        return _summands(self) == _summands(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(_summands(self)))
-
-    def __repr__(self) -> str:
-        first, *rest = _summands(self)
-        return "Sum(left=" * len(rest) + repr(first) + "".join(f", right={t!r})" for t in rest)
+    terms: tuple["MonoidExpr", ...]
 
 
 @dataclass(frozen=True)
@@ -134,17 +121,6 @@ class Ident:
 
 
 MonoidExpr = FgLiteral | Cyclic | Family | Sum | Ident
-
-
-def _summands(expr: Sum) -> list[MonoidExpr]:
-    """The terms of a left-nested sum, left to right, walked in a loop: a long
-    "+" chain would overflow the interpreter's stack in a recursion."""
-    terms = []
-    while isinstance(expr, Sum):
-        terms.append(expr.right)
-        expr = expr.left
-    terms.append(expr)
-    return terms[::-1]
 
 
 @dataclass(frozen=True)
@@ -229,11 +205,11 @@ class _Parser:
         return Query(head, expr, tuple(args))
 
     def mexpr(self) -> MonoidExpr:
-        node = self.primary()
+        terms = [self.primary()]
         while self.kinds[self.pos] == "+":
             self.pos += 1
-            node = Sum(node, self.primary())
-        return node
+            terms.append(self.primary())
+        return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def primary(self) -> MonoidExpr:
         pos = self.pos
@@ -306,7 +282,7 @@ def print_mexpr(expr: MonoidExpr) -> str:
         inner = ", ".join([expr.name] + [f"{k}={v}" for k, v in expr.params])
         return f"family({inner})"
     if isinstance(expr, Sum):
-        return " + ".join(map(print_mexpr, _summands(expr)))
+        return " + ".join(map(print_mexpr, expr.terms))
     if isinstance(expr, Ident):
         return expr.name
     raise InputError(f"not a monoid expression: {expr!r}")
@@ -373,7 +349,7 @@ class Evaluator:
                 return families.truncate(fam, k, budget=self.budget)
             return fam
         if isinstance(expr, Sum):
-            first, *rest = _summands(expr)
+            first, *rest = expr.terms
             value = self.eval_mexpr(first)
             for term in rest:
                 value = value.internal_sum(self.eval_mexpr(term), self.budget)

@@ -187,35 +187,34 @@ def grams_companion(n: int, depth: int, budget: Budget | int | None = None) -> C
     return CompanionSequence(n, f, tuple(bs), tuple(cs))
 
 
-def truncate(fam: FamilyMonoid | str, count: int, n_max: int | None = None,
-             budget: Budget | int | None = None) -> FgMonoid:
+def truncate(fam: FamilyMonoid | str, count: int, budget: Budget | int | None = None) -> FgMonoid:
     """Finitely generated monoid on the first `count` generators.
 
     For the companion family the truncation takes the first `count` steps of
-    each staircase with n up to n_max (default 1); for composite sums it is
-    the internal sum of the component truncations.  One allowance covers the
-    whole truncation, charged one unit per generator before they are built.
+    each staircase with n up to the family's n (default 1); a composite's is
+    the internal sum of its parts' truncations, each under the family's params.
+    One allowance covers the whole truncation, charged one unit per generator
+    before they are built.
     """
-    if isinstance(fam, FamilyMonoid):
-        n_max = n_max or fam.param("n")
-        fam = fam.kind
-    k = _kind(fam)
+    fam = FamilyMonoid(fam) if isinstance(fam, str) else fam
+    k = _kind(fam.kind)
     if count < 1:
         raise InputError("truncation size must be positive")
     budget = _as_budget(budget)
     if k.untruncated:
-        raise InputError(f"{fam} has no generator sequence to truncate")
+        raise InputError(f"{fam.kind} has no generator sequence to truncate")
     if k.summands:
-        left, right = (truncate(part, count, n_max, budget) for part in k.summands)
+        left, right = (truncate(FamilyMonoid(part, fam.params), count, budget) for part in k.summands)
         return left.internal_sum(right, budget)
-    if fam == "companion":
+    if fam.kind == "companion":
         # the prime scans grow with n, so charging the largest first stops an
         # oversized truncation before it scans
-        budget.spend(count * (n_max or 1))
-        gens = [b for n in range(n_max or 1, 0, -1) for b in grams_companion(n, count, budget).b]
+        n_max = fam.param("n", 1)
+        budget.spend(count * n_max)
+        gens = [b for n in range(n_max, 0, -1) for b in grams_companion(n, count, budget).b]
         return FgMonoid(gens, budget)
     budget.spend(count)
-    return FgMonoid([family_generator(fam, i) for i in range(1, count + 1)], budget)
+    return FgMonoid([family_generator(fam.kind, i) for i in range(1, count + 1)], budget)
 
 
 # -- antimatter witnesses -----------------------------------------------------
@@ -685,30 +684,26 @@ def interval_length_factorizations(q: RationalLike, ell: int, den_bound: int | N
 # -- property reports ---------------------------------------------------------
 
 
-def family_properties(kind: str | FamilyMonoid, K: int = 6, window: int = 10,
-                      den_bound: int = 12, budget: Budget | int | None = None) -> dict:
-    """Property report: flags with provenance plus freshly computed evidence."""
-    if isinstance(kind, FamilyMonoid):
-        K = kind.param("K", K) or K
-        window = kind.param("window", window) or window
-        den_bound = kind.param("den_bound", den_bound) or den_bound
-        kind = kind.kind
-    k = _kind(kind)
-    evidence = k.evidence(kind, K, window, den_bound, _as_budget(budget))
+def family_properties(fam: str | FamilyMonoid, budget: Budget | int | None = None) -> dict:
+    """Property report: flags with provenance plus evidence at the family's own bound."""
+    fam = FamilyMonoid(fam) if isinstance(fam, str) else fam
+    k = _kind(fam.kind)
+    evidence = k.evidence(fam, _as_budget(budget))
     flags = {
         name: {"value": value, "provenance": "paper"}
         for name, value in k.flags.items()
     }
     return {
-        "family": kind,
+        "family": fam.kind,
         "primes": k.prime_label,
         "flags": flags,
         "evidence": evidence,
     }
 
 
-def _truncation_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
-    trunc = truncate(kind, K, budget=budget)
+def _truncation_evidence(fam: FamilyMonoid, budget: Budget) -> dict:
+    K = fam.param("K", 6)
+    trunc = truncate(fam, K, budget)
     return {
         "provenance": f"evidence(K={K})",
         "truncation_generators": [str(g) for g in trunc.generators],
@@ -716,7 +711,8 @@ def _truncation_evidence(kind: str, K: int, window: int, den_bound: int, budget:
     }
 
 
-def _staircase_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+def _staircase_evidence(fam: FamilyMonoid, budget: Budget) -> dict:
+    K = fam.param("K", 6)
     budget.spend(K)   # one unit per step before the staircase is built, as truncate charges
     seq = grams_companion(1, K, budget)
     a_1 = family_generator("grams", 1)
@@ -727,7 +723,7 @@ def _staircase_evidence(kind: str, K: int, window: int, den_bound: int, budget: 
     }
 
 
-def _witness_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+def _witness_evidence(fam: FamilyMonoid, budget: Budget) -> dict:
     witnesses = _antimatter_witnesses()
     return {
         "provenance": "evidence(n<=3, depth<=3)",
@@ -736,7 +732,8 @@ def _witness_evidence(kind: str, K: int, window: int, den_bound: int, budget: Bu
     }
 
 
-def _length2_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+def _length2_evidence(fam: FamilyMonoid, budget: Budget) -> dict:
+    window = fam.param("window", 10)
     counts = [len(zs) for zs in _exaexb_length2_of_2(window, budget)]
     return {
         "provenance": f"evidence(window={window})",
@@ -745,7 +742,8 @@ def _length2_evidence(kind: str, K: int, window: int, den_bound: int, budget: Bu
     }
 
 
-def _ladder_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+def _ladder_evidence(fam: FamilyMonoid, budget: Budget) -> dict:
+    den_bound = fam.param("den_bound", 12)
     ladder = _interval_ladder(den_bound, budget)
     counts = [len(zs) for zs in ladder.values()]
     return {
@@ -756,7 +754,7 @@ def _ladder_evidence(kind: str, K: int, window: int, den_bound: int, budget: Bud
     }
 
 
-def _nine_eighths_evidence(kind: str, K: int, window: int, den_bound: int, budget: Budget) -> dict:
+def _nine_eighths_evidence(fam: FamilyMonoid, budget: Budget) -> dict:
     member, zs = _nine_eighths(budget)
     return {
         "provenance": "evidence(exact)",
@@ -766,8 +764,7 @@ def _nine_eighths_evidence(kind: str, K: int, window: int, den_bound: int, budge
 
 
 # -- evidence shared with the paper scenarios ----------------------------------
-# A Budget passed in is shared by every search inside; an int or None gives
-# each search its own allowance.
+# The Budget passed in is shared by every search inside.
 
 
 def _antimatter_witnesses() -> list[Witness]:
@@ -777,7 +774,7 @@ def _antimatter_witnesses() -> list[Witness]:
     return witnesses
 
 
-def _exaexb_length2_of_2(window: int, budget: Budget | int | None) -> list[list[Factorization]]:
+def _exaexb_length2_of_2(window: int, budget: Budget) -> list[list[Factorization]]:
     """The length-2 factorizations of 2 in exA + exB, for each window 1..window."""
     return [
         [z for z in family_factorizations("exAexB", 2, window=w, budget=budget) if z.length == 2]
@@ -785,7 +782,7 @@ def _exaexb_length2_of_2(window: int, budget: Budget | int | None) -> list[list[
     ]
 
 
-def _interval_ladder(den_bound: int, budget: Budget | int | None) -> dict[int, FactorizationSet]:
+def _interval_ladder(den_bound: int, budget: Budget) -> dict[int, FactorizationSet]:
     """Length-2 factorizations of 3 in the unit-interval monoid, keyed by an
     ascending ladder of denominator bounds that ends at or above den_bound.
     The largest rung is built first, so a shared budget too small for it
@@ -795,7 +792,7 @@ def _interval_ladder(den_bound: int, budget: Budget | int | None) -> dict[int, F
     return dict(reversed(ladder.items()))
 
 
-def _nine_eighths(budget: Budget | int | None) -> tuple[bool, FactorizationSet]:
+def _nine_eighths(budget: Budget) -> tuple[bool, FactorizationSet]:
     """Whether 9/8 lies in interval1 + sqden, and its factorization set."""
     q = Fraction(9, 8)
     member = family_member("interval1_sqden", q, budget)
@@ -810,7 +807,7 @@ class _Kind(NamedTuple):
     the kind's hint; a public one is called by its module-level name."""
 
     flags: dict[str, bool]   # the paper's, in the order family_properties reports them
-    evidence: Callable[[str, int, int, int, Budget], dict]
+    evidence: Callable[[FamilyMonoid, Budget], dict]   # at the family's own bound, or the kind's default
     prime_floor: int | None = None   # p_n is the n-th prime at or above it
     prime_label: str | None = None
     generator: Callable[[int, int], Fraction] | None = None   # (n, p_n) -> the n-th generator
@@ -840,7 +837,7 @@ _KINDS = {
     "interval1": _Kind(
         {"atomic": True, "bbm": True, "bfm": True, "ffm": False, "lffm": False}, _ladder_evidence,
         member=lambda q, budget: q >= 1,
-        lengths=lambda q, budget: interval_lengths(q, budget),
+        lengths=interval_lengths,
         factorizations_of_length=lambda fam, q, ell, budget: interval_length_factorizations(
             q, ell, fam.param("den_bound"), budget),
         untruncated="query it with L(...) or Zl(..., den_bound=...)"),

@@ -243,6 +243,7 @@ def lat_factorizations_over(atoms: tuple[LatticePoint, ...], v: Pair,
     factorization set can be infinite, raises InputError."""
     _check_domain(atoms)
     xs, ys = [a[0] for a in atoms], [a[1] for a in atoms]
+    # one height keeps this shift: the psi digits below ran ~30% slower on scenario 4.4's sample
     if ys[0] >= 1 and ys.count(ys[0]) == len(ys):
         n, r = divmod(v[1], ys[0])
         if r or n < 0:   # no count of parts of height h sums to y

@@ -555,16 +555,13 @@ _leaves = st.one_of(
 )
 
 
-def _fold_sum(terms):
-    node = terms[0]
-    for term in terms[1:]:
-        node = Sum(node, term)
-    return node
+def _flat_sum(terms):
+    return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
 
 
-# the grammar has no parentheses, so printable sums are exactly the
-# left-associated ones the parser itself produces
-_mexprs = st.lists(_leaves, min_size=1, max_size=3).map(_fold_sum)
+# the parser returns a lone term as it is and two or more as one flat Sum,
+# so these are exactly the trees it produces
+_mexprs = st.lists(_leaves, min_size=1, max_size=3).map(_flat_sum)
 
 _stmts = st.one_of(
     st.builds(Let, st.sampled_from(["M", "N", "S1", "total"]), _mexprs),

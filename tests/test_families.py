@@ -73,6 +73,15 @@ def test_truncations():
         truncate("interval1", 3)
 
 
+def test_a_composite_truncation_passes_n_to_its_parts():
+    # grams' first two generators, then the first two steps of the staircases
+    # under n = 2 and n = 1
+    gens = truncate(family("gramscompanion", n=2), 2).generators
+    assert gens == (F(1007, 29440), F(1467, 29440), F(1, 20), F(29, 336), F(25, 168), F(1, 6))
+    assert set(gens) == {family_generator("grams", 1), family_generator("grams", 2),
+                         *grams_companion(2, 2).b, *grams_companion(1, 2).b}
+
+
 def test_truncation_too_large_to_index_is_a_budget_error():
     # the scaled grams generators have hundreds of bits, so neither an
     # Apéry table nor a bitmask over them can be indexed, budget or not
@@ -133,9 +142,9 @@ def test_each_companion_step_subtracts_the_largest_power_of_a_half_that_fits(n):
 
 def test_companion_evidence_charges_its_depth_before_it_builds():
     with pytest.raises(BudgetExceededError):
-        family_properties("companion", K=1600, budget=Budget(10))
+        family_properties(family("companion", K=1600), budget=Budget(10))
     meter = Budget(10**6)
-    family_properties("companion", K=40, budget=meter)
+    family_properties(family("companion", K=40), budget=meter)
     assert 10**6 - meter.left == 40
 
 
@@ -410,19 +419,19 @@ def test_interval_sample_spends_a_pinned_number_of_units(q, ell, den_bound, unit
 
 
 def test_family_properties_reports():
-    grams = family_properties("grams", K=4)
+    grams = family_properties(family("grams", K=4))
     assert grams["flags"]["atomic"] == {"value": True, "provenance": "paper"}
     assert grams["flags"]["bbm"]["value"] is False
     assert grams["evidence"]["all_generators_are_atoms"] is True
     assert "odd primes" in grams["primes"]
 
-    ab = family_properties("exAexB", window=4)
+    ab = family_properties(family("exAexB", window=4))
     assert ab["flags"]["ffm"]["value"] is False
     assert ab["flags"]["bfm"]["value"] is True
     assert ab["evidence"]["length2_counts_of_2"] == [1, 2, 3, 4]
     assert ab["evidence"]["strictly_increasing"] is True
 
-    interval = family_properties("interval1", den_bound=9)
+    interval = family_properties(family("interval1", den_bound=9))
     assert interval["flags"]["bbm"]["value"] is True
     assert interval["flags"]["ffm"]["value"] is False
     assert interval["evidence"]["strictly_increasing"] is True
@@ -449,7 +458,7 @@ def test_property_diagram_corners():
     # factorizations; finite factorizations without bounded-below; bounded
     # factorizations without finite ones
     def flag(kind, name):
-        return family_properties(kind, K=3, window=3, den_bound=6)["flags"][name]["value"]
+        return family_properties(family(kind, K=3, window=3, den_bound=6))["flags"][name]["value"]
 
     assert flag("interval1", "bbm") and not flag("interval1", "ffm")
     assert flag("sqden", "ffm") and not flag("sqden", "bbm")

@@ -16,7 +16,7 @@ import pytest
 
 from puiseux import PuiseuxError, family_properties, render
 from puiseux.dsl import QUERY_HEADS, Evaluator
-from puiseux.families import KINDS
+from puiseux.families import KINDS, family
 from puiseux.monoid import Budget
 
 SNAPSHOT = Path(__file__).parent / "family_surface.json"
@@ -45,7 +45,7 @@ def _query(program: str) -> dict:
 
 def _props(kind: str) -> dict:
     def run(meter):
-        return json.dumps(family_properties(kind, K=3, window=4, den_bound=4, budget=meter),
+        return json.dumps(family_properties(family(kind, K=3, window=4, den_bound=4), budget=meter),
                           indent=2)
     return {"props": kind, **_outcome(run)}
 
