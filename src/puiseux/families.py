@@ -571,10 +571,12 @@ def family_factorizations(kind: str | FamilyMonoid, q: RationalLike,
                           window: int | None = None,
                           budget: Budget | int | None = None) -> FactorizationSet:
     """Z(q) over a family's atoms by the kind's exact procedure; for exAexB,
-    over a window of admitted indices (_exaexb_solutions)."""
+    over a window of admitted indices (_exaexb_solutions), given by window
+    beside a kind name or by a family's own param."""
     if isinstance(kind, FamilyMonoid):
-        window = window or kind.param("window")
-        kind = kind.kind
+        if window is not None:
+            raise InputError(f"{kind} takes its window from its params, not a window argument")
+        window, kind = kind.param("window"), kind.kind
     factorizations = _kind(kind).factorizations
     q = _target(q)
     if factorizations is None:

@@ -555,7 +555,7 @@ class FgMonoid:
                 "antimatter": flag(False),
             },
             "evidence": {
-                "sampled_members": [str(Fraction(t, self.scale)) for t, _ in sample],
+                "sampled_members": [_ratio_str(t, self.scale) for t, _ in sample],
                 "factorization_counts": counts,
                 "all_finite": True,
                 "unique_factorization_observed": all(c == 1 for c in counts),
@@ -586,6 +586,12 @@ class FgMonoid:
         return f"FgMonoid({', '.join(str(g) for g in self.generators)})"
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
                budget: Budget) -> list[tuple[tuple[int, int], ...]]:
     """All ways to write target as a sum of multiples of atoms (ascending,
@@ -609,7 +615,11 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
     solutions are the m1 congruent to (rem/g) * (a1/g)^-1 mod a0/g with
     m1 * a1 <= rem, taken ascending as the search would meet them; under a
     length l the only candidate is m1 = (rem - l*a0) / (a1 - a0), kept if
-    it is an integer in [0, l].
+    it is an integer in [0, l].  A node with three atoms left and no length
+    solves its two-atom children in one loop instead of handing them to the
+    driver: each is charged as the node it would be, then for its solutions,
+    before the next, so the units and the point where a budget runs out are
+    those of the tree.
 
     Work: a unit per node, plus one per 64-bit word of target past the
     second (free below 192 bits, where a node costs about what a one-word
@@ -627,6 +637,10 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
         g = math.gcd(g, a)
         prefix_gcd[i] = g
     index_of = {a: i for i, a in enumerate(atoms)}
+    spend = budget.spend
+    if k > 1:   # the two-atom level a0*m0 + a1*m1 = rem, solvable when g divides rem
+        a0, a1, g = atoms[0], atoms[1], prefix_gcd[1]
+        step = a0 // g
     out: list[tuple[tuple[int, int], ...]] = []
     path: list[tuple[int, int]] = []   # nonzero multiplicities on the open path, largest index first
 
@@ -659,7 +673,7 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
             # the larger part a_j >= rem - a_j >= atoms[0], j ascending as the search meets them
             lo = bisect_left(atoms, (rem + 1) // 2, 0, i + 1)
             hi = bisect_right(atoms, rem - atoms[0], 0, i + 1)
-            budget.spend(unit * (hi - lo))
+            spend(unit * (hi - lo))
             tail = tuple(reversed(path))
             for j in range(lo, hi):
                 other = index_of.get(rem - atoms[j], k)
@@ -667,19 +681,38 @@ def _solve_int(target: int, atoms: Sequence[int], exact_length: int | None,
                     out.append(((other, 1), (j, 1), *tail))
                 elif other == j:
                     out.append(((j, 2), *tail))
+        elif i == 2 and need is None:
+            # each child (1, r1) is charged as a node and solved here, as the i == 1 branch would
+            if rem % prefix_gcd[2]:
+                return None
+            a2, head, inv = atoms[2], tuple(reversed(path)), pow(a1 // g, -1, step)
+            for m2 in range(rem // a2 + 1):
+                r1 = rem - m2 * a2
+                if 0 < r1 < a0:
+                    continue
+                spend(unit)
+                if r1 == 0:
+                    out.append(((2, m2), *head))
+                elif r1 % g == 0:
+                    start, stop = r1 // g * inv % step, r1 // a1 + 1
+                    if start < stop:
+                        spend(-((start - stop) // step))
+                        tail = ((2, m2), *head) if m2 else head
+                        for m1 in range(start, stop, step):
+                            m0 = (r1 - m1 * a1) // a0
+                            out.append(((0, m0), (1, m1), *tail) if m0 and m1
+                                       else ((0, m0), *tail) if m0 else ((1, m1), *tail))
         elif i == 1:
             # a0*m0 + a1*m1 = rem in closed form, m1 ascending
-            a0, a1, g = atoms[0], atoms[1], prefix_gcd[1]
             if need is not None:
                 m1, r = divmod(rem - need * a0, a1 - a0)
                 m1s = range(m1, m1 + 1) if r == 0 and 0 <= m1 <= need else range(0)
             elif rem % g == 0:
-                step = a0 // g
                 m1s = range(rem // g * pow(a1 // g, -1, step) % step, rem // a1 + 1, step)
             else:
                 m1s = range(0)
             # len(m1s) without len(), which overflows past sys.maxsize items
-            budget.spend(max(0, -((m1s.start - m1s.stop) // m1s.step)))
+            spend(max(0, -((m1s.start - m1s.stop) // m1s.step)))
             tail = tuple(reversed(path))
             for m1 in m1s:
                 m0 = (rem - m1 * a1) // a0

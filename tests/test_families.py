@@ -275,10 +275,17 @@ def test_exaexb_core_lists_each_d_vector_once_at_its_least_parts():
     assert _exaexb_core(Fraction(4), primes, Budget()) == [(((5, 5, 0),), 0), ((), 2)]
 
 
-def test_exaexb_window_argument_beats_the_descriptor_window():
+def test_exaexb_family_factorizations_read_the_family_window():
     assert family_factorizations(family("exAexB", window=3), 2) == family_factorizations("exAexB", 2, window=3)
-    assert family_factorizations(family("exAexB", window=3), 2, window=5) == family_factorizations("exAexB", 2, window=5)
-    assert family_factorizations(family("exAexB"), 2, window=5) == family_factorizations("exAexB", 2, window=5)
+    assert len(family_factorizations(family("exAexB", window=3), 2)) == 3
+
+
+@pytest.mark.parametrize("fam", [family("exAexB", window=3), family("exAexB"), family("sqden")])
+def test_window_argument_beside_a_family_is_refused(fam):
+    # a family's window lives in its params; a second spelling would have to
+    # pick a winner silently
+    with pytest.raises(InputError, match="window"):
+        family_factorizations(fam, 2, window=5)
 
 
 def test_interval_sqden_sum_is_not_atomic_at_9_8():

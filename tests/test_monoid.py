@@ -601,6 +601,29 @@ def test_kernel_units_are_nodes_above_two_atoms_plus_solutions(atoms, target):
     assert _kernel_units(target, atoms) == 1 + kept + read_off
 
 
+@pytest.mark.parametrize("atoms, target, units, spent_at", [
+    # spent after the raise at limits 1, 2, 5, 17 and units - 1: a three-atom
+    # node charges each two-atom child it solves in line as a node, then for
+    # its solutions, so a budget runs out where it did in the tree
+    ((6, 9, 20), 400, 96, [2, 3, 25, 25, 96]),
+    ((7, 11, 13, 17), 300, 567, [2, 3, 7, 18, 567]),
+])
+def test_kernel_runs_out_where_the_node_tree_does(atoms, target, units, spent_at):
+    assert _kernel_units(target, atoms) == units
+    for limit, spent in zip([1, 2, 5, 17, units - 1], spent_at):
+        budget = Budget(limit)
+        with pytest.raises(BudgetExceededError):
+            _solve_int(target, atoms, None, budget)
+        assert budget.spent == spent
+
+
+def test_three_atom_node_counts_solutions_past_sys_maxsize():
+    # 10^21 over <3, 4, 5>: a two-atom child's solutions are far more than
+    # sys.maxsize, counted without len() and charged at once
+    with pytest.raises(BudgetExceededError):
+        _solve_int(10**21, (3, 4, 5), None, Budget(100))
+
+
 @pytest.mark.parametrize("atoms, target", [((2, 3), 600), ((6, 9, 20), 400), ((7, 11, 13), 300)])
 @pytest.mark.parametrize("shift", [60, 120, 200, 1000])
 def test_kernel_charges_wide_targets_per_word_past_the_second(atoms, target, shift):
